@@ -10,13 +10,19 @@ extensions at matched tuples via seeded lockstep refinement.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .core import CoherentConfig, Parabolic, intersection_tensor, quotient, restriction
+from .core import (
+    CoherentConfig,
+    Parabolic,
+    intersection_tensor,
+    is_translation_invariant,
+    quotient,
+    restriction,
+)
 from .refine import joint_refine_pair
 
 
@@ -172,49 +178,61 @@ def algebraic_automorphisms(cc: CoherentConfig) -> list[AlgebraicIso]:
 # -- combinatorial isomorphisms ----------------------------------------------------
 
 
-def find_isomorphism(
-    cc_a: CoherentConfig, cc_b: CoherentConfig, phi: AlgebraicIso
-) -> tuple[int, ...] | None:
-    """A point bijection f with color'(f a, f b) = phi(color(a, b)) for all
-    pairs, or None after exhausting the search space.
+def iter_isomorphisms(
+    cc_a: CoherentConfig, cc_b: CoherentConfig, phi: AlgebraicIso, domain=None
+):
+    """Yield image tuples of the points of ``domain`` (default: all points)
+    whose colors match phi on every diagonal pair and on every pair with an
+    earlier domain point.
 
-    Candidates are pruned by color consistency against all previously
-    assigned points; images are tried in increasing point order, so the
-    returned map is the lexicographically least one.
+    Distinct domain points get distinct images and a repeated point is sent
+    where its first occurrence went.  Images are tried in increasing point
+    order, so tuples come out in lexicographic order.
     """
     n = cc_a.n
     if cc_b.n != n:
-        return None
-    cmap = phi.array
-    mat_a, mat_b = cc_a.colors, cc_b.colors
-    mapped = cmap[mat_a]
-
-    assign = np.full(n, -1, dtype=np.int64)
+        return
+    domain = tuple(range(n)) if domain is None else tuple(int(p) for p in domain)
+    first = [domain.index(p) for p in domain]
+    mapped = phi.array[cc_a.colors]
+    mat_b = cc_b.colors
+    diag_b = mat_b.diagonal()
+    assign = [0] * len(domain)
     used = np.zeros(n, dtype=bool)
 
-    def rec(i: int) -> bool:
-        if i == n:
-            return True
-        ok = ~used & (mat_b.diagonal() == mapped[i, i])
+    def rec(i: int):
+        if i == len(domain):
+            yield tuple(assign)
+            return
+        if first[i] < i:
+            assign[i] = assign[first[i]]
+            yield from rec(i + 1)
+            return
+        p = domain[i]
+        ok = ~used & (diag_b == mapped[p, p])
         for j in range(i):
-            fj = assign[j]
-            ok &= mat_b[fj, :] == mapped[j, i]
-            ok &= mat_b[:, fj] == mapped[i, j]
+            q, fq = domain[j], assign[j]
+            ok &= mat_b[fq, :] == mapped[q, p]
+            ok &= mat_b[:, fq] == mapped[p, q]
             if not ok.any():
-                return False
+                return
         for img in np.flatnonzero(ok):
-            assign[i] = img
+            assign[i] = int(img)
             used[img] = True
-            if rec(i + 1):
-                return True
+            yield from rec(i + 1)
             used[img] = False
-            assign[i] = -1
-        return False
 
-    if not rec(0):
-        return None
-    f = tuple(int(v) for v in assign)
-    assert induced_color_map(cc_a, cc_b, f).color_map == phi.color_map
+    yield from rec(0)
+
+
+def find_isomorphism(
+    cc_a: CoherentConfig, cc_b: CoherentConfig, phi: AlgebraicIso
+) -> tuple[int, ...] | None:
+    """The lexicographically least point bijection f with
+    color'(f a, f b) = phi(color(a, b)) for all pairs, or None."""
+    f = next(iter_isomorphisms(cc_a, cc_b, phi), None)
+    if f is not None:
+        assert induced_color_map(cc_a, cc_b, f).color_map == phi.color_map
     return f
 
 
@@ -243,44 +261,6 @@ def is_isomorphism(cc_a: CoherentConfig, cc_b: CoherentConfig, f) -> bool:
         return True
     except ValueError:
         return False
-
-
-def iter_automorphisms(cc: CoherentConfig):
-    """Yield all color-preserving point bijections in lexicographic order."""
-    n = cc.n
-    mat = cc.colors
-    assign = np.full(n, -1, dtype=np.int64)
-    used = np.zeros(n, dtype=bool)
-
-    def rec(i: int):
-        if i == n:
-            yield tuple(int(v) for v in assign)
-            return
-        ok = ~used & (mat.diagonal() == mat[i, i])
-        for j in range(i):
-            fj = assign[j]
-            ok &= mat[fj, :] == mat[j, i]
-            ok &= mat[:, fj] == mat[i, j]
-            if not ok.any():
-                return
-        for img in np.flatnonzero(ok):
-            assign[i] = img
-            used[img] = True
-            yield from rec(i + 1)
-            used[img] = False
-            assign[i] = -1
-
-    yield from rec(0)
-
-
-def automorphism_group(cc: CoherentConfig, cap: int = 200000) -> list[tuple[int, ...]]:
-    """All automorphisms, raising CapExceededError past ``cap`` elements."""
-    out = []
-    for f in iter_automorphisms(cc):
-        out.append(f)
-        if len(out) > cap:
-            raise CapExceededError(f"automorphism enumeration exceeded cap {cap}")
-    return out
 
 
 # -- induced maps on quotients, restrictions, sections -------------------------------
@@ -472,67 +452,33 @@ def _assert_extends(phi: AlgebraicIso, ext_a, ext_b, lifted: AlgebraicIso) -> No
 
 
 def extendable_at(phi: AlgebraicIso, x) -> TupleExtension | None:
-    """Search all candidate image tuples for an (x, x')-extension of phi."""
+    """The (x, x')-extension of phi for the least candidate image tuple x'
+    that has one, or None."""
     x = tuple(int(p) for p in x)
-    cc_a, cc_b = phi.source, phi.target
-    n = cc_b.n
-    mapped = phi.array[cc_a.colors]
-
-    def images(i: int, chosen: tuple[int, ...]):
-        ok = np.ones(n, dtype=bool)
-        for j in range(i):
-            ok &= cc_b.colors[chosen[j], :] == mapped[x[j], x[i]]
-            ok &= cc_b.colors[:, chosen[j]] == mapped[x[i], x[j]]
-        ok &= cc_b.colors.diagonal() == mapped[x[i], x[i]]
-        return np.flatnonzero(ok)
-
-    def rec(i: int, chosen: tuple[int, ...]) -> TupleExtension | None:
-        if i == len(x):
-            return tuple_extension(phi, x, chosen)
-        for img in images(i, chosen):
-            res = rec(i + 1, chosen + (int(img),))
-            if res is not None:
-                return res
-        return None
-
-    return rec(0, ())
+    for x_image in iter_isomorphisms(phi.source, phi.target, phi, x):
+        ext = tuple_extension(phi, x, x_image)
+        if ext is not None:
+            return ext
+    return None
 
 
-def is_m_extendable(
-    phi: AlgebraicIso, m: int, aut_cap: int = 100000
-) -> bool:
+def is_m_extendable(phi: AlgebraicIso, m: int) -> bool:
     """Whether phi admits an (x, x')-extension for every m-tuple x.
 
-    Extendability depends only on the set of entries, so only sorted
-    distinct-point tuples are tested, deduplicated under automorphisms of
-    the source when their enumeration fits under ``aut_cap``.
+    Extendability depends only on the set of entries, and only up to
+    color-preserving automorphisms of the source, so only sets of at most m
+    points are tested.  When the source is translation invariant, every
+    translation is such an automorphism and only sets containing 0 are
+    tested.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if m == 0:
-        return True
-    return _check_point_sets(phi, m, aut_cap)
-
-
-def _check_point_sets(phi: AlgebraicIso, m: int, aut_cap: int) -> bool:
-    from itertools import combinations
-
     n = phi.source.n
-    sets = [s for size in range(1, min(m, n) + 1) for s in combinations(range(n), size)]
-    try:
-        autos = automorphism_group(phi.source, cap=aut_cap)
-    except CapExceededError:
-        warnings.warn(
-            "automorphism cap exceeded; extendability check runs without orbit pruning",
-            stacklevel=2,
-        )
-        autos = [tuple(range(n))]
-    seen: set[tuple[int, ...]] = set()
-    for s in sets:
-        canon = min(tuple(sorted(f[p] for p in s)) for f in autos)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        if extendable_at(phi, canon) is None:
-            return False
-    return True
+    invariant = is_translation_invariant(phi.source.colors)
+    sets = (
+        s
+        for size in range(1, min(m, n) + 1)
+        for s in combinations(range(n), size)
+        if not invariant or s[0] == 0
+    )
+    return all(extendable_at(phi, s) is not None for s in sets)

@@ -17,12 +17,22 @@ import numpy as np
 from .algebra import (
     AlgebraicIso,
     CapExceededError,
+    enumerate_algebraic_isos,
+    extendable_at,
     find_isomorphism,
+    identity_iso,
     induced_on_section,
-    iter_automorphisms,
+    iter_isomorphisms,
     tuple_extension,
 )
-from .core import CoherentConfig, Parabolic, point_extension, quotient, restriction, validate
+from .core import (
+    CoherentConfig,
+    Parabolic,
+    is_translation_invariant,
+    point_extension,
+    quotient,
+    restriction,
+)
 from .core import _covering_colors
 from .wl import wl_closure
 
@@ -76,13 +86,11 @@ class CirculantScheme:
     """A coherent configuration over Z_n whose colors are difference classes."""
 
     def __init__(self, cc: CoherentConfig):
-        n = cc.n
-        row = cc.colors[0]
-        expected = row[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
-        if not np.array_equal(expected, cc.colors):
+        if not is_translation_invariant(cc.colors):
             raise ValueError("coloring is not translation invariant")
-        self.n = n
+        self.n = cc.n
         self.cc = cc
+        row = cc.colors[0]
         self.connection_sets: tuple[frozenset[int], ...] = tuple(
             frozenset(int(d) for d in np.flatnonzero(row == c)) for c in range(cc.rank)
         )
@@ -158,14 +166,10 @@ def from_connection_partition(n: int, parts) -> tuple[CirculantScheme, bool]:
         for d in s:
             for a in range(n):
                 arc[a, (a + d) % n] = i
-    candidate = CoherentConfig(arc)
-    if validate(candidate).valid:
-        return CirculantScheme(candidate), True
-    return CirculantScheme(wl_closure(arc)), False
-
-
-def scheme_closure(n: int, sets) -> CirculantScheme:
-    return from_connection_partition(n, sets)[0]
+    # the closure refines the partition, so it is coherent exactly when
+    # closing adds no class
+    closed = wl_closure(arc)
+    return CirculantScheme(closed), closed.rank == len(sets)
 
 
 # -- subgroup lattice and sections ------------------------------------------------
@@ -422,7 +426,7 @@ def is_normal(X: CirculantScheme, cap: int = 20) -> bool:
         raise CapExceededError(f"normality test capped at n <= {cap}")
     if "normal" not in X._cache:
         result = True
-        for f in iter_automorphisms(X.cc):
+        for f in iter_isomorphisms(X.cc, X.cc, identity_iso(X.cc)):
             if not _in_holomorph(f, X.n):
                 result = False
                 break
@@ -637,8 +641,6 @@ def extend_algebraic_automorphism(
 
 
 def _extension_candidates(X, star, phi, psi, section) -> list[AlgebraicIso]:
-    from .algebra import enumerate_algebraic_isos
-
     out = []
     for cand in enumerate_algebraic_isos(star.cc, star.cc):
         if not _extends_scheme_map(X, star, phi, cand):
@@ -944,8 +946,6 @@ def is_induced_by_isomorphism(
     quasinormal/extendability hypotheses that predict one exists."""
     if not is_quasinormal(X):
         raise ValueError("scheme is not quasinormal")
-    from .algebra import extendable_at
-
     x = base_tuple(X)
     if extendable_at(phi, x) is None:
         raise ValueError("color map is not extendable at a base tuple")

@@ -14,7 +14,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import circulant, dimension, io, wl
-from .algebra import AlgebraicIso, CapExceededError, enumerate_algebraic_isos, find_isomorphism
+from .algebra import (
+    AlgebraicIso,
+    CapExceededError,
+    enumerate_algebraic_isos,
+    extendable_at,
+    find_isomorphism,
+)
 from .core import validate
 from .refine import MemoryCapError
 
@@ -127,7 +133,10 @@ def _read(path: str) -> str:
 def _parse_orders(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
+        orders = list(range(int(lo), int(hi) + 1))
+        if not orders:
+            raise io.FormatError(f"empty order range {text}")
+        return orders
     return [int(text)]
 
 
@@ -316,8 +325,6 @@ def _cmd_multiplier(args, out) -> int:
         phi = AlgebraicIso.from_json(X.cc, X.cc, args.phi)
     else:
         raise io.FormatError("need --unit or --phi")
-    from .algebra import extendable_at
-
     x = circulant.base_tuple(X)
     ext = extendable_at(phi, x)
     if ext is None:

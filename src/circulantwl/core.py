@@ -164,6 +164,14 @@ def discrete_config(n: int) -> CoherentConfig:
     return CoherentConfig(mat)
 
 
+def is_translation_invariant(colors: np.ndarray) -> bool:
+    """Whether the color of (a, b) depends only on b - a mod n, so that
+    every translation of Z_n preserves colors."""
+    n = len(colors)
+    diff = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+    return bool(np.array_equal(colors[0][diff], colors))
+
+
 # -- validation --------------------------------------------------------------
 
 

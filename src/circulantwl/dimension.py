@@ -22,6 +22,7 @@ from .algebra import (
 )
 from .circulant import (
     CirculantScheme,
+    _extends_scheme_map,
     from_connection_partition,
     omega,
     singular_classes,
@@ -278,9 +279,12 @@ class BoundViolation(AssertionError):
 class _OrderAnalysis:
     """Shared pairwise data of all schemes of one order."""
 
-    def __init__(self, n: int, schemes: list[CirculantScheme]):
+    def __init__(
+        self, n: int, schemes: list[CirculantScheme], index: dict[frozenset[int], int]
+    ):
         self.n = n
         self.schemes = schemes
+        self.index = index
         self._isos: dict[tuple[int, int], list[AlgebraicIso]] = {}
         self._induced: dict[tuple[int, int, tuple[int, ...]], bool] = {}
 
@@ -323,8 +327,11 @@ def estimate_dimension(
     if analysis is None:
         analysis = prepare_analysis(corpus)
     schemes = analysis.schemes
-    target = graph_scheme(n, conn)
-    i = next(k for k, s in enumerate(schemes) if s == target)
+    # a unit multiplier permutes the basis sets of every circulant scheme,
+    # so conn closes to the scheme of its unit-canonical representative
+    i = analysis.index.get(_unit_canonical(n, conn))
+    if i is None:
+        raise ValueError(f"connection set {sorted(conn)} is not in the corpus of order {n}")
     bound = omega(n) + 3
 
     candidates: list[tuple[int, AlgebraicIso]] = []
@@ -351,7 +358,7 @@ def estimate_dimension(
     return DimensionReport(
         connection_set=conn,
         order=n,
-        rank=target.rank,
+        rank=schemes[i].rank,
         estimate=estimate,
         bound=bound,
         searched_up_to=max_m,
@@ -360,14 +367,16 @@ def estimate_dimension(
 
 
 def prepare_analysis(corpus: Corpus) -> _OrderAnalysis:
-    schemes = []
-    seen = set()
+    schemes: list[CirculantScheme] = []
+    position: dict[CirculantScheme, int] = {}
+    index: dict[frozenset[int], int] = {}
     for conn in corpus.graphs:
         s = graph_scheme(corpus.n, conn)
-        if s not in seen:
-            seen.add(s)
+        if s not in position:
+            position[s] = len(schemes)
             schemes.append(s)
-    return _OrderAnalysis(corpus.n, schemes)
+        index[conn] = position[s]
+    return _OrderAnalysis(corpus.n, schemes, index)
 
 
 def verify_main_theorem(
@@ -460,7 +469,7 @@ def verify_reduction(X: CirculantScheme, m: int) -> ReductionReport:
             )
         found = False
         for cand in star_autos:
-            if not _extends(X, star, phi, cand):
+            if not _extends_scheme_map(X, star, phi, cand):
                 continue
             if wl_m_equivalent(star.cc, star.cc, cand.color_map, m):
                 found = True
@@ -472,12 +481,3 @@ def verify_reduction(X: CirculantScheme, m: int) -> ReductionReport:
                 f"map {phi.color_map} does not extend to the singular extension at m={m}"
             )
     return report
-
-
-def _extends(X: CirculantScheme, star: CirculantScheme, phi, cand) -> bool:
-    for c_star, conn in enumerate(star.connection_sets):
-        parent = X.color_of_difference(next(iter(conn)))
-        img_conn = star.connection_sets[cand(c_star)]
-        if not img_conn <= X.connection_sets[phi(parent)]:
-            return False
-    return True

@@ -6,12 +6,11 @@ from circulantwl.core import (
     Relation,
     generated_equivalence,
     radical,
+    is_translation_invariant,
     trivial_config,
 )
 from circulantwl.algebra import (
     AlgebraicIso,
-    CapExceededError,
-    automorphism_group,
     enumerate_algebraic_isos,
     extendable_at,
     find_isomorphism,
@@ -22,8 +21,10 @@ from circulantwl.algebra import (
     is_algebraic_isomorphism,
     is_m_extendable,
     image_parabolic,
+    iter_isomorphisms,
     tuple_extension,
 )
+from circulantwl import algebra
 from circulantwl.wl import wl_closure
 
 
@@ -95,13 +96,23 @@ def test_every_map_of_a_regular_scheme_is_induced():
 def test_induced_maps_are_enumerated(n, conn):
     cc = cay(n, conn)
     enumerated = {iso.color_map for iso in enumerate_algebraic_isos(cc, cc)}
-    for f in automorphism_group(cc, cap=50000):
+    for f in iter_isomorphisms(cc, cc, identity_iso(cc)):
         assert induced_color_map(cc, cc, f).color_map in enumerated
 
 
-def test_automorphism_cap():
-    with pytest.raises(CapExceededError):
-        automorphism_group(trivial_config(8), cap=10)
+def test_isomorphisms_come_out_in_lexicographic_order():
+    # each color map of the 8-cycle is induced by the 16 maps x -> +-u x + b
+    z8 = cay(8, {1, 7})
+    for iso in enumerate_algebraic_isos(z8, z8):
+        found = list(iter_isomorphisms(z8, z8, iso))
+        assert found == sorted(found) and len(found) == len(set(found)) == 16
+        assert found[0] == find_isomorphism(z8, z8, iso)
+
+
+def test_repeated_domain_points_share_their_image():
+    z8 = cay(8, {1, 7})
+    for f in iter_isomorphisms(z8, z8, identity_iso(z8), (3, 0, 3)):
+        assert f[0] == f[2] != f[1]
 
 
 # -- induced maps -----------------------------------------------------------------------
@@ -239,3 +250,60 @@ def test_extendable_at_finds_image_tuple():
     ext = extendable_at(phi, (0, 1))
     assert ext is not None
     assert ext.x == (0, 1)
+
+
+def test_extendable_at_repeated_entries():
+    z5 = cay(5, {1})
+    assert extendable_at(unit_map(z5, 5, 2), (0, 1, 0)).x_image == (0, 2, 0)
+    z8 = cay(8, {1, 7})
+    images = [extendable_at(phi, (3, 0, 3, 5)).x_image for phi in enumerate_algebraic_isos(z8, z8)]
+    assert images == [(0, 3, 0, 6), (0, 1, 0, 2)]
+
+
+ROOK = [(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)]
+SHRIKHANDE = [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)]
+
+
+def srg_closure(gens):
+    """Closure of a Cayley graph on Z_4 x Z_4, point (i, j) labelled 4i + j."""
+    arcs = np.zeros((16, 16), dtype=np.int64)
+    for p in range(16):
+        i, j = divmod(p, 4)
+        for gi, gj in gens:
+            arcs[p, (i + gi) % 4 * 4 + (j + gj) % 4] = 1
+    return wl_closure(arcs)
+
+
+def test_rook_to_shrikhande_is_not_1_extendable():
+    rook, shrikhande = srg_closure(ROOK), srg_closure(SHRIKHANDE)
+    assert not is_translation_invariant(rook.colors)
+    (phi,) = enumerate_algebraic_isos(rook, shrikhande)
+    assert is_m_extendable(phi, 0)
+    assert not is_m_extendable(phi, 1)
+
+
+def test_point_sets_tested_for_extendability(monkeypatch):
+    tested = []
+    monkeypatch.setattr(algebra, "extendable_at", lambda phi, x: tested.append(x) or x)
+    z5 = cay(5, {1})
+    assert is_m_extendable(identity_iso(z5), 2)
+    assert tested == [(0,), (0, 1), (0, 2), (0, 3), (0, 4)]
+    tested.clear()
+    rook = srg_closure(ROOK)
+    assert is_m_extendable(identity_iso(rook), 1)
+    assert tested == [(p,) for p in range(16)]
+
+
+@pytest.mark.parametrize("n,conn", [(6, {1, 5}), (8, {1, 7}), (9, {1, 8})])
+def test_extendability_survives_non_translation_relabelling(n, conn):
+    cc = cay(n, conn)
+    perm = list(range(n))
+    perm[1], perm[2] = perm[2], perm[1]
+    relabelled = CoherentConfig(cc.colors[np.ix_(np.argsort(perm), np.argsort(perm))])
+    assert is_translation_invariant(cc.colors)
+    assert not is_translation_invariant(relabelled.colors)
+    to_relabelled = induced_color_map(cc, relabelled, perm)
+    for phi in enumerate_algebraic_isos(cc, cc):
+        conjugate = to_relabelled.inverse().compose(phi).compose(to_relabelled)
+        for m in (1, 2):
+            assert is_m_extendable(phi, m) == is_m_extendable(conjugate, m)

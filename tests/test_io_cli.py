@@ -198,3 +198,22 @@ def test_sections_verb():
     code, out = invoke("sections", "--graph", "n=12;S=1,11")
     assert code == 0
     assert "section=12/1" in out and "principal=" in out
+
+
+def test_verify_rejects_empty_order_range(capsys):
+    code, out = invoke("verify", "--theorem", "main", "--orders", "9..4")
+    assert code == 1 and out == ""
+    assert "error: empty order range 9..4" in capsys.readouterr().err
+
+
+def test_dim_rejects_graph_outside_corpus(capsys):
+    # a directed connection set is not in the undirected corpus
+    code, out = invoke("dim", "--graph", "n=5;S=1")
+    assert code == 1 and out == ""
+    assert "not in the corpus of order 5" in capsys.readouterr().err
+
+
+def test_dim_accepts_unit_image_of_corpus_graph():
+    code, out = invoke("dim", "--graph", "n=8;S=3,5")
+    assert code == 0
+    assert out.splitlines()[1].split()[:3] == ["8", "{3,5}", "5"]
