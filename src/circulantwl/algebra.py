@@ -23,7 +23,7 @@ from .core import (
     quotient,
     restriction,
 )
-from .refine import joint_refine_pair
+from .refine import refine_pairs
 
 
 class CapExceededError(Exception):
@@ -415,10 +415,10 @@ def tuple_extension(
     k = max(len(x) + 2, 2)
     init_a = (cc_a.colors * k + tags_a[:, None]) * k + tags_a[None, :]
     init_b = (inv[cc_b.colors] * k + tags_b[:, None]) * k + tags_b[None, :]
-    res = joint_refine_pair(init_a, init_b)
+    res = refine_pairs(init_a, init_b)
     if res is None:
         return None
-    mat_a, mat_b, rank = res
+    (mat_a, mat_b), rank = res
     ext_a, ext_b = CoherentConfig(mat_a), CoherentConfig(mat_b)
     cmap = np.full(ext_a.rank, -1, dtype=np.int64)
     for shared in range(rank):
@@ -468,8 +468,8 @@ def is_m_extendable(phi: AlgebraicIso, m: int) -> bool:
     Extendability depends only on the set of entries, and only up to
     color-preserving automorphisms of the source, so only sets of at most m
     points are tested.  When the source is translation invariant, every
-    translation is such an automorphism and only sets containing 0 are
-    tested.
+    translation is such an automorphism and only one set per translation
+    orbit is tested: the least of its translates that contain 0.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -479,6 +479,6 @@ def is_m_extendable(phi: AlgebraicIso, m: int) -> bool:
         s
         for size in range(1, min(m, n) + 1)
         for s in combinations(range(n), size)
-        if not invariant or s[0] == 0
+        if not invariant or s == min(tuple(sorted((p - q) % n for p in s)) for q in s)
     )
     return all(extendable_at(phi, s) is not None for s in sets)

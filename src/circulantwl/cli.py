@@ -449,7 +449,6 @@ def _cmd_verify(args, out) -> int:
                         circulant.extend_algebraic_automorphism(X, star, phi, psi, sec)
                         count += 1
                 out.write(f"n={n} rank={X.rank} unique_extensions={count}\n")
-        ok = True
     else:  # pragma: no cover - argparse restricts choices
         raise io.FormatError(f"unknown theorem {args.theorem}")
     print(f"verify {args.theorem} finished in {time.time() - t0:.1f}s", file=sys.stderr)
@@ -481,7 +480,7 @@ def run(argv, out=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.verb](args, out)
-    except (io.FormatError, MemoryCapError, CapExceededError, ValueError) as exc:
+    except (io.FormatError, MemoryCapError, CapExceededError, ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .refine import normalize_colors, refine_pair_coloring
+from .refine import _pair_round_codes, _renumber_rows, normalize_colors, refine_pairs
 
 
 def _first_occurrences(flat: np.ndarray, rank: int) -> np.ndarray:
@@ -211,10 +211,7 @@ def validate(cc: CoherentConfig) -> ValidationReport:
 
     # composition counts must be constant on each class
     if n > 1:
-        codes = mat[:, None, :] * np.int64(cc.rank) + mat.T[None, :, :]
-        codes = np.sort(codes, axis=2).reshape(n * n, n)
-        rows = np.concatenate([mat.reshape(n * n, 1), codes], axis=1)
-        _, inv = np.unique(rows, axis=0, return_inverse=True)
+        inv, _ = _renumber_rows(_pair_round_codes(mat, cc.rank))
         flat = mat.ravel()
         for c in range(cc.rank):
             members = np.flatnonzero(flat == c)
@@ -488,7 +485,7 @@ def point_extension(cc: CoherentConfig, x) -> CoherentConfig:
         tag[p] = i + 1
     k = len(pts) + 1
     init = (cc.colors * k + tag[:, None]) * k + tag[None, :]
-    stable, _ = refine_pair_coloring(init)
+    [stable], _ = refine_pairs(init)
     return CoherentConfig(stable)
 
 

@@ -10,6 +10,8 @@ observable.
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -185,8 +187,6 @@ def enumerate_schemes(n: int, cap: int = DEFAULT_SCHEME_CAP) -> Corpus:
 
 
 def _cache_path(n: int):
-    import os
-
     root = os.environ.get("CIRCULANTWL_CACHE")
     if not root:
         return None
@@ -194,25 +194,23 @@ def _cache_path(n: int):
 
 
 def _read_scheme_cache(n: int) -> Corpus | None:
-    import json
-    import os
-
     path = _cache_path(n)
     if path is None or not os.path.exists(path):
         return None
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    schemes = [
-        from_connection_partition(n, [set(c) for c in parts])[0]
-        for parts in data["schemes"]
-    ]
+    schemes = []
+    for parts in data["schemes"]:
+        scheme, coherent = from_connection_partition(n, [set(c) for c in parts])
+        if not coherent:
+            raise ValueError(f"scheme cache {path} holds a partition that is not coherent: {parts}")
+        schemes.append(scheme)
     return Corpus(n=n, schemes=schemes)
 
 
 def _write_scheme_cache(corpus: Corpus) -> None:
-    import json
-    import os
-
+    """Write to a file beside the cache file, then move it into place, so a
+    reader never sees a partly written cache."""
     path = _cache_path(corpus.n)
     if path is None:
         return
@@ -222,8 +220,10 @@ def _write_scheme_cache(corpus: Corpus) -> None:
             sorted(sorted(c) for c in s.connection_sets) for s in corpus.schemes
         ]
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(data, fh)
+    os.replace(tmp, path)
 
 
 def brute_force_schemes(n: int) -> list[CirculantScheme]:

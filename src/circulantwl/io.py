@@ -123,10 +123,13 @@ def parse_graph_spec(text: str) -> tuple[int, np.ndarray]:
                 continue
             try:
                 color_part, pair = chunk.split(":")
-                i, j = pair.split(",")
-                arcs[int(i), int(j)] = int(color_part)
-            except (ValueError, IndexError) as exc:
+                i, j = (int(v) for v in pair.split(","))
+                color = int(color_part)
+            except ValueError as exc:
                 raise FormatError(f"malformed arc chunk {chunk!r}") from exc
+            if not (0 <= i < n and 0 <= j < n):
+                raise FormatError(f"arc index out of range 0..{n - 1} in {chunk!r}")
+            arcs[i, j] = color
         return n, arcs
     raise FormatError("graph spec needs S=... or arcs=...")
 

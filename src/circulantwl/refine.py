@@ -1,13 +1,18 @@
-"""Vectorized Weisfeiler-Leman refinement engines.
+"""Vectorized Weisfeiler-Leman refinement: one lockstep engine.
 
 Everything here works on integer color arrays and knows nothing about
 coherent configurations; the wrapping modules interpret the results.
-Color ids produced by a round are always assigned by sorted signature
-order (via ``np.unique``), so refinement output is deterministic and
-independent of the input numbering.
+``_refine`` refines k >= 1 colorings in lockstep through one shared color
+dictionary (k = 1 is plain refinement); pair (2-dim) and m-tuple
+refinement differ only in the round function that builds each round's
+signature rows.  Color ids produced by a round are always assigned by
+sorted signature order (via ``np.unique``), so refinement output is
+deterministic and independent of the input numbering.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -31,6 +36,37 @@ def normalize_colors(mat: np.ndarray) -> tuple[np.ndarray, int]:
     return inv.reshape(mat.shape), rank
 
 
+def _join(parts: list[np.ndarray]) -> np.ndarray:
+    """Stack the sides' arrays in order; a single side is returned uncopied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _refine(
+    inits: list[np.ndarray], round_rows: Callable[[list[np.ndarray], int], np.ndarray]
+) -> tuple[list[np.ndarray], int] | None:
+    """Refine k >= 1 equally sized flat colorings in lockstep to the fixpoint.
+
+    ``round_rows(sides, rank)`` returns the next round's signature rows of
+    all sides, stacked in side order.  Returns the stable colorings (with
+    shared ids) and their common rank, or None as soon as two sides' color
+    histograms differ: then no color correspondence compatible with the
+    seeds exists.
+    """
+    ids, rank = _renumber_rows(_join(inits)[:, None])
+    while True:
+        sides = np.split(ids, len(inits))
+        if len(sides) > 1:
+            hist = np.bincount(sides[0], minlength=rank)
+            if any(np.any(np.bincount(s, minlength=rank) != hist) for s in sides[1:]):
+                return None
+        ids, new_rank = _renumber_rows(round_rows(sides, rank))
+        # an unchanged rank means an unchanged partition, and the rows lead
+        # with the old color, so the old ids are already the canonical ones
+        if new_rank == rank:
+            return sides, rank
+        rank = new_rank
+
+
 def _pair_round_codes(mat: np.ndarray, rank: int) -> np.ndarray:
     """Per-pair sorted composition multisets: row (a,b) lists {(c(a,g),c(g,b)): g}."""
     n = mat.shape[0]
@@ -39,54 +75,24 @@ def _pair_round_codes(mat: np.ndarray, rank: int) -> np.ndarray:
     return np.concatenate([mat.reshape(n * n, 1), codes.reshape(n * n, n)], axis=1)
 
 
-def refine_pair_coloring(init: np.ndarray) -> tuple[np.ndarray, int]:
-    """Run 2-dim WL refinement of a pair coloring to its stable fixpoint.
+def refine_pairs(*inits: np.ndarray) -> tuple[list[np.ndarray], int] | None:
+    """2-dim WL refinement of (n, n) pair colorings, in lockstep.
 
-    ``init`` is an (n, n) integer matrix; returns the stable matrix with
-    canonicalized contiguous ids and its rank.
+    Returns the stable matrices with shared canonical ids and their rank,
+    or None when the sides differ in n or diverge.
     """
-    n = init.shape[0]
-    mat, rank = normalize_colors(init)
-    if n <= 1:
-        return mat, rank
-    while True:
-        inv, new_rank = _renumber_rows(_pair_round_codes(mat, rank))
-        if new_rank == rank:
-            return inv.reshape(n, n), rank
-        mat, rank = inv.reshape(n, n), new_rank
-
-
-def joint_refine_pair(
-    init_a: np.ndarray, init_b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """Refine two pair colorings in lockstep through a shared color dictionary.
-
-    Returns the stable matrices (with shared ids) and the common rank, or
-    None as soon as the per-round color histograms of the two sides differ
-    (then no color correspondence compatible with the seeds exists).
-    """
-    n = init_a.shape[0]
-    if init_b.shape[0] != n:
+    n = inits[0].shape[0]
+    if any(init.shape[0] != n for init in inits):
         return None
-    stacked = np.concatenate(
-        [np.asarray(init_a, np.int64).ravel(), np.asarray(init_b, np.int64).ravel()]
-    )
-    inv, rank = _renumber_rows(stacked[:, None])
-    mat_a, mat_b = inv[: n * n].reshape(n, n), inv[n * n :].reshape(n, n)
-    while True:
-        if np.any(
-            np.bincount(mat_a.ravel(), minlength=rank)
-            != np.bincount(mat_b.ravel(), minlength=rank)
-        ):
-            return None
-        rows = np.concatenate(
-            [_pair_round_codes(mat_a, rank), _pair_round_codes(mat_b, rank)]
-        )
-        inv, new_rank = _renumber_rows(rows)
-        if new_rank == rank:
-            return mat_a, mat_b, rank
-        mat_a, mat_b = inv[: n * n].reshape(n, n), inv[n * n :].reshape(n, n)
-        rank = new_rank
+
+    def round_rows(sides, rank):
+        return _join([_pair_round_codes(side.reshape(n, n), rank) for side in sides])
+
+    res = _refine([np.asarray(init, np.int64).ravel() for init in inits], round_rows)
+    if res is None:
+        return None
+    sides, rank = res
+    return [side.reshape(n, n) for side in sides], rank
 
 
 def tuple_strides(n: int, m: int) -> list[int]:
@@ -107,33 +113,21 @@ def tuple_digits(n: int, m: int) -> np.ndarray:
     return np.stack([(idx // s) % n for s in tuple_strides(n, m)])
 
 
-def initial_tuple_colors(mat: np.ndarray, m: int) -> np.ndarray:
+def initial_tuple_colors(*mats: np.ndarray, m: int) -> list[np.ndarray]:
     """Atomic types of m-tuples: the full matrix of pair colors (c(x_i, x_j))_{i,j}.
 
     Diagonal colors encode equality of entries, so the index-equality
-    pattern is part of the type.
+    pattern is part of the type.  Several point sets are encoded through
+    one shared dictionary; the callers pre-map their colors so that
+    corresponding pair colors carry equal integers.
     """
-    n = mat.shape[0]
-    digits = tuple_digits(n, m)
-    cols = [mat[digits[i], digits[j]] for i in range(m) for j in range(m)]
-    inv, _ = _renumber_rows(np.stack(cols, axis=1))
-    return inv
-
-
-def joint_initial_tuple_colors(
-    mat_a: np.ndarray, mat_b: np.ndarray, m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Atomic types of m-tuples on two point sets, encoded through one
-    shared dictionary.  The callers pre-map the colors of side B so that
-    corresponding pair colors carry equal integers."""
-    n = mat_a.shape[0]
-    digits = tuple_digits(n, m)
-    rows = []
-    for mat in (mat_a, mat_b):
-        cols = [mat[digits[i], digits[j]] for i in range(m) for j in range(m)]
-        rows.append(np.stack(cols, axis=1))
-    inv, _ = _renumber_rows(np.concatenate(rows))
-    return inv[: n**m], inv[n**m :]
+    digits = tuple_digits(mats[0].shape[0], m)
+    rows = [
+        np.stack([mat[digits[i], digits[j]] for i in range(m) for j in range(m)], axis=1)
+        for mat in mats
+    ]
+    inv, _ = _renumber_rows(_join(rows))
+    return np.split(inv, len(mats))
 
 
 def _substitution_table(colors: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -153,45 +147,20 @@ def _tuple_round_rows(colors: np.ndarray, codes: np.ndarray, n: int, m: int) -> 
     return np.concatenate([colors[:, None], per_alpha], axis=1)
 
 
-def refine_tuple_coloring(init: np.ndarray, n: int, m: int) -> tuple[np.ndarray, int]:
-    """m-ary WL refinement of a flat coloring of Omega^m to its fixpoint."""
-    colors, rank = _renumber_rows(np.asarray(init, np.int64)[:, None])
-    if n <= 1:
-        return colors, rank
-    while True:
-        codes, _ = _renumber_rows(_substitution_table(colors, n, m))
-        inv, new_rank = _renumber_rows(_tuple_round_rows(colors, codes, n, m))
-        if new_rank == rank:
-            return colors, rank
-        colors, rank = inv, new_rank
+def refine_tuples(*inits: np.ndarray, n: int, m: int) -> tuple[list[np.ndarray], int] | None:
+    """m-ary WL refinement of flat colorings of Omega^m, in lockstep.
 
+    Returns the stable colorings with shared ids and their rank, or None
+    when the sides diverge.
+    """
 
-def joint_refine_tuple_coloring(
-    init_a: np.ndarray, init_b: np.ndarray, n: int, m: int
-) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """Lockstep m-ary refinement with shared ids; None on histogram mismatch."""
-    size = n**m
-    stacked = np.concatenate([np.asarray(init_a, np.int64), np.asarray(init_b, np.int64)])
-    inv, rank = _renumber_rows(stacked[:, None])
-    col_a, col_b = inv[:size], inv[size:]
-    while True:
-        if np.any(
-            np.bincount(col_a, minlength=rank) != np.bincount(col_b, minlength=rank)
-        ):
-            return None
-        subs = np.concatenate(
-            [_substitution_table(col_a, n, m), _substitution_table(col_b, n, m)]
-        )
-        codes, _ = _renumber_rows(subs)
-        codes_a, codes_b = codes[: size * n], codes[size * n :]
-        rows = np.concatenate(
+    def round_rows(sides, rank):
+        codes, _ = _renumber_rows(_join([_substitution_table(side, n, m) for side in sides]))
+        return _join(
             [
-                _tuple_round_rows(col_a, codes_a, n, m),
-                _tuple_round_rows(col_b, codes_b, n, m),
+                _tuple_round_rows(side, side_codes, n, m)
+                for side, side_codes in zip(sides, np.split(codes, len(sides)))
             ]
         )
-        inv, new_rank = _renumber_rows(rows)
-        if new_rank == rank:
-            return col_a, col_b, rank
-        col_a, col_b = inv[:size], inv[size:]
-        rank = new_rank
+
+    return _refine([np.asarray(init, np.int64) for init in inits], round_rows)

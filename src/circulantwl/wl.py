@@ -26,10 +26,8 @@ from .refine import (
     DEFAULT_TUPLE_CAP,
     check_tuple_cap,
     initial_tuple_colors,
-    joint_initial_tuple_colors,
-    joint_refine_tuple_coloring,
-    refine_pair_coloring,
-    refine_tuple_coloring,
+    refine_pairs,
+    refine_tuples,
     tuple_digits,
     tuple_strides,
 )
@@ -57,7 +55,7 @@ def wl_closure(arc_colors: np.ndarray) -> CoherentConfig:
     n = arcs.shape[0]
     init = arcs * 2
     init[np.diag_indices(n)] += 1
-    stable, _ = refine_pair_coloring(init)
+    [stable], _ = refine_pairs(init)
     return CoherentConfig(stable)
 
 
@@ -91,8 +89,7 @@ def wl_m_refine(cc: CoherentConfig, m: int, cap: int = DEFAULT_TUPLE_CAP) -> MAr
     if m < 2:
         raise ValueError("m-ary refinement needs m >= 2")
     check_tuple_cap(cc.n, m, cap)
-    init = initial_tuple_colors(cc.colors, m)
-    colors, rank = refine_tuple_coloring(init, cc.n, m)
+    [colors], rank = refine_tuples(*initial_tuple_colors(cc.colors, m=m), n=cc.n, m=m)
     return MAryConfig(m=m, n=cc.n, color_of=colors, rank=rank)
 
 
@@ -146,7 +143,7 @@ def validate_m_ary(mc: MAryConfig) -> bool:
             if len(np.unique(img[colors == c])) > 1:
                 return False
     # stability: one more refinement round must not split
-    _, rank = refine_tuple_coloring(colors, n, m)
+    _, rank = refine_tuples(colors, n=n, m=m)
     return rank == mc.rank
 
 
@@ -155,10 +152,10 @@ def validate_m_ary(mc: MAryConfig) -> bool:
 
 def _matched_initial(
     cc_a: CoherentConfig, cc_b: CoherentConfig, color_map: np.ndarray, m: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> list[np.ndarray]:
     inverse = np.empty(cc_b.rank, dtype=np.int64)
     inverse[color_map] = np.arange(cc_a.rank)
-    return joint_initial_tuple_colors(cc_a.colors, inverse[cc_b.colors], m)
+    return initial_tuple_colors(cc_a.colors, inverse[cc_b.colors], m=m)
 
 
 def wl_m_equivalent(
@@ -180,8 +177,7 @@ def wl_m_equivalent(
         return False
     check_tuple_cap(cc_a.n, m, cap)
     cmap = np.asarray(list(color_map), dtype=np.int64)
-    init_a, init_b = _matched_initial(cc_a, cc_b, cmap, m)
-    return joint_refine_tuple_coloring(init_a, init_b, cc_a.n, m) is not None
+    return refine_tuples(*_matched_initial(cc_a, cc_b, cmap, m), n=cc_a.n, m=m) is not None
 
 
 # -- the bijective pebble game ---------------------------------------------------

@@ -1,8 +1,23 @@
 import os
 
+import numpy as np
 import pytest
 
 from circulantwl.dimension import enumerate_schemes
+from circulantwl.wl import wl_closure
+
+ROOK = [(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)]
+SHRIKHANDE = [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)]
+
+
+def _srg_closure(gens):
+    """Closure of a Cayley graph on Z_4 x Z_4, point (i, j) labelled 4i + j."""
+    arcs = np.zeros((16, 16), dtype=np.int64)
+    for p in range(16):
+        i, j = divmod(p, 4)
+        for gi, gj in gens:
+            arcs[p, (i + gi) % 4 * 4 + (j + gj) % 4] = 1
+    return wl_closure(arcs)
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -29,3 +44,10 @@ def schemes_up_to_16(schemes_up_to_13):
     for n in (14, 15, 16):
         out[n] = enumerate_schemes(n).schemes
     return out
+
+
+@pytest.fixture(scope="session")
+def rook_and_shrikhande():
+    """Closures of the 4x4 rook's graph and the Shrikhande graph, both
+    SRG(16, 6, 2, 2): 2-dim WL cannot tell them apart, 3-dim WL can."""
+    return _srg_closure(ROOK), _srg_closure(SHRIKHANDE)

@@ -1,9 +1,10 @@
 import io as stdio
+import json
 
 import numpy as np
 import pytest
 
-from circulantwl import io
+from circulantwl import circulant, io
 from circulantwl.circulant import CirculantScheme
 from circulantwl.cli import run
 from circulantwl.core import trivial_config
@@ -217,3 +218,41 @@ def test_dim_accepts_unit_image_of_corpus_graph():
     code, out = invoke("dim", "--graph", "n=8;S=3,5")
     assert code == 0
     assert out.splitlines()[1].split()[:3] == ["8", "{3,5}", "5"]
+
+
+def test_arc_index_out_of_range_is_rejected(capsys):
+    code, out = invoke("close", "--graph", "n=3;arcs=1:-1,0")
+    assert code == 1 and out == ""
+    assert "error: arc index out of range 0..2" in capsys.readouterr().err
+    with pytest.raises(io.FormatError):
+        io.parse_graph_spec("n=3;arcs=1:0,3")
+
+
+def test_uniqueness_verb_can_fail(monkeypatch, capsys):
+    calls = []
+
+    def not_unique(*args):
+        calls.append(args)
+        raise AssertionError("extension is not unique")
+
+    monkeypatch.setattr(circulant, "extend_algebraic_automorphism", not_unique)
+    code, _ = invoke("verify", "--theorem", "uniqueness", "--orders", "4..6")
+    assert calls and code == 1
+    assert "error: extension is not unique" in capsys.readouterr().err
+
+
+def test_scheme_cache_round_trip(tmp_path, monkeypatch):
+    monkeypatch.setenv("CIRCULANTWL_CACHE", str(tmp_path))
+    cold = invoke("enumerate", "--schemes", "--order", "6")
+    assert [p.name for p in tmp_path.iterdir()] == ["schemes_6.json"]
+    assert invoke("enumerate", "--schemes", "--order", "6") == cold
+
+
+def test_poisoned_scheme_cache_is_rejected(tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "schemes_6.json"
+    cache.write_text(json.dumps({"schemes": [[[1], [2, 3, 4, 5]]]}))
+    monkeypatch.setenv("CIRCULANTWL_CACHE", str(tmp_path))
+    code, out = invoke("enumerate", "--schemes", "--order", "6")
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert f"error: scheme cache {cache}" in err and "not coherent" in err

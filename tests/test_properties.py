@@ -24,7 +24,7 @@ from circulantwl.core import (
     validate,
 )
 from circulantwl.dimension import enumerate_schemes
-from circulantwl.refine import joint_refine_pair
+from circulantwl.refine import initial_tuple_colors, refine_pairs, refine_tuples
 from circulantwl.wl import (
     pebble_game_oracle,
     projection,
@@ -137,13 +137,45 @@ def test_game_table_transposition_symmetry():
                 assert np.array_equal(x.T, y)
 
 
-def test_joint_refinement_symmetric():
-    a = CirculantScheme.regular(8).cc
-    b = CirculantScheme.regular(8).cc
-    res = joint_refine_pair(a.colors, b.colors)
-    assert res is not None
-    ma, mb, _ = res
-    assert np.array_equal(ma, mb)
+def _cycle_arcs(n, step=1):
+    init = np.eye(n, dtype=np.int64)
+    for a in range(n):
+        init[a, (a + step) % n] = init[(a + step) % n, a] = 2
+    return init
+
+
+def test_lockstep_refinement_symmetric():
+    # two identical sides refine exactly like one side, for pairs and at m = 3
+    for init in (
+        CirculantScheme.regular(8).cc.colors,
+        _cycle_arcs(9),
+        np.random.default_rng(7).integers(0, 3, size=(7, 7)),
+    ):
+        (ma, mb), rank = refine_pairs(init, init)
+        [single], single_rank = refine_pairs(init)
+        assert rank == single_rank
+        assert np.array_equal(ma, mb) and np.array_equal(ma, single)
+        n = len(init)
+        (ta, tb), rank = refine_tuples(*initial_tuple_colors(init, init, m=3), n=n, m=3)
+        [single], single_rank = refine_tuples(*initial_tuple_colors(init, m=3), n=n, m=3)
+        assert rank == single_rank
+        assert np.array_equal(ta, tb) and np.array_equal(ta, single)
+
+
+def test_lockstep_refinement_diverges():
+    assert refine_pairs(np.zeros((3, 3)), np.zeros((4, 4))) is None
+    # the 6-cycle and two triangles: equal degrees, so the sides diverge
+    # only after a round
+    assert refine_pairs(_cycle_arcs(6), _cycle_arcs(6, 2)) is None
+
+
+def test_lockstep_refinement_separates_rook_from_shrikhande(rook_and_shrikhande):
+    rook, shrikhande = rook_and_shrikhande
+    (phi,) = enumerate_algebraic_isos(rook, shrikhande)
+    inverse = phi.inverse().array
+    for m, diverges in ((2, False), (3, True)):
+        inits = initial_tuple_colors(rook.colors, inverse[shrikhande.colors], m=m)
+        assert (refine_tuples(*inits, n=16, m=m) is None) == diverges
 
 
 def test_quasinormal_sections_decompose_into_controlled_factors(schemes_up_to_16):
