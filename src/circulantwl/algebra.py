@@ -70,9 +70,6 @@ class AlgebraicIso:
             i == c for i, c in enumerate(self.color_map)
         )
 
-    def to_json(self) -> str:
-        return json.dumps({"map": list(self.color_map)})
-
     @staticmethod
     def from_json(source: CoherentConfig, target: CoherentConfig, text: str) -> "AlgebraicIso":
         data = json.loads(text)
@@ -169,10 +166,6 @@ def enumerate_algebraic_isos(
     out = [AlgebraicIso(cc_a, cc_b, f) for f in sorted(found)]
     assert all(is_algebraic_isomorphism(cc_a, cc_b, iso.color_map) for iso in out)
     return out
-
-
-def algebraic_automorphisms(cc: CoherentConfig) -> list[AlgebraicIso]:
-    return enumerate_algebraic_isos(cc, cc)
 
 
 # -- combinatorial isomorphisms ----------------------------------------------------

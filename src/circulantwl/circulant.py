@@ -32,6 +32,7 @@ from .core import (
     point_extension,
     quotient,
     restriction,
+    trivial_config,
 )
 from .core import _covering_colors
 from .wl import wl_closure
@@ -98,22 +99,13 @@ class CirculantScheme:
 
     # -- construction -------------------------------------------------------
     @staticmethod
-    def from_sets(n: int, sets) -> "CirculantScheme":
-        """Build from a connection partition assumed (and checked) coherent."""
-        scheme, coherent = from_connection_partition(n, sets)
-        if not coherent:
-            raise ValueError("connection partition is not coherent")
-        return scheme
-
-    @staticmethod
     def regular(n: int) -> "CirculantScheme":
         mat = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
         return CirculantScheme(CoherentConfig(mat))
 
     @staticmethod
     def trivial(n: int) -> "CirculantScheme":
-        sets = [{0}] + ([set(range(1, n))] if n > 1 else [])
-        return CirculantScheme.from_sets(n, sets)
+        return CirculantScheme(trivial_config(n))
 
     # -- identity ------------------------------------------------------------
     @property

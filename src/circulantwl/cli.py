@@ -8,7 +8,9 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -104,22 +106,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_scheme(args) -> circulant.CirculantScheme:
-    if getattr(args, "scheme", None):
-        return io.parse_scheme(_read(args.scheme))
-    if getattr(args, "graph", None):
-        n, conn = io.parse_connection_set(args.graph)
+def _load_scheme(path, spec) -> circulant.CirculantScheme:
+    """The scheme of a scheme file or of an inline graph spec."""
+    if path:
+        return io.parse_scheme(_read(path))
+    if spec:
+        n, conn = io.parse_connection_set(spec)
         return dimension.graph_scheme(n, conn)
-    raise io.FormatError("need an input: --scheme or --graph")
-
-
-def _load_second(args) -> circulant.CirculantScheme:
-    if getattr(args, "scheme2", None):
-        return io.parse_scheme(_read(args.scheme2))
-    if getattr(args, "graph2", None):
-        n, conn = io.parse_connection_set(args.graph2)
-        return dimension.graph_scheme(n, conn)
-    raise io.FormatError("need a second input: --scheme2 or --graph2")
+    raise io.FormatError("need an input: --scheme or --graph (--scheme2 or --graph2 for a second)")
 
 
 def _read(path: str) -> str:
@@ -181,7 +175,7 @@ def _cmd_validate(args, out) -> int:
 
 
 def _cmd_analyze(args, out) -> int:
-    X = _load_scheme(args)
+    X = _load_scheme(args.scheme, args.graph)
     out.write(f"n={X.n}\n")
     out.write(f"rank={X.rank}\n")
     out.write(f"homogeneous={X.cc.is_homogeneous}\n")
@@ -203,7 +197,7 @@ def _cmd_analyze(args, out) -> int:
 
 
 def _cmd_sections(args, out) -> int:
-    X = _load_scheme(args)
+    X = _load_scheme(args.scheme, args.graph)
     for i, cls in enumerate(circulant.proj_equivalence_classes(X)):
         for sec in cls:
             out.write(
@@ -214,7 +208,7 @@ def _cmd_sections(args, out) -> int:
 
 
 def _cmd_singular(args, out) -> int:
-    X = _load_scheme(args)
+    X = _load_scheme(args.scheme, args.graph)
     reports = circulant.singular_classes(X)
     if not reports:
         out.write("no trivial classes of order > 2\n")
@@ -229,7 +223,7 @@ def _cmd_singular(args, out) -> int:
 
 
 def _cmd_extend(args, out) -> int:
-    X = _load_scheme(args)
+    X = _load_scheme(args.scheme, args.graph)
     singular = [r for r in circulant.singular_classes(X) if r.is_singular]
     if args.section:
         upper, lower = (int(v) for v in args.section.split("/"))
@@ -254,8 +248,8 @@ def _cmd_extend(args, out) -> int:
 
 
 def _cmd_wlm(args, out) -> int:
-    a = _load_scheme(args)
-    b = _load_second(args)
+    a = _load_scheme(args.scheme, args.graph)
+    b = _load_scheme(args.scheme2, args.graph2)
     isos = enumerate_algebraic_isos(a.cc, b.cc)
     if not isos:
         out.write("no algebraic isomorphisms\n")
@@ -299,8 +293,8 @@ def _cmd_enumerate(args, out) -> int:
 
 
 def _cmd_iso(args, out) -> int:
-    a = _load_scheme(args)
-    b = _load_second(args)
+    a = _load_scheme(args.scheme, args.graph)
+    b = _load_scheme(args.scheme2, args.graph2)
     isos = enumerate_algebraic_isos(a.cc, b.cc)
     if not isos:
         out.write("no algebraic isomorphisms\n")
@@ -315,7 +309,7 @@ def _cmd_iso(args, out) -> int:
 
 
 def _cmd_multiplier(args, out) -> int:
-    X = _load_scheme(args)
+    X = _load_scheme(args.scheme, args.graph)
     if args.unit is not None:
         cmap = [0] * X.rank
         for d in range(X.n):
@@ -337,120 +331,66 @@ def _cmd_multiplier(args, out) -> int:
     return 0
 
 
-def _verify_main_order(task) -> list:
-    n, max_m, directed = task
-    return dimension.verify_main_theorem([n], max_m=max_m, directed=directed)
+_ORDER_CHECKS = {
+    "muzychuk": (dimension.verify_muzychuk, "maps={checked} not_induced={bad}"),
+    "schur": (dimension.verify_schur, "violations={bad}"),
+    "discreteness": (dimension.verify_discreteness, "sections={checked} nondiscrete={bad}"),
+    "oracle": (dimension.verify_oracle, "maps={checked} disagreements={bad}"),
+}
+
+
+def _verify_lines(theorem: str, n: int, max_m: int):
+    """(line, report) for each line that verify prints for order n."""
+    schemes = dimension.enumerate_schemes(n).schemes
+    if theorem in _ORDER_CHECKS:
+        check, fields = _ORDER_CHECKS[theorem]
+        rep = check(schemes)
+        yield f"n={n} " + fields.format(checked=rep.checked, bad=len(rep.violations)), rep
+    elif theorem == "reduction":
+        for X in schemes:
+            if circulant.is_quasinormal(X):
+                continue
+            for m in (2, 3) if max_m >= 3 else (2,):
+                rep = dimension.verify_reduction(X, m)
+                tag = "ok" if rep.ok else "VIOLATION"
+                yield (
+                    f"n={n} rank={X.rank} m={m} checked={rep.checked} "
+                    f"extended={rep.extended} {tag}"
+                ), rep
+    else:
+        for X in schemes:
+            if any(r.is_singular for r in circulant.singular_classes(X)):
+                rep = dimension.verify_uniqueness(X)
+                yield f"n={n} rank={X.rank} unique_extensions={rep.checked}", rep
 
 
 def _cmd_verify(args, out) -> int:
     orders = _parse_orders(args.orders)
+    if args.max_m < 2:
+        raise io.FormatError(f"verify needs --max-m >= 2, got {args.max_m}")
+    if args.theorem == "oracle" and orders[-1] > wl.DEFAULT_ORACLE_POINT_CAP:
+        raise CapExceededError(f"oracle capped at n <= {wl.DEFAULT_ORACLE_POINT_CAP}")
     t0 = time.time()
     if args.theorem == "main":
-        if args.jobs > 1:
-            tasks = [(n, args.max_m, args.directed) for n in orders]
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                chunks = list(pool.map(_verify_main_order, tasks))
-            reports = [r for chunk in chunks for r in chunk]
-        else:
-            reports = dimension.verify_main_theorem(
-                orders, max_m=args.max_m, directed=args.directed
-            )
-        text = (
-            dimension.format_csv(reports)
-            if args.format == "csv"
-            else dimension.format_table(reports)
+        check = functools.partial(
+            dimension.verify_main_theorem, max_m=args.max_m, directed=args.directed
         )
-        out.write(text)
-        ok = all(r.estimate is not None and r.estimate <= r.bound for r in reports)
-    elif args.theorem == "reduction":
+        if args.jobs > 1:
+            # no more workers than orders or cores: the pool starts them all at once
+            workers = min(args.jobs, len(orders), os.cpu_count() or 1)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                reports = [r for chunk in pool.map(check, [[n] for n in orders]) for r in chunk]
+        else:
+            reports = check(orders)
+        fmt = dimension.format_csv if args.format == "csv" else dimension.format_table
+        out.write(fmt(reports))
+        ok = all(r.within_bound for r in reports)
+    else:
         ok = True
         for n in orders:
-            for X in dimension.enumerate_schemes(n).schemes:
-                if circulant.is_quasinormal(X):
-                    continue
-                for m in (2, min(3, args.max_m)):
-                    rep = dimension.verify_reduction(X, m)
-                    tag = "ok" if rep.ok else "VIOLATION"
-                    out.write(
-                        f"n={n} rank={X.rank} m={m} checked={rep.checked} "
-                        f"extended={rep.extended} {tag}\n"
-                    )
-                    ok &= rep.ok
-    elif args.theorem == "muzychuk":
-        ok = True
-        for n in orders:
-            schemes = dimension.enumerate_schemes(n).schemes
-            pairs = failures = 0
-            for a in schemes:
-                for b in schemes:
-                    for phi in enumerate_algebraic_isos(a.cc, b.cc):
-                        pairs += 1
-                        if find_isomorphism(a.cc, b.cc, phi) is None:
-                            failures += 1
-            out.write(f"n={n} maps={pairs} not_induced={failures}\n")
-            ok &= failures == 0
-    elif args.theorem == "schur":
-        ok = True
-        for n in orders:
-            bad = 0
-            for X in dimension.enumerate_schemes(n).schemes:
-                for u in circulant.units(n):
-                    if not circulant.unit_permutes_connection_sets(X, u):
-                        bad += 1
-            out.write(f"n={n} violations={bad}\n")
-            ok &= bad == 0
-    elif args.theorem == "discreteness":
-        ok = True
-        for n in orders:
-            checked = bad = 0
-            for X in dimension.enumerate_schemes(n).schemes:
-                if not circulant.is_quasinormal(X):
-                    continue
-                res = circulant.section_discreteness_check(X, circulant.base_tuple(X))
-                checked += len(res)
-                bad += sum(1 for v in res.values() if not v)
-            out.write(f"n={n} sections={checked} nondiscrete={bad}\n")
-            ok &= bad == 0
-    elif args.theorem == "oracle":
-        ok = True
-        for n in orders:
-            if n > wl.DEFAULT_ORACLE_POINT_CAP:
-                raise CapExceededError(f"oracle capped at n <= {wl.DEFAULT_ORACLE_POINT_CAP}")
-            schemes = dimension.enumerate_schemes(n).schemes
-            agree = disagree = 0
-            for a in schemes:
-                for b in schemes:
-                    for phi in enumerate_algebraic_isos(a.cc, b.cc):
-                        table = wl.pebble_game_oracle(a.cc, b.cc, phi.color_map, 2)
-                        same = table.full_support == wl.wl_m_equivalent(
-                            a.cc, b.cc, phi.color_map, 2
-                        )
-                        agree += same
-                        disagree += not same
-            out.write(f"n={n} maps={agree + disagree} disagreements={disagree}\n")
-            ok &= disagree == 0
-    elif args.theorem == "uniqueness":
-        ok = True
-        for n in orders:
-            for X in dimension.enumerate_schemes(n).schemes:
-                singular = [r for r in circulant.singular_classes(X) if r.is_singular]
-                if not singular:
-                    continue
-                rep = singular[0]
-                star = circulant.singular_extension(X, rep.smallest)
-                sec = circulant.Section(
-                    rep.smallest.upper,
-                    rep.smallest.lower,
-                    circulant.section_scheme(star, rep.smallest.upper, rep.smallest.lower),
-                )
-                count = 0
-                for phi in enumerate_algebraic_isos(X.cc, X.cc):
-                    for psi in enumerate_algebraic_isos(sec.scheme.cc, sec.scheme.cc):
-                        circulant.extend_algebraic_automorphism(X, star, phi, psi, sec)
-                        count += 1
-                out.write(f"n={n} rank={X.rank} unique_extensions={count}\n")
-    else:  # pragma: no cover - argparse restricts choices
-        raise io.FormatError(f"unknown theorem {args.theorem}")
+            for line, rep in _verify_lines(args.theorem, n, args.max_m):
+                out.write(line + "\n")
+                ok &= rep.ok
     print(f"verify {args.theorem} finished in {time.time() - t0:.1f}s", file=sys.stderr)
     return 0 if ok else 1
 

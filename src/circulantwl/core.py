@@ -112,13 +112,6 @@ class CoherentConfig:
         )
 
     @cached_property
-    def fiber_index(self) -> np.ndarray:
-        out = np.empty(self.n, dtype=np.int64)
-        for i, fib in enumerate(self.fibers):
-            out[list(fib)] = i
-        return out
-
-    @cached_property
     def representative(self) -> np.ndarray:
         """(rank, 2) array: lexicographically least pair of each color."""
         first = _first_occurrences(self.colors.ravel(), self.rank)
@@ -141,10 +134,6 @@ class CoherentConfig:
     def color_of(self, a: int, b: int) -> int:
         return int(self.colors[a, b])
 
-    def class_pairs(self, c: int) -> list[tuple[int, int]]:
-        rows, cols = np.nonzero(self.colors == c)
-        return [(int(a), int(b)) for a, b in zip(rows, cols)]
-
     def is_diagonal_color(self, c: int) -> bool:
         return c in self.diagonal_colors
 
@@ -156,11 +145,6 @@ def trivial_config(n: int) -> CoherentConfig:
     """Diagonal plus (for n > 1) one off-diagonal class."""
     mat = np.ones((n, n), dtype=np.int64)
     np.fill_diagonal(mat, 0)
-    return CoherentConfig(mat)
-
-
-def discrete_config(n: int) -> CoherentConfig:
-    mat = np.arange(n * n, dtype=np.int64).reshape(n, n)
     return CoherentConfig(mat)
 
 

@@ -79,10 +79,6 @@ class MAryConfig:
             idx += entry * stride
         return int(self.color_of[idx])
 
-    def histogram(self) -> dict[int, int]:
-        counts = np.bincount(self.color_of, minlength=self.rank)
-        return {c: int(counts[c]) for c in range(self.rank)}
-
 
 def wl_m_refine(cc: CoherentConfig, m: int, cap: int = DEFAULT_TUPLE_CAP) -> MAryConfig:
     """Stable m-ary refinement of a coherent configuration, m >= 2."""
@@ -288,9 +284,6 @@ class GameTable:
         for k in range(self.m + 1):
             out |= self.winning_at(k)
         return out
-
-    def transposed(self) -> "GameTable":
-        return GameTable(self.m, self.n, tuple(lv.T.copy() for lv in self.levels))
 
 
 def pebble_game_oracle(

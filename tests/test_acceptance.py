@@ -10,21 +10,10 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from circulantwl.algebra import (
-    enumerate_algebraic_isos,
-    find_isomorphism,
-)
 from circulantwl.circulant import (
-    CirculantScheme,
-    Section,
     base_tuple,
-    extend_algebraic_automorphism,
     from_connection_partition,
     is_quasinormal,
-    omega,
-    secc0,
-    section_discreteness_check,
-    section_scheme,
     singular_classes,
     singular_extension,
     xgroup_lattice,
@@ -40,13 +29,16 @@ from circulantwl.core import (
 )
 from circulantwl.dimension import (
     enumerate_graphs,
-    enumerate_schemes,
     graph_scheme,
-    prepare_analysis,
-    estimate_dimension,
+    verify_discreteness,
+    verify_main_theorem,
+    verify_muzychuk,
+    verify_oracle,
     verify_reduction,
+    verify_schur,
+    verify_uniqueness,
 )
-from circulantwl.wl import pebble_game_oracle, projection, wl_m_equivalent, wl_m_refine
+from circulantwl.wl import projection, wl_m_refine
 
 
 def _report(num, desc, ok, detail=""):
@@ -63,25 +55,21 @@ def z20_fixture():
     return from_connection_partition(20, cls.values())[0]
 
 
+def _merged(reports):
+    """Sum the counts and join the violations of several check reports."""
+    reports = list(reports)
+    return sum(r.checked for r in reports), [v for r in reports for v in r.violations]
+
+
 @pytest.fixture(scope="module")
 def main_theorem_reports():
-    reports = []
-    for n in range(4, 17):
-        corpus = enumerate_graphs(n)
-        analysis = prepare_analysis(corpus)
-        for conn in corpus.graphs:
-            reports.append(
-                estimate_dimension(conn, corpus, max_m=4, analysis=analysis)
-            )
-    return reports
+    return verify_main_theorem(range(4, 17), max_m=4)
 
 
 def test_criterion_1_main_theorem(main_theorem_reports):
     t0 = time.time()
     reports = main_theorem_reports
-    within = all(
-        r.estimate is not None and r.estimate <= r.bound for r in reports
-    )
+    within = all(r.within_bound for r in reports)
     settled = sum(1 for r in reports if r.estimate == 2)
     share = settled / len(reports)
     _report(
@@ -106,15 +94,9 @@ def test_criterion_2_prime_power_spot_check(main_theorem_reports):
 
 
 def test_criterion_3_muzychuk_conformance(schemes_up_to_13):
-    checked = 0
-    counterexamples = []
-    for n in range(1, 13):
-        for a in schemes_up_to_13[n]:
-            for b in schemes_up_to_13[n]:
-                for phi in enumerate_algebraic_isos(a.cc, b.cc):
-                    checked += 1
-                    if find_isomorphism(a.cc, b.cc, phi) is None:
-                        counterexamples.append((n, phi.color_map))
+    checked, counterexamples = _merged(
+        verify_muzychuk(schemes_up_to_13[n]) for n in range(1, 13)
+    )
     _report(
         3,
         "every algebraic isomorphism between schemes of order <= 12 is induced by an isomorphism",
@@ -124,19 +106,11 @@ def test_criterion_3_muzychuk_conformance(schemes_up_to_13):
 
 
 def test_criterion_4_schur_multiplier_invariance(schemes_up_to_13):
-    from circulantwl.circulant import unit_permutes_connection_sets, units
-
-    checked = violations = 0
-    for n in range(1, 14):
-        for X in schemes_up_to_13[n]:
-            for u in units(n):
-                checked += 1
-                if not unit_permutes_connection_sets(X, u):
-                    violations += 1
+    checked, violations = _merged(verify_schur(schemes_up_to_13[n]) for n in range(1, 14))
     _report(
         4,
         "multiplication by any unit permutes the connection sets of every scheme, n <= 13",
-        violations == 0,
+        not violations,
         f"{checked} unit actions checked",
     )
 
@@ -173,25 +147,10 @@ def test_criterion_5_singular_extension_ledger(schemes_up_to_13):
 
 
 def test_criterion_6_extension_theorems(schemes_up_to_13):
-    unique_checked = 0
-    reduction_violations = []
-    for X in _non_quasinormal_corpus(schemes_up_to_13):
-        reps = [r for r in singular_classes(X) if r.is_singular]
-        rep = reps[0]
-        star = singular_extension(X, rep.smallest)
-        sec = Section(
-            rep.smallest.upper,
-            rep.smallest.lower,
-            section_scheme(star, rep.smallest.upper, rep.smallest.lower),
-        )
-        for phi in enumerate_algebraic_isos(X.cc, X.cc):
-            for psi in enumerate_algebraic_isos(sec.scheme.cc, sec.scheme.cc):
-                # raises unless exactly one extension exists
-                extend_algebraic_automorphism(X, star, phi, psi, sec)
-                unique_checked += 1
-        for m in (2, 3):
-            result = verify_reduction(X, m)
-            reduction_violations.extend(result.violations)
+    corpus = _non_quasinormal_corpus(schemes_up_to_13)
+    # verify_uniqueness raises unless exactly one extension exists
+    unique_checked, _ = _merged(verify_uniqueness(X) for X in corpus)
+    _, reduction_violations = _merged(verify_reduction(X, m) for X in corpus for m in (2, 3))
     _report(
         6,
         "unique algebraic extensions and reduction conformance at m = 2, 3",
@@ -201,51 +160,31 @@ def test_criterion_6_extension_theorems(schemes_up_to_13):
 
 
 def test_criterion_7_discreteness(schemes_up_to_16):
-    sections_checked = 0
-    failures = 0
-    tuples_ok = True
-    for n in range(1, 17):
-        for X in schemes_up_to_16[n]:
-            if not is_quasinormal(X):
-                continue
-            x = base_tuple(X)
-            tuples_ok &= len(x) <= omega(n) + 1
-            result = section_discreteness_check(X, x)
-            sections_checked += len(result)
-            failures += sum(1 for v in result.values() if not v)
+    # a violation is a non-discrete section or a base tuple longer than Omega(n) + 1
+    sections_checked, failures = _merged(
+        verify_discreteness(schemes_up_to_16[n]) for n in range(1, 17)
+    )
     _report(
         7,
         "point extensions at base tuples are discrete on every controlled section, n <= 16",
-        failures == 0 and tuples_ok,
+        not failures,
         f"{sections_checked} sections checked",
     )
 
 
 def test_criterion_8_oracle_equivalence(schemes_up_to_13):
     t0 = time.time()
-    runs = disagreements = 0
-    for n in range(1, 9):
-        for a in schemes_up_to_13[n]:
-            for b in schemes_up_to_13[n]:
-                for phi in enumerate_algebraic_isos(a.cc, b.cc):
-                    runs += 1
-                    table = pebble_game_oracle(a.cc, b.cc, phi.color_map, 2)
-                    if table.full_support != wl_m_equivalent(
-                        a.cc, b.cc, phi.color_map, 2
-                    ):
-                        disagreements += 1
+    runs, disagreements = _merged(verify_oracle(schemes_up_to_13[n]) for n in range(1, 9))
     elapsed = time.time() - t0
     _report(
         8,
         "pebble game oracle agrees with the refinement route on all pairs, n <= 8, m = 2",
-        disagreements == 0 and elapsed <= 300,
+        not disagreements and elapsed <= 300,
         f"{runs} runs, {elapsed:.0f}s",
     )
 
 
 def test_criterion_9_axiom_suite(schemes_up_to_13):
-    from circulantwl.wl import wl_closure
-
     checked = 0
     # closures of every graph of order <= 10
     for n in range(1, 11):

@@ -1,10 +1,10 @@
 import io as stdio
 import json
+from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
 import pytest
 
-from circulantwl import circulant, io
+from circulantwl import cli, dimension, io, wl
 from circulantwl.circulant import CirculantScheme
 from circulantwl.cli import run
 from circulantwl.core import trivial_config
@@ -177,9 +177,26 @@ def test_dim_directed():
     assert "estimate" in out
 
 
+def _not_unique(*args):
+    raise AssertionError("extension is not unique")
+
+
+# per theorem, a dimension-level name and a stand-in that makes one inner check fail
+_BROKEN = {
+    "main": ("omega", lambda n: -3),  # bound omega(n) + 3 = 0 is below every estimate
+    "schur": ("unit_permutes_connection_sets", lambda X, u: False),
+    "reduction": ("_extends_scheme_map", lambda *args: False),
+    "discreteness": ("section_discreteness_check", lambda X, x: {"forced": False}),
+    "uniqueness": ("extend_algebraic_automorphism", _not_unique),
+    "oracle": ("wl_m_equivalent", lambda *args: not wl.wl_m_equivalent(*args)),
+    "muzychuk": ("find_isomorphism", lambda *args: None),
+}
+
+
 @pytest.mark.parametrize(
     "theorem,orders",
     [
+        ("main", "4..6"),
         ("schur", "4..8"),
         ("reduction", "4..6"),
         ("discreteness", "4..8"),
@@ -188,11 +205,20 @@ def test_dim_directed():
         ("muzychuk", "4..8"),
     ],
 )
-def test_verify_subcommands(theorem, orders):
+def test_verify_subcommands(theorem, orders, monkeypatch, capsys):
     code, out = invoke("verify", "--theorem", theorem, "--orders", orders)
     assert code == 0
     assert out.strip()
     assert "VIOLATION" not in out
+    # the same run fails once one inner check fails; only a failed unique
+    # extension raises, the other checks report the failure and go on
+    monkeypatch.setattr(dimension, *_BROKEN[theorem])
+    assert invoke("verify", "--theorem", theorem, "--orders", orders)[0] == 1
+    err = capsys.readouterr().err
+    if theorem == "uniqueness":
+        assert "error: extension is not unique" in err
+    else:
+        assert "error:" not in err
 
 
 def test_sections_verb():
@@ -228,19 +254,6 @@ def test_arc_index_out_of_range_is_rejected(capsys):
         io.parse_graph_spec("n=3;arcs=1:0,3")
 
 
-def test_uniqueness_verb_can_fail(monkeypatch, capsys):
-    calls = []
-
-    def not_unique(*args):
-        calls.append(args)
-        raise AssertionError("extension is not unique")
-
-    monkeypatch.setattr(circulant, "extend_algebraic_automorphism", not_unique)
-    code, _ = invoke("verify", "--theorem", "uniqueness", "--orders", "4..6")
-    assert calls and code == 1
-    assert "error: extension is not unique" in capsys.readouterr().err
-
-
 def test_scheme_cache_round_trip(tmp_path, monkeypatch):
     monkeypatch.setenv("CIRCULANTWL_CACHE", str(tmp_path))
     cold = invoke("enumerate", "--schemes", "--order", "6")
@@ -250,9 +263,55 @@ def test_scheme_cache_round_trip(tmp_path, monkeypatch):
 
 def test_poisoned_scheme_cache_is_rejected(tmp_path, monkeypatch, capsys):
     cache = tmp_path / "schemes_6.json"
-    cache.write_text(json.dumps({"schemes": [[[1], [2, 3, 4, 5]]]}))
     monkeypatch.setenv("CIRCULANTWL_CACHE", str(tmp_path))
-    code, out = invoke("enumerate", "--schemes", "--order", "6")
+    for text, why in [
+        (json.dumps({"schemes": [[[1], [2, 3, 4, 5]]]}), "not coherent"),
+        ("{", "malformed"),  # truncated
+        (json.dumps({"schemes": [[[1], [2, 3]]]}), "do not cover the group"),
+        (json.dumps({"partitions": []}), "KeyError"),
+    ]:
+        cache.write_text(text)
+        code, out = invoke("enumerate", "--schemes", "--order", "6")
+        assert code == 1 and out == ""
+        err = capsys.readouterr().err
+        assert f"error: scheme cache {cache}" in err and why in err
+
+
+def test_verify_main_jobs_match_sequential(monkeypatch):
+    argv = ["verify", "--theorem", "main", "--orders", "4..8"]
+    sequential = invoke(*argv, "--jobs", "1")
+    assert sequential[0] == 0
+    assert invoke(*argv, "--jobs", "2") == sequential
+    # a large --jobs asks for no more workers than orders; a one-thread pool
+    # records the request without starting a process
+    workers = []
+    pool = lambda max_workers: workers.append(max_workers) or ThreadPoolExecutor(1)  # noqa: E731
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+    assert invoke(*argv[:-1], "4..5", "--jobs", "64") == invoke(*argv[:-1], "4..5")
+    assert workers and workers[0] <= 2
+
+
+def test_verify_reduction_checks_each_m_once():
+    argv = ["verify", "--theorem", "reduction", "--orders", "4..6"]
+    code, out = invoke(*argv, "--max-m", "2")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == len(set(lines)) == 3
+    assert all(" m=2 " in line for line in lines)
+    code, out = invoke(*argv)
+    assert code == 0 and [line for line in out.splitlines() if " m=2 " in line] == lines
+    assert len(out.splitlines()) == 6
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ("main 4..6 --max-m 1", "verify needs --max-m >= 2, got 1"),
+        ("reduction 4..6 --max-m 1", "verify needs --max-m >= 2, got 1"),
+        ("oracle 7..9", "oracle capped at n <= 8"),
+    ],
+)
+def test_verify_rejects_request_before_output(argv, message, capsys):
+    theorem, orders, *rest = argv.split()
+    code, out = invoke("verify", "--theorem", theorem, "--orders", orders, *rest)
     assert code == 1 and out == ""
-    err = capsys.readouterr().err
-    assert f"error: scheme cache {cache}" in err and "not coherent" in err
+    assert f"error: {message}" in capsys.readouterr().err
