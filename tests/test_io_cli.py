@@ -221,6 +221,19 @@ def test_verify_subcommands(theorem, orders, monkeypatch, capsys):
         assert "error:" not in err
 
 
+def test_uniqueness_verb_can_fail(monkeypatch, capsys):
+    calls = []
+
+    def not_unique(*args):
+        calls.append(args)
+        raise AssertionError("extension is not unique")
+
+    monkeypatch.setattr(dimension, "extend_algebraic_automorphism", not_unique)
+    code, _ = invoke("verify", "--theorem", "uniqueness", "--orders", "4..6")
+    assert calls and code == 1
+    assert "error: extension is not unique" in capsys.readouterr().err
+
+
 def test_sections_verb():
     code, out = invoke("sections", "--graph", "n=12;S=1,11")
     assert code == 0
