@@ -248,14 +248,6 @@ def induced_color_map(
     return AlgebraicIso(cc_a, cc_b, tuple(int(c) for c in cmap))
 
 
-def is_isomorphism(cc_a: CoherentConfig, cc_b: CoherentConfig, f) -> bool:
-    try:
-        induced_color_map(cc_a, cc_b, f)
-        return True
-    except ValueError:
-        return False
-
-
 # -- induced maps on quotients, restrictions, sections -------------------------------
 
 

@@ -65,10 +65,6 @@ class XGroup:
             raise ValueError("subgroup order must divide the group order")
 
     @property
-    def generator(self) -> int:
-        return self.n // self.order if self.order > 1 else 0
-
-    @property
     def elements(self) -> frozenset[int]:
         step = self.n // self.order
         return frozenset(range(0, self.n, step))
@@ -661,7 +657,10 @@ def _section_color_map(
     """The induced color map on the section scheme of a circulant scheme."""
     pts = sorted(section.upper.elements)
     blocks = _coset_blocks(section)
-    return induced_on_section(phi, pts, blocks, pts, blocks)
+    out = induced_on_section(phi, pts, blocks, pts, blocks)
+    # align the generic section configuration with the scheme's own numbering
+    assert out.source == section.scheme.cc, "section configurations must agree"
+    return out
 
 
 def _coset_blocks(section: Section) -> tuple[tuple[int, ...], ...]:
@@ -776,9 +775,6 @@ class Multiplier:
         perm = dict(self.entries)[section]
         return perm[1] if section.order > 1 else 0
 
-    def permutation(self, section: Section) -> tuple[int, ...]:
-        return dict(self.entries)[section]
-
 
 def extract_multiplier(
     X: CirculantScheme, phi: AlgebraicIso, x: tuple[int, ...], x_image: tuple[int, ...]
@@ -836,7 +832,7 @@ def _assert_multiplier_conditions(X, phi, mult: Multiplier, secs) -> None:
                 "section automorphism must be multiplication by a unit"
             )
         # compatibility with the induced color map of phi on the section
-        phi_s = _section_color_map_scheme(X, sec, phi)
+        phi_s = _section_color_map(X, sec, phi)
         for a in range(k):
             for b in range(k):
                 assert phi_s(sec.scheme.cc.color_of(a, b)) == sec.scheme.cc.color_of(
@@ -873,17 +869,6 @@ def _assert_restriction_compat(lookup, sec: Section, other: Section) -> None:
             raise AssertionError("restricted automorphism leaves the subsection")
         b = sec.project(g_img)
         assert sigma_s[a] == b, "restriction compatibility fails"
-
-
-def _section_color_map_scheme(
-    X: CirculantScheme, sec: Section, phi: AlgebraicIso
-) -> AlgebraicIso:
-    pts = sorted(sec.upper.elements)
-    blocks = _coset_blocks(sec)
-    out = induced_on_section(phi, pts, blocks, pts, blocks)
-    # align the generic section configuration with the scheme's own numbering
-    assert out.source == sec.scheme.cc, "section configurations must agree"
-    return out
 
 
 def _is_quasinormal_certified(X: CirculantScheme, sec: Section, cap: int = 20) -> bool:

@@ -125,13 +125,18 @@ def _read(path: str) -> str:
 
 
 def _parse_orders(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..")
-        orders = list(range(int(lo), int(hi) + 1))
-        if not orders:
-            raise io.FormatError(f"empty order range {text}")
-        return orders
-    return [int(text)]
+    """The orders of ``--orders N`` or ``--orders A..B``, all at least 1."""
+    lo, sep, hi = text.partition("..")
+    try:
+        lo, hi = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise io.FormatError(f"--orders takes N or A..B with integer bounds, got {text!r}") from None
+    orders = list(range(lo, hi + 1))
+    if not orders:
+        raise io.FormatError(f"empty order range {text}")
+    if lo < 1:
+        raise io.FormatError(f"--orders takes N or A..B with orders >= 1, got {text!r}")
+    return orders
 
 
 def _cmd_close(args, out) -> int:
@@ -361,7 +366,8 @@ def _verify_lines(theorem: str, n: int, max_m: int):
         for X in schemes:
             if any(r.is_singular for r in circulant.singular_classes(X)):
                 rep = dimension.verify_uniqueness(X)
-                yield f"n={n} rank={X.rank} unique_extensions={rep.checked}", rep
+                unique = rep.checked - len(rep.violations)
+                yield f"n={n} rank={X.rank} unique_extensions={unique}", rep
 
 
 def _cmd_verify(args, out) -> int:

@@ -43,6 +43,7 @@ from .wl import pebble_game_oracle, wl_m_equivalent
 DEFAULT_UNDIRECTED_CAP = 20
 DEFAULT_DIRECTED_CAP = 12
 DEFAULT_SCHEME_CAP = 16
+SCHEME_CACHE_VERSION = 1
 
 
 @dataclass
@@ -55,12 +56,8 @@ class Corpus:
 
 
 def _unit_canonical(n: int, conn: frozenset[int]) -> frozenset[int]:
-    best = None
-    for u in units(n):
-        image = tuple(sorted((u * d) % n for d in conn))
-        if best is None or image < best:
-            best = image
-    return frozenset(best)
+    """The representative of the unit class of conn: its least image as a sorted tuple."""
+    return frozenset(min(tuple(sorted(u * d % n for d in conn)) for u in units(n)))
 
 
 def enumerate_graphs(
@@ -69,34 +66,18 @@ def enumerate_graphs(
     cap_undirected: int = DEFAULT_UNDIRECTED_CAP,
     cap_directed: int = DEFAULT_DIRECTED_CAP,
 ) -> Corpus:
-    """All circulant connection sets of one order up to unit multipliers."""
+    """All circulant connection sets of one order up to unit multipliers:
+    unions of generator orbits, (d,) when directed and {d, -d} when not."""
     cap = cap_directed if directed else cap_undirected
     if n > cap:
         raise CapExceededError(f"graph enumeration capped at n <= {cap}")
-    if n == 1:
-        return Corpus(n=1, graphs=[frozenset()])
-    if directed:
-        ground = list(range(1, n))
-        seen = set()
-        out = []
-        for size in range(0, len(ground) + 1):
-            for combo in combinations(ground, size):
-                canon = _unit_canonical(n, frozenset(combo))
-                if canon not in seen:
-                    seen.add(canon)
-                    out.append(canon)
-        return Corpus(n=n, graphs=sorted(out, key=sorted))
-    pairs = sorted({frozenset({d, (n - d) % n}) for d in range(1, n)}, key=min)
-    seen = set()
-    out = []
-    for size in range(0, len(pairs) + 1):
-        for combo in combinations(pairs, size):
-            conn = frozenset().union(*combo) if combo else frozenset()
-            canon = _unit_canonical(n, conn)
-            if canon not in seen:
-                seen.add(canon)
-                out.append(canon)
-    return Corpus(n=n, graphs=sorted(out, key=sorted))
+    orbits = sorted({frozenset({d} if directed else {d, -d % n}) for d in range(1, n)}, key=min)
+    reps = {
+        _unit_canonical(n, frozenset().union(*combo))
+        for size in range(len(orbits) + 1)
+        for combo in combinations(orbits, size)
+    }
+    return Corpus(n=n, graphs=sorted(reps, key=sorted))
 
 
 def burnside_graph_count(n: int, directed: bool = False) -> int:
@@ -133,32 +114,30 @@ def _orbit_count(n: int, gens: list[int]) -> int:
 # -- scheme enumeration -----------------------------------------------------------
 
 
-def scheme_unit_image(X: CirculantScheme, u: int) -> CirculantScheme:
-    image = [frozenset((u * d) % X.n for d in conn) for conn in X.connection_sets]
-    scheme, coherent = from_connection_partition(X.n, image)
-    assert coherent, "unit image of a coherent partition must stay coherent"
-    return scheme
-
-
 def _join(a: CirculantScheme, b: CirculantScheme) -> CirculantScheme:
-    pieces = []
-    for ca in a.connection_sets:
-        for cb in b.connection_sets:
-            inter = ca & cb
-            if inter:
-                pieces.append(inter)
+    # from_connection_partition drops the empty intersections
+    pieces = [ca & cb for ca in a.connection_sets for cb in b.connection_sets]
     return from_connection_partition(a.n, pieces)[0]
+
+
+def _scheme_order(X: CirculantScheme):
+    """Corpus order: by rank, then by the sorted list of sorted basic sets."""
+    return X.rank, sorted(sorted(c) for c in X.connection_sets)
 
 
 def enumerate_schemes(n: int, cap: int = DEFAULT_SCHEME_CAP) -> Corpus:
     """All circulant schemes of order n.
 
-    Generated as the join-closure of the single-set refinements: every
-    scheme is the join of the closures of its own basis sets, and the set
-    of schemes is closed under joins, so iterating pairwise joins from all
-    closures WL(Cay(Z_n, C)) reaches exactly the schemes of order n.
-    Results are memoized on disk when CIRCULANTWL_CACHE points to a
-    directory.
+    Seeded with one closure WL(Cay(Z_n, C)) per unit class of connection
+    sets C, then closed under pairwise joins.  Every scheme is the join of
+    the closures of its own basic sets, so this reaches exactly the schemes
+    of order n.  No unit images are needed: by Schur's multiplier theorem
+    every unit permutes the basic sets of every circulant scheme, so the
+    closure of a unit image of C is the closure of C.  The joins run as a
+    worklist: each popped scheme is joined with every scheme popped before
+    it and any new join is pushed, so each unordered pair of distinct
+    schemes is joined once.  Results are memoized on disk when
+    CIRCULANTWL_CACHE points to a directory.
     """
     if n > cap:
         raise CapExceededError(f"scheme enumeration capped at n <= {cap}")
@@ -167,28 +146,19 @@ def enumerate_schemes(n: int, cap: int = DEFAULT_SCHEME_CAP) -> Corpus:
     cached = _read_scheme_cache(n)
     if cached is not None:
         return cached
-    reps = set()
-    for size in range(0, n):
-        for combo in combinations(range(1, n), size):
-            reps.add(_unit_canonical(n, frozenset(combo)))
-    found: set[CirculantScheme] = set()
-    for conn in reps:
-        found.add(graph_scheme(n, conn))
-    for scheme in list(found):
-        for u in units(n):
-            found.add(scheme_unit_image(scheme, u))
-    frontier = set(found)
-    while frontier:
-        new: set[CirculantScheme] = set()
-        for a in frontier:
-            for b in found:
-                j = _join(a, b)
-                if j not in found and j not in new:
-                    new.add(j)
-        found |= new
-        frontier = new
-    ordered = sorted(found, key=lambda s: (s.rank, sorted(sorted(c) for c in s.connection_sets)))
-    corpus = Corpus(n=n, schemes=ordered)
+    seeds = enumerate_graphs(n, directed=True, cap_directed=cap).graphs
+    found = {graph_scheme(n, conn) for conn in seeds}
+    todo = list(found)
+    done: list[CirculantScheme] = []
+    while todo:
+        a = todo.pop()
+        for b in done:
+            j = _join(a, b)
+            if j not in found:
+                found.add(j)
+                todo.append(j)
+        done.append(a)
+    corpus = Corpus(n=n, schemes=sorted(found, key=_scheme_order))
     _write_scheme_cache(corpus)
     return corpus
 
@@ -206,13 +176,20 @@ def _read_scheme_cache(n: int) -> Corpus | None:
         return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            partitions = json.load(fh)["schemes"]
+            data = json.load(fh)
+        partitions = data["schemes"]
         read = [from_connection_partition(n, [set(c) for c in parts]) for parts in partitions]
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"scheme cache {path} is malformed: {exc!r}") from exc
     for (_, coherent), parts in zip(read, partitions):
         if not coherent:
             raise ValueError(f"scheme cache {path} holds a partition that is not coherent: {parts}")
+    # checked last, so a file that is also malformed is named as malformed
+    if data.get("version") != SCHEME_CACHE_VERSION:
+        raise ValueError(
+            f"scheme cache {path} has format version {data.get('version')!r}, expected "
+            f"{SCHEME_CACHE_VERSION}; delete the file to rebuild it"
+        )
     return Corpus(n=n, schemes=[scheme for scheme, _ in read])
 
 
@@ -224,9 +201,8 @@ def _write_scheme_cache(corpus: Corpus) -> None:
         return
     os.makedirs(os.path.dirname(path), exist_ok=True)
     data = {
-        "schemes": [
-            sorted(sorted(c) for c in s.connection_sets) for s in corpus.schemes
-        ]
+        "version": SCHEME_CACHE_VERSION,
+        "schemes": [sorted(sorted(c) for c in X.connection_sets) for X in corpus.schemes],
     }
     tmp = f"{path}.{os.getpid()}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -255,9 +231,7 @@ def brute_force_schemes(n: int) -> list[CirculantScheme]:
         scheme, coherent = from_connection_partition(n, part)
         if coherent:
             out.append(scheme)
-    return sorted(
-        set(out), key=lambda s: (s.rank, sorted(sorted(c) for c in s.connection_sets))
-    )
+    return sorted(set(out), key=_scheme_order)
 
 
 # -- dimension estimation ------------------------------------------------------------
@@ -310,10 +284,7 @@ class _OrderAnalysis:
 
 
 def graph_scheme(n: int, conn: frozenset[int]) -> CirculantScheme:
-    parts = [set(conn)] if conn else []
-    rest = set(range(1, n)) - set(conn)
-    parts.extend([rest] if rest else [])
-    return from_connection_partition(n, parts)[0]
+    return from_connection_partition(n, [set(conn), set(range(1, n)) - set(conn)])[0]
 
 
 def estimate_dimension(
@@ -526,7 +497,7 @@ def _first_singular_extension(X: CirculantScheme) -> tuple[Section, CirculantSch
 def verify_uniqueness(X: CirculantScheme) -> CheckReport:
     """Every algebraic automorphism of X, paired with one of the section of
     its singular extension, extends in exactly one way; ``checked`` counts
-    the pairs, and a pair without a unique extension raises AssertionError."""
+    the pairs, and each pair without a unique extension is a violation."""
     smallest, star = _first_singular_extension(X)
     sec = Section(
         smallest.upper, smallest.lower, section_scheme(star, smallest.upper, smallest.lower)
@@ -534,8 +505,14 @@ def verify_uniqueness(X: CirculantScheme) -> CheckReport:
     report = CheckReport()
     for phi in enumerate_algebraic_isos(X.cc, X.cc):
         for psi in enumerate_algebraic_isos(sec.scheme.cc, sec.scheme.cc):
-            extend_algebraic_automorphism(X, star, phi, psi, sec)
             report.checked += 1
+            try:
+                extend_algebraic_automorphism(X, star, phi, psi, sec)
+            except AssertionError as exc:
+                report.violations.append(
+                    f"n={X.n} rank={X.rank}: map {phi.color_map} with {psi.color_map} "
+                    f"on {sec.label()}: {exc}"
+                )
     return report
 
 

@@ -1,8 +1,10 @@
 import os
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
+from circulantwl.circulant import from_connection_partition
 from circulantwl.dimension import enumerate_schemes
 from circulantwl.wl import wl_closure
 
@@ -51,3 +53,15 @@ def rook_and_shrikhande():
     """Closures of the 4x4 rook's graph and the Shrikhande graph, both
     SRG(16, 6, 2, 2): 2-dim WL cannot tell them apart, 3-dim WL can."""
     return _srg_closure(ROOK), _srg_closure(SHRIKHANDE)
+
+
+@pytest.fixture
+def z20_fixture():
+    """The rank-10 scheme over Z_20 whose basic sets are the classes of
+    d by (4 divides d, d mod 5); it is not quasinormal."""
+    cls = defaultdict(set)
+    for d in range(20):
+        cls[(d % 4 == 0, d % 5)].add(d)
+    scheme, coherent = from_connection_partition(20, cls.values())
+    assert coherent
+    return scheme

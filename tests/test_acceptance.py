@@ -5,14 +5,12 @@ complete.  Tolerances are pinned in the assertions; nothing is deferred.
 """
 
 import time
-from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from circulantwl.circulant import (
     base_tuple,
-    from_connection_partition,
     is_quasinormal,
     singular_classes,
     singular_extension,
@@ -46,13 +44,6 @@ def _report(num, desc, ok, detail=""):
     suffix = f" ({detail})" if detail else ""
     print(f"acceptance criterion {num} [{status}]: {desc}{suffix}")
     assert ok, f"criterion {num}: {desc}{suffix}"
-
-
-def z20_fixture():
-    cls = defaultdict(set)
-    for d in range(20):
-        cls[(d % 4 == 0, d % 5)].add(d)
-    return from_connection_partition(20, cls.values())[0]
 
 
 def _merged(reports):
@@ -115,20 +106,20 @@ def test_criterion_4_schur_multiplier_invariance(schemes_up_to_13):
     )
 
 
-def _non_quasinormal_corpus(schemes_up_to_13):
+def _non_quasinormal_corpus(schemes_up_to_13, z20_fixture):
     out = [
         X
         for n in range(1, 13)
         for X in schemes_up_to_13[n]
         if not is_quasinormal(X)
     ]
-    out.append(z20_fixture())
+    out.append(z20_fixture)
     return out
 
 
-def test_criterion_5_singular_extension_ledger(schemes_up_to_13):
+def test_criterion_5_singular_extension_ledger(schemes_up_to_13, z20_fixture):
     count = 0
-    for X in _non_quasinormal_corpus(schemes_up_to_13):
+    for X in _non_quasinormal_corpus(schemes_up_to_13, z20_fixture):
         for rep in singular_classes(X):
             if not rep.is_singular:
                 continue
@@ -146,16 +137,16 @@ def test_criterion_5_singular_extension_ledger(schemes_up_to_13):
     )
 
 
-def test_criterion_6_extension_theorems(schemes_up_to_13):
-    corpus = _non_quasinormal_corpus(schemes_up_to_13)
-    # verify_uniqueness raises unless exactly one extension exists
-    unique_checked, _ = _merged(verify_uniqueness(X) for X in corpus)
+def test_criterion_6_extension_theorems(schemes_up_to_13, z20_fixture):
+    corpus = _non_quasinormal_corpus(schemes_up_to_13, z20_fixture)
+    unique_checked, unique_violations = _merged(verify_uniqueness(X) for X in corpus)
     _, reduction_violations = _merged(verify_reduction(X, m) for X in corpus for m in (2, 3))
     _report(
         6,
         "unique algebraic extensions and reduction conformance at m = 2, 3",
-        not reduction_violations,
-        f"{unique_checked} (phi, psi) pairs unique, {len(reduction_violations)} reduction violations",
+        not unique_violations and not reduction_violations,
+        f"{unique_checked} (phi, psi) pairs checked, {len(unique_violations)} not unique, "
+        f"{len(reduction_violations)} reduction violations",
     )
 
 
@@ -184,7 +175,7 @@ def test_criterion_8_oracle_equivalence(schemes_up_to_13):
     )
 
 
-def test_criterion_9_axiom_suite(schemes_up_to_13):
+def test_criterion_9_axiom_suite(schemes_up_to_13, z20_fixture):
     checked = 0
     # closures of every graph of order <= 10
     for n in range(1, 11):
@@ -211,7 +202,7 @@ def test_criterion_9_axiom_suite(schemes_up_to_13):
             assert validate(tensor_product(a.cc, b.cc)).valid
             checked += 1
     # singular extensions validate
-    for X in _non_quasinormal_corpus(schemes_up_to_13)[:10]:
+    for X in _non_quasinormal_corpus(schemes_up_to_13, z20_fixture)[:10]:
         rep = [r for r in singular_classes(X) if r.is_singular][0]
         assert validate(singular_extension(X, rep.smallest).cc).valid
         checked += 1

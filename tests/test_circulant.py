@@ -1,5 +1,4 @@
 import math
-from collections import defaultdict
 
 import pytest
 
@@ -32,15 +31,6 @@ from circulantwl.circulant import (
     xgroup_lattice,
 )
 from circulantwl.core import validate
-
-
-def z20_fixture():
-    cls = defaultdict(set)
-    for d in range(20):
-        cls[(d % 4 == 0, d % 5)].add(d)
-    scheme, coherent = from_connection_partition(20, cls.values())
-    assert coherent
-    return scheme
 
 
 def unit_color_map(X, u):
@@ -77,8 +67,8 @@ def test_wreath_partition_over_subgroup_is_coherent():
     assert coherent and scheme.rank == 3
 
 
-def test_z20_fixture_shape():
-    scheme = z20_fixture()
+def test_z20_fixture_shape(z20_fixture):
+    scheme = z20_fixture
     assert scheme.rank == 10
     assert validate(scheme.cc).valid
 
@@ -111,8 +101,8 @@ def test_regular_scheme_has_all_subgroups():
     ]
 
 
-def test_z20_fixture_xgroups():
-    assert [g.order for g in xgroup_lattice(z20_fixture())] == [1, 4, 5, 20]
+def test_z20_fixture_xgroups(z20_fixture):
+    assert [g.order for g in xgroup_lattice(z20_fixture)] == [1, 4, 5, 20]
 
 
 def test_section_schemes_validate():
@@ -165,8 +155,8 @@ def test_bridge_identity_on_same_section():
     assert section_bridge(z12, sec, sec) in (0, 1)
 
 
-def test_projectively_equivalent_sections_share_order_and_scheme():
-    X = z20_fixture()
+def test_projectively_equivalent_sections_share_order_and_scheme(z20_fixture):
+    X = z20_fixture
     for cls in proj_equivalence_classes(X):
         orders = {s.order for s in cls}
         assert len(orders) == 1
@@ -183,8 +173,8 @@ def test_projectively_equivalent_sections_share_order_and_scheme():
 # -- U/L-condition ---------------------------------------------------------------------
 
 
-def test_ul_condition_z20():
-    X = z20_fixture()
+def test_ul_condition_z20(z20_fixture):
+    X = z20_fixture
     assert satisfies_ul_condition(X, XGroup(20, 5), XGroup(20, 1))
 
 
@@ -217,8 +207,8 @@ def test_trivial_on_three_points_is_normal():
     assert is_normal(CirculantScheme.trivial(3))
 
 
-def test_z20_fixture_not_quasinormal():
-    X = z20_fixture()
+def test_z20_fixture_not_quasinormal(z20_fixture):
+    X = z20_fixture
     assert not is_quasinormal(X)
 
 
@@ -231,8 +221,8 @@ def test_quasinormality_matches_definition(n):
 # -- singular classes -----------------------------------------------------------------------
 
 
-def test_z20_singular_class_structure():
-    X = z20_fixture()
+def test_z20_singular_class_structure(z20_fixture):
+    X = z20_fixture
     reports = [r for r in singular_classes(X) if r.is_singular]
     assert len(reports) == 1
     rep = reports[0]
@@ -251,8 +241,8 @@ def test_quasinormal_scheme_singular_orders_are_three():
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 9, 10, 12])
-def test_trivial_class_of_composite_order_is_singular(n):
-    for X in (CirculantScheme.trivial(n), z20_fixture() if n == 4 else CirculantScheme.trivial(n)):
+def test_trivial_class_of_composite_order_is_singular(n, z20_fixture):
+    for X in (CirculantScheme.trivial(n), z20_fixture if n == 4 else CirculantScheme.trivial(n)):
         for rep in singular_classes(X):
             order = rep.order
             composite = any(order % p == 0 for p in range(2, order) if p * p <= order)
@@ -263,8 +253,8 @@ def test_trivial_class_of_composite_order_is_singular(n):
 # -- singular extension ------------------------------------------------------------------------
 
 
-def test_z20_extension_is_regular_and_choice_independent():
-    X = z20_fixture()
+def test_z20_extension_is_regular_and_choice_independent(z20_fixture):
+    X = z20_fixture
     rep = [r for r in singular_classes(X) if r.is_singular][0]
     star_a = singular_extension(X, rep.smallest)
     star_b = singular_extension(X, rep.largest)
@@ -373,8 +363,8 @@ def test_unit_maps_are_induced_on_regular_scheme(u):
     assert f is not None
 
 
-def test_induced_requires_quasinormal():
-    X = z20_fixture()
+def test_induced_requires_quasinormal(z20_fixture):
+    X = z20_fixture
     with pytest.raises(ValueError):
         is_induced_by_isomorphism(X, identity_iso(X.cc))
 
@@ -396,7 +386,7 @@ def test_extendable_maps_on_quasinormal_corpus_are_induced(schemes_up_to_13):
     assert checked >= 80
 
 
-def test_z20_automorphisms_agree_with_constructed_witnesses():
+def test_z20_automorphisms_agree_with_constructed_witnesses(z20_fixture):
     # backtracking results cross-checked against directly constructed maps
     from circulantwl.algebra import (
         enumerate_algebraic_isos,
@@ -404,7 +394,7 @@ def test_z20_automorphisms_agree_with_constructed_witnesses():
         induced_color_map,
     )
 
-    X = z20_fixture()
+    X = z20_fixture
     constructed = {}
     for u in units(20):
         um = tuple((u * x) % 20 for x in range(20))

@@ -1,9 +1,7 @@
-from collections import defaultdict
-
 import pytest
 
 from circulantwl.algebra import CapExceededError, find_isomorphism
-from circulantwl.circulant import CirculantScheme, from_connection_partition, is_quasinormal
+from circulantwl.circulant import CirculantScheme, is_quasinormal
 from circulantwl.dimension import (
     brute_force_schemes,
     burnside_graph_count,
@@ -17,13 +15,6 @@ from circulantwl.dimension import (
     verify_reduction,
 )
 from circulantwl.wl import wl_m_equivalent
-
-
-def z20_fixture():
-    cls = defaultdict(set)
-    for d in range(20):
-        cls[(d % 4 == 0, d % 5)].add(d)
-    return from_connection_partition(20, cls.values())[0]
 
 
 # -- graph enumeration -------------------------------------------------------------
@@ -82,6 +73,11 @@ def test_prime_scheme_count_is_divisor_count():
     # schemes over Z_p are in bijection with divisors of p-1
     assert len(enumerate_schemes(11).schemes) == 4
     assert len(enumerate_schemes(13).schemes) == 6
+
+
+def test_scheme_counts_up_to_16(schemes_up_to_16):
+    counts = [len(schemes_up_to_16[n]) for n in range(1, 17)]
+    assert counts == [1, 1, 2, 3, 3, 7, 4, 10, 7, 10, 4, 32, 6, 13, 21, 37]
 
 
 def test_scheme_count_stable_across_runs():
@@ -146,17 +142,10 @@ def test_format_outputs_are_deterministic():
 # -- reduction -----------------------------------------------------------------------
 
 
-def test_reduction_on_z20_fixture():
-    X = z20_fixture()
-    rep = verify_reduction(X, 2)
+def test_reduction_on_z20_fixture(z20_fixture):
+    rep = verify_reduction(z20_fixture, 2)
     assert rep.ok
     assert rep.checked == rep.extended == 4
-
-
-def test_identity_always_extends():
-    X = z20_fixture()
-    rep = verify_reduction(X, 2)
-    assert rep.checked >= 1 and rep.ok
 
 
 def test_reduction_requires_singular_class():

@@ -210,18 +210,15 @@ def test_verify_subcommands(theorem, orders, monkeypatch, capsys):
     assert code == 0
     assert out.strip()
     assert "VIOLATION" not in out
-    # the same run fails once one inner check fails; only a failed unique
-    # extension raises, the other checks report the failure and go on
+    # the same run fails once one inner check fails; every check reports
+    # the failure and goes on
     monkeypatch.setattr(dimension, *_BROKEN[theorem])
     assert invoke("verify", "--theorem", theorem, "--orders", orders)[0] == 1
-    err = capsys.readouterr().err
-    if theorem == "uniqueness":
-        assert "error: extension is not unique" in err
-    else:
-        assert "error:" not in err
+    assert "error:" not in capsys.readouterr().err
 
 
 def test_uniqueness_verb_can_fail(monkeypatch, capsys):
+    _, passing = invoke("verify", "--theorem", "uniqueness", "--orders", "4..6")
     calls = []
 
     def not_unique(*args):
@@ -229,15 +226,38 @@ def test_uniqueness_verb_can_fail(monkeypatch, capsys):
         raise AssertionError("extension is not unique")
 
     monkeypatch.setattr(dimension, "extend_algebraic_automorphism", not_unique)
-    code, _ = invoke("verify", "--theorem", "uniqueness", "--orders", "4..6")
+    code, out = invoke("verify", "--theorem", "uniqueness", "--orders", "4..6")
     assert calls and code == 1
-    assert "error: extension is not unique" in capsys.readouterr().err
+    # every scheme still gets its line, now with no unique extension
+    lines = out.splitlines()
+    assert len(lines) == len(passing.splitlines()) and lines
+    assert all(line.endswith(" unique_extensions=0") for line in lines)
+    assert "error:" not in capsys.readouterr().err
 
 
 def test_sections_verb():
     code, out = invoke("sections", "--graph", "n=12;S=1,11")
     assert code == 0
     assert "section=12/1" in out and "principal=" in out
+
+
+@pytest.mark.parametrize(
+    "theorem,orders",
+    [
+        ("schur", "-3..-1"),
+        ("muzychuk", "0..2"),
+        ("main", "0"),
+        ("main", "4..4..5"),
+        ("schur", "4..x"),
+        ("schur", "4.."),
+        ("main", "4.5"),
+    ],
+)
+def test_verify_rejects_malformed_orders(theorem, orders, capsys):
+    code, out = invoke("verify", "--theorem", theorem, f"--orders={orders}")
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert "error: --orders takes N or A..B" in err and repr(orders) in err
 
 
 def test_verify_rejects_empty_order_range(capsys):
@@ -282,6 +302,8 @@ def test_poisoned_scheme_cache_is_rejected(tmp_path, monkeypatch, capsys):
         ("{", "malformed"),  # truncated
         (json.dumps({"schemes": [[[1], [2, 3]]]}), "do not cover the group"),
         (json.dumps({"partitions": []}), "KeyError"),
+        (json.dumps({"schemes": [[[1, 2, 3, 4, 5]]]}), "version None, expected 1; delete the file"),
+        (json.dumps({"version": 0, "schemes": [[[1, 2, 3, 4, 5]]]}), "version 0, expected 1; delete the file"),
     ]:
         cache.write_text(text)
         code, out = invoke("enumerate", "--schemes", "--order", "6")
