@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     CoherentConfig,
     Parabolic,
+    _covering_colors,
     intersection_tensor,
     is_translation_invariant,
     quotient,
@@ -345,8 +346,6 @@ def induced_on_section(
 
 
 def _covering(cc: CoherentConfig, blocks) -> frozenset[int]:
-    from .core import _covering_colors
-
     cols = _covering_colors(cc, blocks)
     if cols is None:
         raise ValueError("equivalence is not a relation of the restriction")

@@ -28,25 +28,34 @@ from .algebra import (
 from .core import (
     CoherentConfig,
     Parabolic,
+    _covering_colors,
+    circulant_matrix,
     is_translation_invariant,
     point_extension,
     quotient,
     restriction,
     trivial_config,
 )
-from .core import _covering_colors
 from .wl import wl_closure
+
+
+def _factorize(n: int) -> list[tuple[int, int]]:
+    """(p, k) for every prime power p^k exactly dividing n, by increasing p."""
+    out, d = [], 2
+    while d * d <= n:
+        k = 0
+        while n % d == 0:
+            k += 1
+            n //= d
+        if k:
+            out.append((d, k))
+        d += 1
+    return out + [(n, 1)] if n > 1 else out
 
 
 def omega(n: int) -> int:
     """Total number of prime divisors counted with multiplicity."""
-    count, d = 0, 2
-    while d * d <= n:
-        while n % d == 0:
-            count += 1
-            n //= d
-        d += 1
-    return count + (1 if n > 1 else 0)
+    return sum(k for _, k in _factorize(n))
 
 
 def units(n: int) -> list[int]:
@@ -96,8 +105,7 @@ class CirculantScheme:
     # -- construction -------------------------------------------------------
     @staticmethod
     def regular(n: int) -> "CirculantScheme":
-        mat = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-        return CirculantScheme(CoherentConfig(mat))
+        return CirculantScheme(CoherentConfig(circulant_matrix(np.arange(n))))
 
     @staticmethod
     def trivial(n: int) -> "CirculantScheme":
@@ -149,14 +157,12 @@ def from_connection_partition(n: int, parts) -> tuple[CirculantScheme, bool]:
         sets.append(frozenset({0}))
     elif missing:
         raise ValueError("connection classes do not cover the group")
-    arc = np.zeros((n, n), dtype=np.int64)
+    row = np.zeros(n, dtype=np.int64)
     for i, s in enumerate(sorted(sets, key=lambda s: sorted(s))):
-        for d in s:
-            for a in range(n):
-                arc[a, (a + d) % n] = i
+        row[list(s)] = i
     # the closure refines the partition, so it is coherent exactly when
     # closing adds no class
-    closed = wl_closure(arc)
+    closed = wl_closure(circulant_matrix(row))
     return CirculantScheme(closed), closed.rank == len(sets)
 
 
@@ -253,13 +259,20 @@ def sections(X: CirculantScheme) -> list[Section]:
     """All sections over nested pairs of X-groups (those containing the identity coset)."""
     if "sections" not in X._cache:
         groups = xgroup_lattice(X)
-        out = []
-        for L in groups:
-            for U in groups:
-                if L <= U:
-                    out.append(Section(U, L, section_scheme(X, U, L)))
-        X._cache["sections"] = out
-    return list(X._cache["sections"])
+        X._cache["sections"] = {
+            (U, L): Section(U, L, section_scheme(X, U, L))
+            for L in groups
+            for U in groups
+            if L <= U
+        }
+    return list(X._cache["sections"].values())
+
+
+def _section(X: CirculantScheme, upper: XGroup, lower: XGroup) -> Section:
+    """The section U/L of X, read from the cache of ``sections`` when X has
+    built it and computed alone otherwise."""
+    cached = X._cache.get("sections", {}).get((upper, lower))
+    return cached or Section(upper, lower, section_scheme(X, upper, lower))
 
 
 def scheme_radical(X: CirculantScheme) -> XGroup:
@@ -461,9 +474,9 @@ def _tensor_condition(X: CirculantScheme, T: Section, S: Section) -> bool:
     """S2: the section U(S)/L(T) must split as the product of U(T)/L(T) and L(S)/L(T)."""
     l0, l1 = T.lower, T.upper
     u0, u1 = S.lower, S.upper
-    big = section_scheme(X, u1, l0)
-    part_a = section_scheme(X, l1, l0)
-    part_b = section_scheme(X, u0, l0)
+    big = _section(X, u1, l0).scheme
+    part_a = _section(X, l1, l0).scheme
+    part_b = _section(X, u0, l0).scheme
     K = big.n
     k = part_a.n
     kk = part_b.n
@@ -598,16 +611,8 @@ def _assert_extension_ledger(
     # the witness pair still satisfies the split conditions in the extension
     assert satisfies_ul_condition(star, rep.largest.lower, rep.smallest.lower)
     assert satisfies_ul_condition(star, rep.largest.upper, rep.smallest.upper)
-    star_small = Section(
-        rep.smallest.upper,
-        rep.smallest.lower,
-        section_scheme(star, rep.smallest.upper, rep.smallest.lower),
-    )
-    star_large = Section(
-        rep.largest.upper,
-        rep.largest.lower,
-        section_scheme(star, rep.largest.upper, rep.largest.lower),
-    )
+    star_small = _section(star, rep.smallest.upper, rep.smallest.lower)
+    star_large = _section(star, rep.largest.upper, rep.largest.lower)
     assert _tensor_condition(star, star_small, star_large)
 
 
@@ -679,16 +684,7 @@ def base_tuple(X: CirculantScheme) -> tuple[int, ...]:
     order q; the resulting tuple witnesses every prime-power section.
     """
     n = X.n
-    entries = [0]
-    d, rest = 2, n
-    while rest > 1:
-        if rest % d == 0:
-            q = d
-            while rest % d == 0:
-                entries.append(n // q)
-                q *= d
-                rest //= d
-        d += 1
+    entries = [0] + [n // p**j for p, k in _factorize(n) for j in range(1, k + 1)]
     assert len(entries) <= omega(n) + 1
     _assert_base_tuple(X, tuple(entries))
     return tuple(entries)
@@ -698,7 +694,7 @@ def _assert_base_tuple(X: CirculantScheme, x: tuple[int, ...]) -> None:
     pts = set(x)
     assert 0 in pts
     for sec in sections(X):
-        if sec.order <= 1 or len(_prime_factors(sec.order)) != 1:
+        if len(_factorize(sec.order)) != 1:
             continue
         hit = False
         for g in pts:
@@ -708,19 +704,6 @@ def _assert_base_tuple(X: CirculantScheme, x: tuple[int, ...]) -> None:
                     hit = True
                     break
         assert hit, f"no generator witness for prime-power section {sec.label()}"
-
-
-def _prime_factors(n: int) -> set[int]:
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
 
 
 def secc0(X: CirculantScheme) -> list[Section]:
@@ -900,10 +883,10 @@ def quasinormal_section_decomposition(
         upper_b = XGroup(X.n, b * sec.lower.order)
         if upper_a not in xgroup_lattice(X) or upper_b not in xgroup_lattice(X):
             continue
-        sec_a = Section(upper_a, sec.lower, section_scheme(X, upper_a, sec.lower))
-        sec_b = Section(upper_b, sec.lower, section_scheme(X, upper_b, sec.lower))
+        sec_a = _section(X, upper_a, sec.lower)
+        sec_b = _section(X, upper_b, sec.lower)
         # the diamond partner of sec_a inside sec: U(sec)/upper_b
-        partner = Section(sec.upper, upper_b, section_scheme(X, sec.upper, upper_b))
+        partner = _section(X, sec.upper, upper_b)
         if not _tensor_condition(X, sec_a, partner):
             continue
         left = quasinormal_section_decomposition(X, sec_a, cap=cap)

@@ -148,12 +148,18 @@ def trivial_config(n: int) -> CoherentConfig:
     return CoherentConfig(mat)
 
 
+def circulant_matrix(row) -> np.ndarray:
+    """The n x n matrix of a circulant object given by its row 0: entry
+    (a, b) is row[(b - a) mod n]."""
+    row = np.asarray(row)
+    n = len(row)
+    return row[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+
+
 def is_translation_invariant(colors: np.ndarray) -> bool:
     """Whether the color of (a, b) depends only on b - a mod n, so that
     every translation of Z_n preserves colors."""
-    n = len(colors)
-    diff = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    return bool(np.array_equal(colors[0][diff], colors))
+    return bool(np.array_equal(circulant_matrix(colors[0]), colors))
 
 
 # -- validation --------------------------------------------------------------

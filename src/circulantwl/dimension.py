@@ -3,9 +3,10 @@
 The dimension of a graph with respect to the corpus of its order is the
 smallest m >= 2 at which every color-preserving correspondence to a corpus
 member that survives m-dim WL refinement is realized by an actual point
-isomorphism.  Graphs are deduplicated under the unit-multiplier action
-only, so isomorphism collisions across different multiplier classes stay
-observable.
+isomorphism.  It depends only on the graph's scheme (its WL closure), so it
+is estimated once per distinct scheme of an order.  Graphs are deduplicated
+under the unit-multiplier action only, so isomorphism collisions across
+different multiplier classes stay observable.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .algebra import (
-    AlgebraicIso,
     CapExceededError,
     enumerate_algebraic_isos,
     find_isomorphism,
@@ -26,13 +26,13 @@ from .circulant import (
     CirculantScheme,
     Section,
     _extends_scheme_map,
+    _section,
     base_tuple,
     extend_algebraic_automorphism,
     from_connection_partition,
     is_quasinormal,
     omega,
     section_discreteness_check,
-    section_scheme,
     singular_classes,
     singular_extension,
     unit_permutes_connection_sets,
@@ -254,117 +254,88 @@ class DimensionReport:
         return self.estimate is not None and self.estimate <= self.bound
 
 
-class _OrderAnalysis:
-    """Shared pairwise data of all schemes of one order."""
-
-    def __init__(
-        self, n: int, schemes: list[CirculantScheme], index: dict[frozenset[int], int]
-    ):
-        self.n = n
-        self.schemes = schemes
-        self.index = index
-        self._isos: dict[tuple[int, int], list[AlgebraicIso]] = {}
-        self._induced: dict[tuple[int, int, tuple[int, ...]], bool] = {}
-
-    def isos(self, i: int, j: int) -> list[AlgebraicIso]:
-        if (i, j) not in self._isos:
-            self._isos[(i, j)] = enumerate_algebraic_isos(
-                self.schemes[i].cc, self.schemes[j].cc
-            )
-        return self._isos[(i, j)]
-
-    def induced(self, i: int, j: int, phi: AlgebraicIso) -> bool:
-        key = (i, j, phi.color_map)
-        if key not in self._induced:
-            self._induced[key] = (
-                find_isomorphism(self.schemes[i].cc, self.schemes[j].cc, phi)
-                is not None
-            )
-        return self._induced[key]
-
-
 def graph_scheme(n: int, conn: frozenset[int]) -> CirculantScheme:
     return from_connection_partition(n, [set(conn), set(range(1, n)) - set(conn)])[0]
 
 
-def estimate_dimension(
-    conn: frozenset[int],
-    corpus: Corpus,
-    max_m: int = 4,
-    analysis: _OrderAnalysis | None = None,
-) -> DimensionReport:
-    """Smallest m <= max_m at which every refinement-surviving color map to a
-    corpus member is induced by an isomorphism; None when max_m is too small.
+def prepare_analysis(corpus: Corpus) -> tuple[list[CirculantScheme], dict[frozenset[int], int]]:
+    """The distinct schemes of the corpus graphs in first-seen order, and
+    each graph's position among them."""
+    position: dict[CirculantScheme, int] = {}
+    index = {
+        conn: position.setdefault(graph_scheme(corpus.n, conn), len(position))
+        for conn in corpus.graphs
+    }
+    return list(position), index
 
-    A pair that fails at level m is only rechecked at m+1 (equivalence is
+
+def _estimate(
+    X: CirculantScheme, schemes: list[CirculantScheme], max_m: int
+) -> tuple[int | None, list[tuple[frozenset[int], tuple[int, ...], int]]]:
+    """Smallest m <= max_m at which no algebraic isomorphism from X to one
+    of the schemes survives m-dim WL refinement without being induced by a
+    point isomorphism (None when max_m is too small), and one witness per
+    survivor and level.
+
+    A map that fails at level m is not rechecked at m+1 (equivalence is
     monotone down in m, and being induced does not depend on m)."""
-    n = corpus.n
-    if analysis is None:
-        analysis = prepare_analysis(corpus)
-    schemes = analysis.schemes
-    # a unit multiplier permutes the basis sets of every circulant scheme,
-    # so conn closes to the scheme of its unit-canonical representative
-    i = analysis.index.get(_unit_canonical(n, conn))
-    if i is None:
-        raise ValueError(f"connection set {sorted(conn)} is not in the corpus of order {n}")
-    bound = omega(n) + 3
+    candidates = [
+        (b, phi)
+        for _, b, phi in _algebraic_isos([X], schemes)
+        if find_isomorphism(X.cc, b.cc, phi) is None
+    ]
+    witnesses = []
+    for m in range(2, max_m + 1):
+        candidates = [
+            (b, phi) for b, phi in candidates if wl_m_equivalent(X.cc, b.cc, phi.color_map, m)
+        ]
+        if not candidates:
+            return m, witnesses
+        witnesses += [
+            (frozenset(min(b.connection_sets, key=sorted)), phi.color_map, m)
+            for b, phi in candidates
+        ]
+    return None, witnesses
 
-    candidates: list[tuple[int, AlgebraicIso]] = []
-    for j in range(len(schemes)):
-        for phi in analysis.isos(i, j):
-            if not analysis.induced(i, j, phi):
-                candidates.append((j, phi))
-    witnesses: list[tuple[frozenset[int], tuple[int, ...], int]] = []
-    estimate = None
-    m = 2
-    while m <= max_m:
-        still = []
-        for j, phi in candidates:
-            if wl_m_equivalent(schemes[i].cc, schemes[j].cc, phi.color_map, m):
-                still.append((j, phi))
-                witnesses.append(
-                    (frozenset(min(schemes[j].connection_sets, key=sorted)), phi.color_map, m)
-                )
-        if not still:
-            estimate = m
-            break
-        candidates = still
-        m += 1
+
+def _report(conn: frozenset[int], X: CirculantScheme, max_m: int, estimate, witnesses):
     return DimensionReport(
         connection_set=conn,
-        order=n,
-        rank=schemes[i].rank,
+        order=X.n,
+        rank=X.rank,
         estimate=estimate,
-        bound=bound,
+        bound=omega(X.n) + 3,
         searched_up_to=max_m,
-        witnesses=witnesses,
+        witnesses=list(witnesses),
     )
 
 
-def prepare_analysis(corpus: Corpus) -> _OrderAnalysis:
-    schemes: list[CirculantScheme] = []
-    position: dict[CirculantScheme, int] = {}
-    index: dict[frozenset[int], int] = {}
-    for conn in corpus.graphs:
-        s = graph_scheme(corpus.n, conn)
-        if s not in position:
-            position[s] = len(schemes)
-            schemes.append(s)
-        index[conn] = position[s]
-    return _OrderAnalysis(corpus.n, schemes, index)
+def estimate_dimension(conn: frozenset[int], corpus: Corpus, max_m: int = 4) -> DimensionReport:
+    """The dimension estimate of one graph of the corpus: the smallest
+    m <= max_m at which every refinement-surviving color map out of its
+    scheme to a corpus scheme is induced by an isomorphism; None when max_m
+    is too small.  The estimate depends only on the graph's scheme."""
+    schemes, index = prepare_analysis(corpus)
+    # a unit multiplier permutes the basis sets of every circulant scheme,
+    # so conn closes to the scheme of its unit-canonical representative
+    i = index.get(_unit_canonical(corpus.n, conn))
+    if i is None:
+        raise ValueError(f"connection set {sorted(conn)} is not in the corpus of order {corpus.n}")
+    return _report(conn, schemes[i], max_m, *_estimate(schemes[i], schemes, max_m))
 
 
 def verify_main_theorem(
     orders, max_m: int = 4, directed: bool = False
 ) -> list[DimensionReport]:
-    """Estimate the dimension of every graph of the given orders; the bound
-    holds where every report is ``within_bound``."""
+    """One ``DimensionReport`` per graph of the given orders, estimated once
+    per distinct scheme of each order; the bound holds where every report
+    is ``within_bound``."""
     reports = []
     for n in orders:
         corpus = enumerate_graphs(n, directed=directed)
-        analysis = prepare_analysis(corpus)
-        for conn in corpus.graphs:
-            reports.append(estimate_dimension(conn, corpus, max_m=max_m, analysis=analysis))
+        schemes, index = prepare_analysis(corpus)
+        estimates = [_estimate(X, schemes, max_m) for X in schemes]
+        reports += [_report(conn, schemes[i], max_m, *estimates[i]) for conn, i in index.items()]
     return reports
 
 
@@ -423,10 +394,10 @@ class CheckReport:
         return not self.violations
 
 
-def _algebraic_isos(schemes: list[CirculantScheme]):
-    """(a, b, phi) for every algebraic isomorphism phi from a to b in the list."""
-    for a in schemes:
-        for b in schemes:
+def _algebraic_isos(sources: list[CirculantScheme], targets: list[CirculantScheme]):
+    """(a, b, phi) for every algebraic isomorphism phi from a source a to a target b."""
+    for a in sources:
+        for b in targets:
             for phi in enumerate_algebraic_isos(a.cc, b.cc):
                 yield a, b, phi
 
@@ -435,7 +406,7 @@ def verify_muzychuk(schemes: list[CirculantScheme]) -> CheckReport:
     """Every algebraic isomorphism between schemes of one order is induced
     by a point isomorphism."""
     report = CheckReport()
-    for a, b, phi in _algebraic_isos(schemes):
+    for a, b, phi in _algebraic_isos(schemes, schemes):
         report.checked += 1
         if find_isomorphism(a.cc, b.cc, phi) is None:
             report.violations.append(f"n={a.n} map {phi.color_map} is not induced")
@@ -476,7 +447,7 @@ def verify_oracle(schemes: list[CirculantScheme]) -> CheckReport:
     isomorphism between schemes of one order; ``checked`` counts the runs.
     Past the oracle's point cap the first run raises OracleCapError."""
     report = CheckReport()
-    for a, b, phi in _algebraic_isos(schemes):
+    for a, b, phi in _algebraic_isos(schemes, schemes):
         report.checked += 1
         table = pebble_game_oracle(a.cc, b.cc, phi.color_map, 2)
         if table.full_support != wl_m_equivalent(a.cc, b.cc, phi.color_map, 2):
@@ -499,9 +470,7 @@ def verify_uniqueness(X: CirculantScheme) -> CheckReport:
     its singular extension, extends in exactly one way; ``checked`` counts
     the pairs, and each pair without a unique extension is a violation."""
     smallest, star = _first_singular_extension(X)
-    sec = Section(
-        smallest.upper, smallest.lower, section_scheme(star, smallest.upper, smallest.lower)
-    )
+    sec = _section(star, smallest.upper, smallest.lower)
     report = CheckReport()
     for phi in enumerate_algebraic_isos(X.cc, X.cc):
         for psi in enumerate_algebraic_isos(sec.scheme.cc, sec.scheme.cc):

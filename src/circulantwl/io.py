@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circulant import CirculantScheme, from_connection_partition
-from .core import CoherentConfig
+from .core import CoherentConfig, circulant_matrix, is_translation_invariant
 
 
 class FormatError(ValueError):
@@ -113,10 +113,9 @@ def parse_graph_spec(text: str) -> tuple[int, np.ndarray]:
         )
         if 0 in conn:
             raise FormatError("connection set must not contain 0")
-        for a in range(n):
-            for d in conn:
-                arcs[a, (a + d) % n] = 1
-        return n, arcs
+        row = np.zeros(n, dtype=np.int64)
+        row[list(conn)] = 1
+        return n, circulant_matrix(row)
     if body.startswith("arcs="):
         for chunk in [body[5:]] + parts[2:]:
             if not chunk:
@@ -137,9 +136,6 @@ def parse_graph_spec(text: str) -> tuple[int, np.ndarray]:
 def parse_connection_set(text: str) -> tuple[int, frozenset[int]]:
     """Circulant shorthand only; returns (n, connection set)."""
     n, arcs = parse_graph_spec(text)
-    conn = frozenset(int(d) for d in np.flatnonzero(arcs[0]))
-    if not np.array_equal(
-        arcs, np.array([[(1 if (b - a) % n in conn else 0) for b in range(n)] for a in range(n)])
-    ):
+    if not (np.isin(arcs, (0, 1)).all() and is_translation_invariant(arcs)):
         raise FormatError("graph is not circulant shorthand")
-    return n, conn
+    return n, frozenset(int(d) for d in np.flatnonzero(arcs[0]))

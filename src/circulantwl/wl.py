@@ -71,14 +71,6 @@ class MAryConfig:
     color_of: np.ndarray
     rank: int
 
-    def color(self, x: tuple[int, ...]) -> int:
-        if len(x) != self.m:
-            raise ValueError(f"expected a {self.m}-tuple")
-        idx = 0
-        for entry, stride in zip(x, tuple_strides(self.n, self.m)):
-            idx += entry * stride
-        return int(self.color_of[idx])
-
 
 def wl_m_refine(cc: CoherentConfig, m: int, cap: int = DEFAULT_TUPLE_CAP) -> MAryConfig:
     """Stable m-ary refinement of a coherent configuration, m >= 2."""

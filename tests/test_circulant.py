@@ -7,6 +7,7 @@ from circulantwl.circulant import (
     CirculantScheme,
     Section,
     XGroup,
+    _section,
     base_tuple,
     extract_multiplier,
     from_connection_partition,
@@ -110,6 +111,16 @@ def test_section_schemes_validate():
     for sec in sections(X):
         assert validate(sec.scheme.cc).valid
         assert sec.scheme.n == sec.order
+
+
+def test_section_lookup_reads_the_sections_cache():
+    X = CirculantScheme.regular(12)
+    U, L = XGroup(12, 6), XGroup(12, 2)
+    alone = _section(X, U, L)
+    # a lookup does not list the sections of a scheme that has not listed them
+    assert "sections" not in X._cache
+    cached = next(s for s in sections(X) if (s.upper, s.lower) == (U, L))
+    assert alone == cached and _section(X, U, L) is cached
 
 
 # -- multiples, projective equivalence, bridges --------------------------------------
@@ -289,6 +300,10 @@ def test_units_permute_connection_sets(n):
 
 
 # -- base tuples and discreteness ------------------------------------------------------------
+
+
+def test_omega_values():
+    assert [omega(n) for n in (1, 2, 8, 12, 17, 20, 388)] == [0, 1, 3, 3, 1, 3, 3]
 
 
 def test_base_tuple_values():

@@ -1,6 +1,10 @@
+import io
+from dataclasses import replace
+
 import pytest
 
-from circulantwl.algebra import CapExceededError, find_isomorphism
+from circulantwl import cli, dimension
+from circulantwl.algebra import CapExceededError, enumerate_algebraic_isos, find_isomorphism
 from circulantwl.circulant import CirculantScheme, is_quasinormal
 from circulantwl.dimension import (
     brute_force_schemes,
@@ -104,9 +108,8 @@ def test_complete_graph_dimension_two():
 
 def test_estimates_monotone_witness_counts():
     corpus = enumerate_graphs(8)
-    analysis = prepare_analysis(corpus)
     for conn in corpus.graphs:
-        rep = estimate_dimension(conn, corpus, analysis=analysis)
+        rep = estimate_dimension(conn, corpus)
         assert rep.estimate is not None
         levels = [m for (_, _, m) in rep.witnesses]
         # failing set shrinks: witness levels are nondecreasing multiplicities
@@ -120,15 +123,62 @@ def test_main_theorem_small_orders():
 
 def test_isomorphic_pairs_stay_equivalent_at_all_m():
     # sanity direction: an induced map is equivalent at every level
-    n = 8
-    corpus = enumerate_graphs(n)
-    analysis = prepare_analysis(corpus)
-    schemes = analysis.schemes
-    for i, s in enumerate(schemes[:4]):
-        for phi in analysis.isos(i, i):
+    schemes, _ = prepare_analysis(enumerate_graphs(8))
+    for s in schemes[:4]:
+        for phi in enumerate_algebraic_isos(s.cc, s.cc):
             if find_isomorphism(s.cc, s.cc, phi) is not None:
                 for m in (2, 3):
                     assert wl_m_equivalent(s.cc, s.cc, phi.color_map, m)
+
+
+def test_main_theorem_matches_single_graph_estimates():
+    # the per-scheme run of verify_main_theorem and the one-graph entry agree
+    reports = verify_main_theorem(range(4, 11))
+    expected = [
+        estimate_dimension(conn, corpus)
+        for corpus in map(enumerate_graphs, range(4, 11))
+        for conn in corpus.graphs
+    ]
+    assert reports == expected
+
+
+def _no_map_induced(monkeypatch):
+    monkeypatch.setattr(dimension, "find_isomorphism", lambda *args: None)
+
+
+def test_unit_image_gets_its_canonical_report(monkeypatch):
+    # with no map induced the reports carry witnesses, so they can differ
+    _no_map_induced(monkeypatch)
+    corpus = enumerate_graphs(8)
+    canonical = estimate_dimension(frozenset({1, 7}), corpus)
+    assert canonical.witnesses
+    # 3 * {1, 7} = {3, 5} in Z_8
+    image = estimate_dimension(frozenset({3, 5}), corpus)
+    assert image == replace(canonical, connection_set=frozenset({3, 5}))
+
+
+def test_ladder_runs_every_level_when_no_map_is_induced(monkeypatch):
+    # every algebraic isomorphism out of a graph's scheme survives every
+    # level, so no estimate is reached and each level records all of them
+    _no_map_induced(monkeypatch)
+    reports = iter(verify_main_theorem(range(4, 7), max_m=4))
+    for n in range(4, 7):
+        corpus = enumerate_graphs(n)
+        schemes, index = prepare_analysis(corpus)
+        for conn in corpus.graphs:
+            X = schemes[index[conn]]
+            candidates = [
+                (frozenset(min(Y.connection_sets, key=sorted)), phi.color_map)
+                for Y in schemes
+                for phi in enumerate_algebraic_isos(X.cc, Y.cc)
+            ]
+            rep = next(reports)
+            assert rep.connection_set == conn and rep.estimate is None
+            assert len(rep.witnesses) == 3 * len(candidates)
+            assert rep.witnesses == [(*c, m) for m in (2, 3, 4) for c in candidates]
+    assert next(reports, None) is None
+    argv = ["verify", "--theorem", "main", "--orders", "4..6", "--max-m", "4"]
+    assert cli.run(argv, out=io.StringIO()) == 1
 
 
 def test_format_outputs_are_deterministic():

@@ -1,3 +1,4 @@
+import hashlib
 import io as stdio
 import json
 from concurrent.futures import ThreadPoolExecutor
@@ -94,6 +95,23 @@ def test_verify_main_csv():
     lines = out.splitlines()
     assert lines[0] == "order,connectionSet,rank,Omega(n),estimate,bound,witnesses"
     assert len(lines) == 4  # three graphs of order 5
+
+
+@pytest.mark.parametrize(
+    "args,digest",
+    [
+        (("--orders", "4..12"), "950839519cbab4346e20fe3eed2da3defc5bb5402c886f2f97a44e4fa8dcec26"),
+        (
+            ("--orders", "4..10", "--directed"),
+            "91ae26dfb7d711bcabf354793591959902d305aae57bbd5531c004d64831b5d0",
+        ),
+    ],
+)
+def test_main_table_is_pinned(args, digest):
+    # the headline table, byte for byte, as a sha256 digest of its stdout
+    code, out = invoke("verify", "--theorem", "main", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_enumerate_graphs_output():
