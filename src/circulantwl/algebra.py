@@ -24,11 +24,7 @@ from .core import (
     quotient,
     restriction,
 )
-from .refine import refine_pairs
-
-
-class CapExceededError(Exception):
-    """A brute-force search was asked to exceed its configured cap."""
+from .refine import CapExceededError, InvariantError, refine_pairs
 
 
 @dataclass(frozen=True)
@@ -165,7 +161,8 @@ def enumerate_algebraic_isos(
 
     rec(0)
     out = [AlgebraicIso(cc_a, cc_b, f) for f in sorted(found)]
-    assert all(is_algebraic_isomorphism(cc_a, cc_b, iso.color_map) for iso in out)
+    if not all(is_algebraic_isomorphism(cc_a, cc_b, iso.color_map) for iso in out):
+        raise InvariantError("search returned a map that is not an algebraic isomorphism")
     return out
 
 
@@ -225,8 +222,8 @@ def find_isomorphism(
     """The lexicographically least point bijection f with
     color'(f a, f b) = phi(color(a, b)) for all pairs, or None."""
     f = next(iter_isomorphisms(cc_a, cc_b, phi), None)
-    if f is not None:
-        assert induced_color_map(cc_a, cc_b, f).color_map == phi.color_map
+    if f is not None and induced_color_map(cc_a, cc_b, f).color_map != phi.color_map:
+        raise InvariantError("point isomorphism does not induce the color map")
     return f
 
 
@@ -412,12 +409,12 @@ def tuple_extension(
         cb = ext_b.colors[cells_b[0][0], cells_b[0][1]]
         cmap[ca] = cb
     lifted = AlgebraicIso(ext_a, ext_b, tuple(int(c) for c in cmap))
-    assert is_algebraic_isomorphism(ext_a, ext_b, lifted.color_map)
+    if not is_algebraic_isomorphism(ext_a, ext_b, lifted.color_map):
+        raise InvariantError("lifted map is not an algebraic isomorphism")
     _assert_extends(phi, ext_a, ext_b, lifted)
     for i in range(len(x)):
-        assert lifted(ext_a.color_of(x[i], x[i])) == ext_b.color_of(
-            x_image[i], x_image[i]
-        )
+        if lifted(ext_a.color_of(x[i], x[i])) != ext_b.color_of(x_image[i], x_image[i]):
+            raise InvariantError("lifted map does not send x onto x'")
     return TupleExtension(
         base=phi, x=x, x_image=x_image, ext_source=ext_a, ext_target=ext_b, lifted=lifted
     )
@@ -432,7 +429,8 @@ def _assert_extends(phi: AlgebraicIso, ext_a, ext_b, lifted: AlgebraicIso) -> No
     preimage = lifted.inverse().color_map
     for c in range(ext_b.rank):
         a, b = ext_b.representative[c]
-        assert phi(base_of_a[preimage[c]]) == phi.target.color_of(a, b)
+        if phi(base_of_a[preimage[c]]) != phi.target.color_of(a, b):
+            raise InvariantError("lifted map leaves the image of its base class")
 
 
 def extendable_at(phi: AlgebraicIso, x) -> TupleExtension | None:

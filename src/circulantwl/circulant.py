@@ -16,7 +16,6 @@ import numpy as np
 
 from .algebra import (
     AlgebraicIso,
-    CapExceededError,
     enumerate_algebraic_isos,
     extendable_at,
     find_isomorphism,
@@ -36,6 +35,7 @@ from .core import (
     restriction,
     trivial_config,
 )
+from .refine import CapExceededError, InvariantError
 from .wl import wl_closure
 
 
@@ -245,13 +245,13 @@ def section_scheme(X: CirculantScheme, upper: XGroup, lower: XGroup) -> Circulan
         for t in merged:
             if s & t:
                 if s != t:
-                    raise AssertionError("quotient classes overlap without coinciding")
+                    raise InvariantError("quotient classes overlap without coinciding")
                 break
         else:
             merged.append(s)
     scheme, coherent = from_connection_partition(k, merged)
     if not coherent:
-        raise AssertionError("section scheme of nested relation subgroups must be coherent")
+        raise InvariantError("section scheme of nested relation subgroups must be coherent")
     return scheme
 
 
@@ -303,80 +303,40 @@ def is_multiple(S: Section, T: Section) -> bool:
     )
 
 
+def _lower_split(S: Section) -> tuple[int, int]:
+    """(a, c) with |L| = a*c for S = U/L of order k: a over the primes of k, c coprime to k."""
+    a, c = 1, S.lower.order
+    while (g := math.gcd(c, S.order)) > 1:
+        a, c = a * g, c // g
+    return a, c
+
+
 def proj_equivalence_classes(X: CirculantScheme) -> list[list[Section]]:
-    """Connected components of the symmetric closure of the multiple relation."""
-    secs = sections(X)
-    index = {s: i for i, s in enumerate(secs)}
-    parent = list(range(len(secs)))
+    """Connected components of the symmetric closure of the multiple relation.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for s in secs:
-        for t in secs:
-            if s is not t and (is_multiple(s, t) or is_multiple(t, s)):
-                ri, rj = find(index[s]), find(index[t])
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[Section]] = {}
-    for s in secs:
-        groups.setdefault(find(index[s]), []).append(s)
+    Sections are equivalent exactly when they share k and a (``_lower_split``): a direct multiple
+    keeps k and a and multiplies c by the unit |U_S|/|U_T|, and two sections with equal (k, a) are
+    direct multiples of their meet, an X-section because X-groups are closed under intersection.
+    """
+    groups: dict[tuple[int, int], list[Section]] = {}
+    for s in sections(X):
+        groups.setdefault((s.order, _lower_split(s)[0]), []).append(s)
     out = [sorted(g, key=lambda s: (s.upper.order, s.lower.order)) for g in groups.values()]
     return sorted(out, key=lambda g: (g[0].upper.order, g[0].lower.order, len(g)))
 
 
-def direct_bridge_unit(T: Section, S: Section) -> int:
-    """The group isomorphism T -> S (S a multiple of T) as a unit multiplier."""
-    if not is_multiple(S, T):
-        raise ValueError("bridge requires a direct multiple")
-    h_t = T.upper.n // T.upper.order
-    h_s = S.upper.n // S.upper.order
-    u = (h_t // h_s) % S.order
-    if math.gcd(u, S.order) != 1 and S.order > 1:
-        raise AssertionError("bridge multiplier must be a unit")
-    return u if S.order > 1 else 0
-
-
 def section_bridge(X: CirculantScheme, T: Section, S: Section) -> int:
-    """Unit u realizing the composed projective-equivalence isomorphism T -> S.
-
-    Composed along a path of direct multiples (either direction); results
-    are cached per scheme.  Verified to be a Cayley isomorphism of the
-    section schemes on return.
-    """
-    cache = X._cache.setdefault("bridges", {})
-    key = (T, S)
-    if key not in cache:
-        secs = sections(X)
-        # BFS over the multiple graph carrying composed units
-        frontier = {T: 1 % max(T.order, 1)}
-        done = {}
-        while frontier:
-            new: dict[Section, int] = {}
-            for sec, u in frontier.items():
-                if sec in done:
-                    continue
-                done[sec] = u
-                for other in secs:
-                    if other in done:
-                        continue
-                    if is_multiple(other, sec):
-                        v = direct_bridge_unit(sec, other)
-                        new[other] = (v * u) % other.order if other.order > 1 else 0
-                    elif is_multiple(sec, other):
-                        v = direct_bridge_unit(other, sec)
-                        vin = pow(v, -1, other.order) if other.order > 1 else 0
-                        new[other] = (vin * u) % other.order if other.order > 1 else 0
-            frontier = new
-        if S not in done:
-            raise ValueError("sections are not projectively equivalent")
-        cache[key] = done[S]
-        if not _is_cayley_isomorphism(T.scheme, S.scheme, done[S]):
-            raise AssertionError("bridge is not a Cayley isomorphism of the section schemes")
-    return cache[key]
+    """Unit u realizing the composed projective-equivalence isomorphism T -> S: c_S / c_T mod k,
+    the product of the units |U_S|/|U_T| along any path of direct multiples.  Verified to be a
+    Cayley isomorphism of the section schemes on return."""
+    (a_t, c_t), (a_s, c_s) = _lower_split(T), _lower_split(S)
+    secs = sections(X)
+    if T not in secs or S not in secs or (T.order, a_t) != (S.order, a_s):
+        raise ValueError("sections are not projectively equivalent")
+    u = c_s * pow(c_t, -1, S.order) % S.order
+    if not _is_cayley_isomorphism(T.scheme, S.scheme, u):
+        raise InvariantError("bridge is not a Cayley isomorphism of the section schemes")
+    return u
 
 
 def _is_cayley_isomorphism(A: CirculantScheme, B: CirculantScheme, u: int) -> bool:
@@ -440,12 +400,12 @@ def is_quasinormal(X: CirculantScheme) -> bool:
     return all(rep.order == 3 for rep in singular_classes(X) if rep.is_singular)
 
 
-def quasinormal_by_definition(X: CirculantScheme, cap: int = 20) -> bool:
+def quasinormal_by_definition(X: CirculantScheme) -> bool:
     """Slow cross-validation path: every trivial section must be projectively
     equivalent to a subsection of a normal section."""
     classes = proj_equivalence_classes(X)
     secs = sections(X)
-    normal_secs = [s for s in secs if is_normal(s.scheme, cap=cap)]
+    normal_secs = [s for s in secs if is_normal(s.scheme)]
     for cls in classes:
         if not cls[0].is_trivial or cls[0].order == 1:
             continue
@@ -518,10 +478,12 @@ def singular_classes(X: CirculantScheme) -> list[SingularClassReport]:
     out = []
     for cls in proj_equivalence_classes(X):
         orders = {s.order for s in cls}
-        assert len(orders) == 1, "projectively equivalent sections must share their order"
+        if len(orders) != 1:
+            raise InvariantError("projectively equivalent sections must share their order")
         order = orders.pop()
         trivial_flags = {s.is_trivial for s in cls}
-        assert len(trivial_flags) == 1, "triviality is a class property"
+        if len(trivial_flags) != 1:
+            raise InvariantError("triviality is a class property")
         if order <= 2 or not trivial_flags.pop():
             continue
         smallest = min(cls, key=lambda s: (s.upper.order, s.lower.order))
@@ -530,10 +492,8 @@ def singular_classes(X: CirculantScheme) -> list[SingularClassReport]:
             (t, s) for t in cls for s in cls if _pair_is_singular_witness(X, t, s)
         ]
         is_sing = bool(witnesses)
-        if is_sing:
-            assert _pair_is_singular_witness(X, smallest, largest), (
-                "the smallest/largest pair must witness singularity"
-            )
+        if is_sing and not _pair_is_singular_witness(X, smallest, largest):
+            raise InvariantError("the smallest/largest pair must witness singularity")
         out.append(
             SingularClassReport(
                 sections=tuple(cls),
@@ -596,24 +556,31 @@ def _assert_extension_ledger(
     """Rank grows, the singular count drops by one, colors disjoint from the
     cosets of the class top group or inside the class bottom-anchor group are
     untouched, and the witnessing conditions survive in the extension."""
-    assert star.rank > X.rank
+    if star.rank <= X.rank:
+        raise InvariantError(f"extension rank {star.rank} does not exceed rank {X.rank}")
     before = sum(1 for r in singular_classes(X) if r.is_singular)
     after = sum(1 for r in singular_classes(star) if r.is_singular)
-    assert after == before - 1, f"singular class count {before} -> {after}"
+    if after != before - 1:
+        raise InvariantError(f"singular class count {before} -> {after}")
     u1 = rep.largest.upper.elements
     u0 = rep.largest.lower.elements
     away = {conn for conn in X.connection_sets if not (conn & u1)}
     away_star = {conn for conn in star.connection_sets if not (conn & u1)}
-    assert away == away_star
+    if away != away_star:
+        raise InvariantError("extension changed a color disjoint from the top group")
     inside = {conn for conn in X.connection_sets if conn <= u0}
     inside_star = {conn for conn in star.connection_sets if conn <= u0}
-    assert inside == inside_star
+    if inside != inside_star:
+        raise InvariantError("extension changed a color inside the bottom-anchor group")
     # the witness pair still satisfies the split conditions in the extension
-    assert satisfies_ul_condition(star, rep.largest.lower, rep.smallest.lower)
-    assert satisfies_ul_condition(star, rep.largest.upper, rep.smallest.upper)
     star_small = _section(star, rep.smallest.upper, rep.smallest.lower)
     star_large = _section(star, rep.largest.upper, rep.largest.lower)
-    assert _tensor_condition(star, star_small, star_large)
+    if not (
+        satisfies_ul_condition(star, rep.largest.lower, rep.smallest.lower)
+        and satisfies_ul_condition(star, rep.largest.upper, rep.smallest.upper)
+        and _tensor_condition(star, star_small, star_large)
+    ):
+        raise InvariantError("the witness pair no longer splits in the extension")
 
 
 def extend_algebraic_automorphism(
@@ -627,9 +594,9 @@ def extend_algebraic_automorphism(
     the section and extending phi; found by exhausting the color search."""
     matches = _extension_candidates(X, star, phi, psi, section)
     if not matches:
-        raise AssertionError("no extension found where exactly one was predicted")
+        raise InvariantError("no extension found where exactly one was predicted")
     if len(matches) > 1:
-        raise AssertionError("extension is not unique")
+        raise InvariantError("extension is not unique")
     return matches[0]
 
 
@@ -664,7 +631,8 @@ def _section_color_map(
     blocks = _coset_blocks(section)
     out = induced_on_section(phi, pts, blocks, pts, blocks)
     # align the generic section configuration with the scheme's own numbering
-    assert out.source == section.scheme.cc, "section configurations must agree"
+    if out.source != section.scheme.cc:
+        raise InvariantError("section configurations must agree")
     return out
 
 
@@ -685,14 +653,16 @@ def base_tuple(X: CirculantScheme) -> tuple[int, ...]:
     """
     n = X.n
     entries = [0] + [n // p**j for p, k in _factorize(n) for j in range(1, k + 1)]
-    assert len(entries) <= omega(n) + 1
+    if len(entries) > omega(n) + 1:
+        raise InvariantError("base tuple is longer than Omega(n) + 1")
     _assert_base_tuple(X, tuple(entries))
     return tuple(entries)
 
 
 def _assert_base_tuple(X: CirculantScheme, x: tuple[int, ...]) -> None:
     pts = set(x)
-    assert 0 in pts
+    if 0 not in pts:
+        raise InvariantError("base tuple lacks the identity")
     for sec in sections(X):
         if len(_factorize(sec.order)) != 1:
             continue
@@ -703,7 +673,8 @@ def _assert_base_tuple(X: CirculantScheme, x: tuple[int, ...]) -> None:
                 if math.gcd(img, sec.order) == 1:
                     hit = True
                     break
-        assert hit, f"no generator witness for prime-power section {sec.label()}"
+        if not hit:
+            raise InvariantError(f"no generator witness for prime-power section {sec.label()}")
 
 
 def secc0(X: CirculantScheme) -> list[Section]:
@@ -728,7 +699,7 @@ def extension_section_config(
     )
     colors = _covering_colors(sub, blocks)
     if colors is None:
-        raise AssertionError("coset partition is not a relation of the extension")
+        raise InvariantError("coset partition is not a relation of the extension")
     return quotient(sub, Parabolic(blocks, colors))
 
 
@@ -791,13 +762,14 @@ def _read_section_permutation(X, ext, sec: Section) -> tuple[int, ...]:
     lifted_section = induced_on_section(ext.lifted, pts, blocks, pts, blocks)
     src, tgt = lifted_section.source, lifted_section.target
     if src.rank != k * k or tgt.rank != k * k:
-        raise AssertionError("section of the extension is not discrete")
+        raise InvariantError("section of the extension is not discrete")
     sigma = [0] * k
     for i in range(k):
         img = lifted_section(src.color_of(i, i))
         cells = np.argwhere(tgt.colors == img)
         j, j2 = int(cells[0][0]), int(cells[0][1])
-        assert j == j2, "image of a diagonal singleton must be diagonal"
+        if j != j2:
+            raise InvariantError("image of a diagonal singleton must be diagonal")
         sigma[i] = j
     return tuple(sigma)
 
@@ -810,17 +782,14 @@ def _assert_multiplier_conditions(X, phi, mult: Multiplier, secs) -> None:
         k = sec.order
         if k > 1:
             u = sigma[1]
-            assert math.gcd(u, k) == 1
-            assert all(sigma[a] == (u * a) % k for a in range(k)), (
-                "section automorphism must be multiplication by a unit"
-            )
+            if math.gcd(u, k) != 1 or any(sigma[a] != (u * a) % k for a in range(k)):
+                raise InvariantError("section automorphism must be multiplication by a unit")
         # compatibility with the induced color map of phi on the section
-        phi_s = _section_color_map(X, sec, phi)
+        phi_s, color_of = _section_color_map(X, sec, phi), sec.scheme.cc.color_of
         for a in range(k):
             for b in range(k):
-                assert phi_s(sec.scheme.cc.color_of(a, b)) == sec.scheme.cc.color_of(
-                    sigma[a], sigma[b]
-                ), "section permutation must induce the section color map"
+                if phi_s(color_of(a, b)) != color_of(sigma[a], sigma[b]):
+                    raise InvariantError("section permutation must induce the section color map")
     for sec in secs:
         for other in secs:
             if sec <= other and sec != other:
@@ -833,11 +802,10 @@ def _assert_multiplier_conditions(X, phi, mult: Multiplier, secs) -> None:
                     continue
                 u = section_bridge(X, t, s)
                 st, ss = lookup[t], lookup[s]
-                if s.order > 1:
-                    assert all(
-                        (u * st[a]) % s.order == ss[(u * a) % s.order]
-                        for a in range(t.order)
-                    ), "bridge compatibility fails"
+                if s.order > 1 and any(
+                    (u * st[a]) % s.order != ss[(u * a) % s.order] for a in range(t.order)
+                ):
+                    raise InvariantError("bridge compatibility fails")
 
 
 def _assert_restriction_compat(lookup, sec: Section, other: Section) -> None:
@@ -849,28 +817,25 @@ def _assert_restriction_compat(lookup, sec: Section, other: Section) -> None:
         j = sigma_t[i]
         g_img = other.lift(j)
         if g_img % (sec.upper.n // sec.upper.order):
-            raise AssertionError("restricted automorphism leaves the subsection")
+            raise InvariantError("restricted automorphism leaves the subsection")
         b = sec.project(g_img)
-        assert sigma_s[a] == b, "restriction compatibility fails"
+        if sigma_s[a] != b:
+            raise InvariantError("restriction compatibility fails")
 
 
-def _is_quasinormal_certified(X: CirculantScheme, sec: Section, cap: int = 20) -> bool:
+def _is_quasinormal_certified(X: CirculantScheme, sec: Section) -> bool:
     """Whether some projectively equivalent copy of sec sits inside a
     principal normal section."""
     cls = next(c for c in proj_equivalence_classes(X) if sec in c)
-    principal_normal = [
-        s for s in sections(X) if s.is_principal and is_normal(s.scheme, cap=cap)
-    ]
+    principal_normal = [s for s in sections(X) if s.is_principal and is_normal(s.scheme)]
     return any(t <= big for t in cls for big in principal_normal)
 
 
-def quasinormal_section_decomposition(
-    X: CirculantScheme, sec: Section, cap: int = 20
-) -> list[Section] | None:
+def quasinormal_section_decomposition(X: CirculantScheme, sec: Section) -> list[Section] | None:
     """Split a section of a quasinormal scheme into a tensor product of
     sections controlled by principal normal ones, searching over coprime
     subgroup complements; None when no such decomposition exists."""
-    if _is_quasinormal_certified(X, sec, cap=cap):
+    if _is_quasinormal_certified(X, sec):
         return [sec]
     k = sec.order
     h = X.n // sec.upper.order
@@ -889,8 +854,8 @@ def quasinormal_section_decomposition(
         partner = _section(X, sec.upper, upper_b)
         if not _tensor_condition(X, sec_a, partner):
             continue
-        left = quasinormal_section_decomposition(X, sec_a, cap=cap)
-        right = quasinormal_section_decomposition(X, sec_b, cap=cap)
+        left = quasinormal_section_decomposition(X, sec_a)
+        right = quasinormal_section_decomposition(X, sec_b)
         if left is not None and right is not None:
             return left + right
     return None

@@ -16,15 +16,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import circulant, dimension, io, wl
-from .algebra import (
-    AlgebraicIso,
-    CapExceededError,
-    enumerate_algebraic_isos,
-    extendable_at,
-    find_isomorphism,
-)
+from .algebra import AlgebraicIso, enumerate_algebraic_isos, extendable_at, find_isomorphism
 from .core import validate
-from .refine import MemoryCapError
+from .refine import CapExceededError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -426,7 +420,7 @@ def run(argv, out=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.verb](args, out)
-    except (io.FormatError, MemoryCapError, CapExceededError, ValueError, AssertionError) as exc:
+    except (io.FormatError, CapExceededError, ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

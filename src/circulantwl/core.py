@@ -478,14 +478,3 @@ def point_extension(cc: CoherentConfig, x) -> CoherentConfig:
     [stable], _ = refine_pairs(init)
     return CoherentConfig(stable)
 
-
-def fibers(cc: CoherentConfig) -> list[tuple[int, ...]]:
-    return list(cc.fibers)
-
-
-def rank(cc: CoherentConfig) -> int:
-    return cc.rank
-
-
-def is_homogeneous(cc: CoherentConfig) -> bool:
-    return cc.is_homogeneous

@@ -16,12 +16,7 @@ import os
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .algebra import (
-    CapExceededError,
-    enumerate_algebraic_isos,
-    find_isomorphism,
-    is_m_extendable,
-)
+from .algebra import enumerate_algebraic_isos, find_isomorphism, is_m_extendable
 from .circulant import (
     CirculantScheme,
     Section,
@@ -38,6 +33,7 @@ from .circulant import (
     unit_permutes_connection_sets,
     units,
 )
+from .refine import CapExceededError
 from .wl import pebble_game_oracle, wl_m_equivalent
 
 DEFAULT_UNDIRECTED_CAP = 20
@@ -245,7 +241,7 @@ class DimensionReport:
     estimate: int | None
     bound: int
     searched_up_to: int
-    witnesses: list[tuple[frozenset[int], tuple[int, ...], int]] = field(
+    witnesses: list[tuple[frozenset[frozenset[int]], tuple[int, ...], int]] = field(
         default_factory=list
     )
 
@@ -271,11 +267,11 @@ def prepare_analysis(corpus: Corpus) -> tuple[list[CirculantScheme], dict[frozen
 
 def _estimate(
     X: CirculantScheme, schemes: list[CirculantScheme], max_m: int
-) -> tuple[int | None, list[tuple[frozenset[int], tuple[int, ...], int]]]:
+) -> tuple[int | None, list[tuple[frozenset[frozenset[int]], tuple[int, ...], int]]]:
     """Smallest m <= max_m at which no algebraic isomorphism from X to one
     of the schemes survives m-dim WL refinement without being induced by a
     point isomorphism (None when max_m is too small), and one witness per
-    survivor and level.
+    survivor and level, labelled by the target scheme's partition key.
 
     A map that fails at level m is not rechecked at m+1 (equivalence is
     monotone down in m, and being induced does not depend on m)."""
@@ -291,10 +287,7 @@ def _estimate(
         ]
         if not candidates:
             return m, witnesses
-        witnesses += [
-            (frozenset(min(b.connection_sets, key=sorted)), phi.color_map, m)
-            for b, phi in candidates
-        ]
+        witnesses += [(b.partition_key, phi.color_map, m) for b, phi in candidates]
     return None, witnesses
 
 
@@ -445,7 +438,7 @@ def verify_discreteness(schemes: list[CirculantScheme]) -> CheckReport:
 def verify_oracle(schemes: list[CirculantScheme]) -> CheckReport:
     """The pebble-game oracle and 2-dim refinement agree on every algebraic
     isomorphism between schemes of one order; ``checked`` counts the runs.
-    Past the oracle's point cap the first run raises OracleCapError."""
+    Past the oracle's point cap the first run raises CapExceededError."""
     report = CheckReport()
     for a, b, phi in _algebraic_isos(schemes, schemes):
         report.checked += 1

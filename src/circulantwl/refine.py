@@ -19,8 +19,13 @@ import numpy as np
 DEFAULT_TUPLE_CAP = 10**8
 
 
-class MemoryCapError(Exception):
-    """Raised when a requested tuple refinement would exceed the memory cap."""
+class CapExceededError(Exception):
+    """A request was refused because it would exceed a size or search cap."""
+
+
+class InvariantError(AssertionError):
+    """An internal invariant failed; raised explicitly so that it also fires
+    under ``python -O``, where ``assert`` statements are removed."""
 
 
 def _renumber_rows(rows: np.ndarray) -> tuple[np.ndarray, int]:
@@ -70,6 +75,8 @@ def _refine(
 def _pair_round_codes(mat: np.ndarray, rank: int) -> np.ndarray:
     """Per-pair sorted composition multisets: row (a,b) lists {(c(a,g),c(g,b)): g}."""
     n = mat.shape[0]
+    if n**3 > DEFAULT_TUPLE_CAP:
+        raise CapExceededError(f"refusing pair round of {n}**3 entries > cap {DEFAULT_TUPLE_CAP}")
     codes = mat[:, None, :] * np.int64(rank) + mat.T[None, :, :]
     codes.sort(axis=2)
     return np.concatenate([mat.reshape(n * n, 1), codes.reshape(n * n, n)], axis=1)
@@ -101,9 +108,11 @@ def tuple_strides(n: int, m: int) -> list[int]:
 
 
 def check_tuple_cap(n: int, m: int, cap: int = DEFAULT_TUPLE_CAP) -> None:
-    if n**m > cap:
-        raise MemoryCapError(
-            f"refusing dense {m}-tuple table of size {n}**{m} > cap {cap}"
+    """Refuse an m-ary refinement whose substitution table, the largest array
+    of a round (n^(m+1) * m entries per side), would exceed the cap."""
+    if n ** (m + 1) * m > cap:
+        raise CapExceededError(
+            f"refusing {m}-tuple substitution table of {n}**{m + 1}*{m} entries > cap {cap}"
         )
 
 

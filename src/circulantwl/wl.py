@@ -24,6 +24,8 @@ import numpy as np
 from .core import CoherentConfig
 from .refine import (
     DEFAULT_TUPLE_CAP,
+    CapExceededError,
+    InvariantError,
     check_tuple_cap,
     initial_tuple_colors,
     refine_pairs,
@@ -34,10 +36,6 @@ from .refine import (
 
 DEFAULT_ORACLE_POINT_CAP = 8
 DEFAULT_ORACLE_PEBBLE_CAP = 3
-
-
-class OracleCapError(Exception):
-    """Raised when the exact game oracle is asked for an instance above its caps."""
 
 
 # -- 2-dim closure -------------------------------------------------------------
@@ -98,7 +96,7 @@ def projection(mc: MAryConfig, k: int) -> MAryConfig:
         for c in s:
             prev = seen_color.setdefault(c, s)
             if prev != s:
-                raise AssertionError("projection classes do not form a partition")
+                raise InvariantError("projection classes do not form a partition")
         ids.setdefault(s, len(ids))
     colors = np.array([ids[s] for s in sets], dtype=np.int64)
     return MAryConfig(m=k, n=n, color_of=colors, rank=len(ids))
@@ -297,9 +295,9 @@ def pebble_game_oracle(
     if cc_b.n != n:
         raise ValueError("point sets must have equal size")
     if n > point_cap:
-        raise OracleCapError(f"oracle point cap {point_cap} exceeded (n={n})")
+        raise CapExceededError(f"oracle point cap {point_cap} exceeded (n={n})")
     if m > pebble_cap:
-        raise OracleCapError(f"oracle pebble cap {pebble_cap} exceeded (m={m})")
+        raise CapExceededError(f"oracle pebble cap {pebble_cap} exceeded (m={m})")
     cmap = np.asarray(list(color_map), dtype=np.int64)
     full = m + 1
     memo: dict = {}
@@ -325,5 +323,6 @@ def pebble_game_oracle(
     if cc_a == cc_b and all(c == i for i, c in enumerate(cmap)):
         # swapping the two sides inverts the map, so the identity table
         # must be symmetric
-        assert all(np.array_equal(lv, lv.T) for lv in levels)
+        if not all(np.array_equal(lv, lv.T) for lv in levels):
+            raise InvariantError("identity game table is not symmetric")
     return GameTable(m=m, n=n, levels=tuple(levels))

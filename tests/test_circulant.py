@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import circulantwl
 from circulantwl.algebra import AlgebraicIso, identity_iso
 from circulantwl.circulant import (
     CirculantScheme,
@@ -32,6 +37,7 @@ from circulantwl.circulant import (
     xgroup_lattice,
 )
 from circulantwl.core import validate
+from circulantwl.io import dump_scheme
 
 
 def unit_color_map(X, u):
@@ -181,6 +187,65 @@ def test_projectively_equivalent_sections_share_order_and_scheme(z20_fixture):
                 assert mapped == set(t.scheme.connection_sets)
 
 
+def _classes_and_bridges_by_definition(X):
+    """The classes are the connected components of the symmetric multiple
+    relation on sections(X), ordered like ``proj_equivalence_classes``; the
+    bridge T -> S composes the direct units |U_S|/|U_T| mod k (inverted when
+    stepping down a multiple) along a path of direct multiples.  Bridges are
+    keyed by the positions of T and S in sections(X)."""
+    secs = sections(X)
+    bridges = {}
+    for i, T in enumerate(secs):
+        reached, frontier = {i: 1 % T.order}, [i]
+        while frontier:
+            p = frontier.pop()
+            for q, other in enumerate(secs):
+                if q in reached:
+                    continue
+                if is_multiple(other, secs[p]):
+                    unit = other.upper.order // secs[p].upper.order
+                elif is_multiple(secs[p], other):
+                    unit = pow(secs[p].upper.order // other.upper.order, -1, other.order)
+                else:
+                    continue
+                reached[q] = unit * reached[p] % other.order
+                frontier.append(q)
+        bridges.update({(i, q): u for q, u in reached.items()})
+    components = {frozenset(q for p, q in bridges if p == i) for i in range(len(secs))}
+    key = lambda s: (s.upper.order, s.lower.order)  # noqa: E731
+    classes = [sorted((secs[q] for q in c), key=key) for c in components]
+    return sorted(classes, key=lambda c: (*key(c[0]), len(c))), bridges
+
+
+def test_projective_classes_and_bridges_match_the_definition(schemes_up_to_16, z20_fixture):
+    schemes = [X for n in sorted(schemes_up_to_16) for X in schemes_up_to_16[n]]
+    schemes += [z20_fixture] + [CirculantScheme.regular(n) for n in (24, 30, 36, 48, 60, 72)]
+    assert len(schemes) == 168
+    pairs = 0
+    for X in schemes:
+        classes, bridges = _classes_and_bridges_by_definition(X)
+        assert proj_equivalence_classes(X) == classes
+        position = {(s.upper, s.lower): i for i, s in enumerate(sections(X))}
+        for cls in classes:
+            for T in cls:
+                for S in cls:
+                    pos = position[T.upper, T.lower], position[S.upper, S.lower]
+                    assert section_bridge(X, T, S) == bridges[pos]
+                    pairs += 1
+        if len(classes) > 1:
+            with pytest.raises(ValueError):
+                section_bridge(X, classes[0][0], classes[1][0])
+    assert pairs == 4420
+
+
+def test_bridge_refuses_a_section_of_another_scheme():
+    X, Y = CirculantScheme.trivial(12), CirculantScheme.regular(12)
+    T = next(s for s in sections(X) if (s.upper.order, s.lower.order) == (12, 1))
+    S = next(s for s in sections(Y) if (s.upper.order, s.lower.order) == (12, 1))
+    with pytest.raises(ValueError):
+        section_bridge(Y, T, S)
+
+
 # -- U/L-condition ---------------------------------------------------------------------
 
 
@@ -262,6 +327,38 @@ def test_trivial_class_of_composite_order_is_singular(n, z20_fixture):
 
 
 # -- singular extension ------------------------------------------------------------------------
+
+
+_UNSPLIT_EXTENSION = """
+import sys
+
+from circulantwl import circulant, io
+from circulantwl.refine import InvariantError
+
+with open(sys.argv[1]) as fh:
+    X = io.parse_scheme(fh.read())
+rep = next(r for r in circulant.singular_classes(X) if r.is_singular)
+circulant._coset_split_closure = lambda X, S: X
+try:
+    circulant.singular_extension(X, rep.smallest)
+except InvariantError as exc:
+    print(__debug__, exc)
+"""
+
+
+def test_extension_ledger_fires_under_python_O(z20_fixture, tmp_path):
+    # the Z_20 fixture's extension with the coset split undone keeps rank 10;
+    # the ledger must refuse it also where assert statements are compiled away
+    path = tmp_path / "z20.txt"
+    path.write_text(dump_scheme(z20_fixture))
+    src = str(Path(circulantwl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", _UNSPLIT_EXTENSION, str(path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False extension rank 10 does not exceed rank 10\n"
 
 
 def test_z20_extension_is_regular_and_choice_independent(z20_fixture):

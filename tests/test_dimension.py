@@ -1,5 +1,6 @@
 import io
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -168,7 +169,7 @@ def test_ladder_runs_every_level_when_no_map_is_induced(monkeypatch):
         for conn in corpus.graphs:
             X = schemes[index[conn]]
             candidates = [
-                (frozenset(min(Y.connection_sets, key=sorted)), phi.color_map)
+                (Y.partition_key, phi.color_map)
                 for Y in schemes
                 for phi in enumerate_algebraic_isos(X.cc, Y.cc)
             ]
@@ -179,6 +180,18 @@ def test_ladder_runs_every_level_when_no_map_is_induced(monkeypatch):
     assert next(reports, None) is None
     argv = ["verify", "--theorem", "main", "--orders", "4..6", "--max-m", "4"]
     assert cli.run(argv, out=io.StringIO()) == 1
+
+
+def test_witnesses_name_their_target_scheme(monkeypatch):
+    # no two distinct schemes of order <= 16 are algebraically isomorphic, so
+    # on the corpus every target is the source; a stand-in target sharing the
+    # source's configuration under its own label tells the two apart
+    _no_map_induced(monkeypatch)
+    X = CirculantScheme.regular(8)
+    target = SimpleNamespace(cc=X.cc, partition_key="target")
+    estimate, witnesses = dimension._estimate(X, [target], max_m=2)
+    assert estimate is None and len(witnesses) == 4
+    assert {label for label, _, _ in witnesses} == {"target"}
 
 
 def test_format_outputs_are_deterministic():

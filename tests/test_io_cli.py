@@ -169,6 +169,12 @@ def test_multiplier_verb(tmp_path):
     assert "section=12/1 unit=5" in out
 
 
+def test_close_refuses_oversized_pair_round(capsys):
+    code, out = invoke("close", "--graph", "n=500;S=1")
+    assert code == 1 and out == ""
+    assert "error: refusing pair round of 500**3 entries > cap 100000000" in capsys.readouterr().err
+
+
 def test_singular_and_extend_on_fixture(tmp_path):
     code, out = invoke("singular", "--graph", "n=4;S=1,2,3")
     assert code == 0

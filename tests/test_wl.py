@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from circulantwl.core import CoherentConfig, trivial_config, validate
-from circulantwl.refine import MemoryCapError
+from circulantwl.refine import CapExceededError
 from circulantwl.wl import (
     GameTable,
-    OracleCapError,
     pebble_game_oracle,
     projection,
     validate_m_ary,
@@ -117,8 +116,21 @@ def test_wl_monotone_in_m():
 
 
 def test_memory_cap_refuses():
-    with pytest.raises(MemoryCapError):
+    with pytest.raises(CapExceededError):
         wl_m_refine(trivial_config(10), 4, cap=100)
+
+
+def test_tuple_cap_bounds_the_substitution_table():
+    # a 3-ary round on 10 points builds 10**4 * 3 substitution entries, not 10**3
+    wl_m_refine(trivial_config(10), 3, cap=10**4 * 3)
+    with pytest.raises(CapExceededError, match=r"10\*\*4\*3 entries"):
+        wl_m_refine(trivial_config(10), 3, cap=10**4 * 3 - 1)
+
+
+def test_pair_round_cap_refuses_before_allocating():
+    # 465**3 just exceeds the cap; the check runs before the n**3 round table
+    with pytest.raises(CapExceededError, match=r"465\*\*3 entries"):
+        wl_closure(np.eye(465, k=1, dtype=np.int64))
 
 
 def test_refinement_is_deterministic():
@@ -212,9 +224,9 @@ def test_oracle_disagrees_nowhere_on_broken_map():
 
 
 def test_oracle_caps():
-    with pytest.raises(OracleCapError):
+    with pytest.raises(CapExceededError):
         pebble_game_oracle(trivial_config(9), trivial_config(9), [0, 1], 2)
-    with pytest.raises(OracleCapError):
+    with pytest.raises(CapExceededError):
         pebble_game_oracle(trivial_config(4), trivial_config(4), [0, 1], 4)
 
 
