@@ -13,6 +13,7 @@ import numpy as np
 
 from .circulant import CirculantScheme, from_connection_partition
 from .core import CoherentConfig, circulant_matrix, is_translation_invariant
+from .refine import DEFAULT_TUPLE_CAP, CapExceededError
 
 
 class FormatError(ValueError):
@@ -29,6 +30,9 @@ def _parse_header(line: str) -> int:
         raise FormatError("first line must be n=<int>") from exc
     if n < 1:
         raise FormatError("point count must be positive")
+    # every format holds or builds an n x n matrix; refuse before allocating
+    if n * n > DEFAULT_TUPLE_CAP:
+        raise CapExceededError(f"refusing order {n}: {n}**2 entries > cap {DEFAULT_TUPLE_CAP}")
     return n
 
 

@@ -3,11 +3,12 @@
 Everything here works on integer color arrays and knows nothing about
 coherent configurations; the wrapping modules interpret the results.
 ``_refine`` refines k >= 1 colorings in lockstep through one shared color
-dictionary (k = 1 is plain refinement); pair (2-dim) and m-tuple
-refinement differ only in the round function that builds each round's
-signature rows.  Color ids produced by a round are always assigned by
-sorted signature order (via ``np.unique``), so refinement output is
-deterministic and independent of the input numbering.
+dictionary (k = 1 is plain refinement); pair (2-dim), row-0 (2-dim on a
+translation-invariant coloring) and m-tuple refinement differ only in the
+round function that builds each round's signature rows.  Color ids
+produced by a round are always assigned by sorted signature order (via
+``np.unique``), so refinement output is deterministic and independent of
+the input numbering.
 """
 
 from __future__ import annotations
@@ -100,6 +101,34 @@ def refine_pairs(*inits: np.ndarray) -> tuple[list[np.ndarray], int] | None:
         return None
     sides, rank = res
     return [side.reshape(n, n) for side in sides], rank
+
+
+def refine_circulant(init_row: np.ndarray) -> tuple[np.ndarray, int]:
+    """2-dim WL refinement of a translation-invariant pair coloring, given
+    by its row 0 (the color of (a, b) is init_row[(b - a) mod n]).
+
+    Every round stays translation invariant, and the dense row of (a, b) is
+    row d = b - a of the n rows [r(d), sorted {(r(h), r(d - h)) : h}], so
+    ``np.unique`` sees the same rows in the same order: the stable row and
+    rank equal row 0 and rank of ``refine_pairs`` on the full matrix.
+    """
+    n = len(init_row)
+    if n * (n + 1) > DEFAULT_TUPLE_CAP:
+        raise CapExceededError(
+            f"refusing row-0 round of {n}*{n + 1} entries > cap {DEFAULT_TUPLE_CAP}"
+        )
+    idx = np.arange(n, dtype=np.int64)
+    minus = (idx[:, None] - idx[None, :]) % n  # minus[d, h] = d - h
+
+    def round_rows(sides, rank):
+        [row] = sides
+        codes = row[minus]
+        codes += row[None, :] * np.int64(rank)
+        codes.sort(axis=1)
+        return np.concatenate([row[:, None], codes], axis=1)
+
+    [row], rank = _refine([np.asarray(init_row, np.int64)], round_rows)
+    return row, rank
 
 
 def tuple_strides(n: int, m: int) -> list[int]:

@@ -21,13 +21,14 @@ from itertools import product
 
 import numpy as np
 
-from .core import CoherentConfig
+from .core import CoherentConfig, circulant_matrix, is_translation_invariant
 from .refine import (
     DEFAULT_TUPLE_CAP,
     CapExceededError,
     InvariantError,
     check_tuple_cap,
     initial_tuple_colors,
+    refine_circulant,
     refine_pairs,
     refine_tuples,
     tuple_digits,
@@ -45,7 +46,8 @@ def wl_closure(arc_colors: np.ndarray) -> CoherentConfig:
     """Smallest coherent configuration refining an arc coloring of a digraph.
 
     ``arc_colors`` is any square integer matrix (e.g. 0/1 adjacency); loops
-    are permitted.  The diagonal is split off before refinement.
+    are permitted.  The diagonal is split off before refinement.  A
+    translation-invariant coloring is refined on its row 0 alone.
     """
     arcs = np.asarray(arc_colors, dtype=np.int64)
     if arcs.ndim != 2 or arcs.shape[0] != arcs.shape[1]:
@@ -53,6 +55,9 @@ def wl_closure(arc_colors: np.ndarray) -> CoherentConfig:
     n = arcs.shape[0]
     init = arcs * 2
     init[np.diag_indices(n)] += 1
+    if is_translation_invariant(init):
+        row, _ = refine_circulant(init[0])
+        return CoherentConfig(circulant_matrix(row))
     [stable], _ = refine_pairs(init)
     return CoherentConfig(stable)
 

@@ -1,10 +1,16 @@
 import hashlib
 import io as stdio
 import json
+import os
+import resource
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import circulantwl
 from circulantwl import cli, dimension, io, wl
 from circulantwl.circulant import CirculantScheme
 from circulantwl.cli import run
@@ -170,9 +176,48 @@ def test_multiplier_verb(tmp_path):
 
 
 def test_close_refuses_oversized_pair_round(capsys):
-    code, out = invoke("close", "--graph", "n=500;S=1")
+    # arcs that are not translation invariant take the dense n**3 pair round
+    code, out = invoke("close", "--graph", "n=500;arcs=1:0,1")
     assert code == 1 and out == ""
     assert "error: refusing pair round of 500**3 entries > cap 100000000" in capsys.readouterr().err
+
+
+def test_close_circulant_input_takes_row0_round():
+    # the same order closes on row 0 when the input is circulant
+    code, out = invoke("close", "--graph", "n=500;S=1")
+    assert code == 0
+    assert out == io.dump_scheme(CirculantScheme.regular(500))
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def _run_cli_in_1gib(*argv):
+    """Run the CLI in a child limited to 1 GiB of address space, so that an
+    input that slips past the order check fails fast instead of allocating."""
+    src = str(Path(circulantwl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "circulantwl.cli", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=_limit_address_space, timeout=300,
+    )
+
+
+_HUGE_ORDER_ERROR = "error: refusing order 100000: 100000**2 entries > cap 100000000\n"
+
+
+@pytest.mark.parametrize("spec", ["n=100000;S=1", "n=100000;arcs=1:0,1"])
+def test_close_refuses_huge_order_before_allocating(spec):
+    res = _run_cli_in_1gib("close", "--graph", spec)
+    assert (res.returncode, res.stdout, res.stderr) == (1, "", _HUGE_ORDER_ERROR)
+
+
+def test_analyze_refuses_huge_scheme_file_before_allocating(tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("n=100000\nC: " + ",".join(str(d) for d in range(1, 100000)) + "\n")
+    res = _run_cli_in_1gib("analyze", "--scheme", str(path))
+    assert (res.returncode, res.stdout, res.stderr) == (1, "", _HUGE_ORDER_ERROR)
 
 
 def test_singular_and_extend_on_fixture(tmp_path):

@@ -15,6 +15,7 @@ from circulantwl.core import (
     CoherentConfig,
     Parabolic,
     Relation,
+    circulant_matrix,
     generated_equivalence,
     point_extension,
     quotient,
@@ -23,7 +24,7 @@ from circulantwl.core import (
     tensor_product,
     validate,
 )
-from circulantwl.dimension import enumerate_schemes
+from circulantwl.dimension import enumerate_graphs, enumerate_schemes
 from circulantwl.refine import initial_tuple_colors, refine_pairs, refine_tuples
 from circulantwl.wl import (
     pebble_game_oracle,
@@ -160,6 +161,49 @@ def test_lockstep_refinement_symmetric():
         [single], single_rank = refine_tuples(*initial_tuple_colors(init, m=3), n=n, m=3)
         assert rank == single_rank
         assert np.array_equal(ta, tb) and np.array_equal(ta, single)
+
+
+def _every_connection_set():
+    for n in range(2, 12):
+        for bits in range(2 ** (n - 1)):
+            yield np.array([0] + [(bits >> (d - 1)) & 1 for d in range(1, n)])
+
+
+def _one_set_per_unit_class():
+    for n in range(12, 15):
+        for conn in enumerate_graphs(n, directed=True, cap_directed=14).graphs:
+            row = np.zeros(n, dtype=np.int64)
+            row[list(conn)] = 1
+            yield row
+
+
+def _set_partition_labels(k):
+    """Restricted growth strings of length k, one per set partition."""
+    if k == 0:
+        yield ()
+        return
+    for head in _set_partition_labels(k - 1):
+        for label in range(max(head, default=-1) + 2):
+            yield head + (label,)
+
+
+def _every_partition():
+    for n in range(2, 10):
+        for labels in _set_partition_labels(n - 1):
+            yield np.array((0,) + tuple(label + 1 for label in labels))
+
+
+@pytest.mark.parametrize(
+    "rows", [_every_connection_set, _one_set_per_unit_class, _every_partition]
+)
+def test_row0_closure_matches_dense_closure(rows):
+    # the dense pair round is the oracle of the row-0 round wl_closure takes
+    for row in rows():
+        arcs = circulant_matrix(row)
+        init = arcs * 2
+        init[np.diag_indices(len(row))] += 1
+        [dense], _ = refine_pairs(init)
+        assert np.array_equal(wl_closure(arcs).colors, CoherentConfig(dense).colors), row
 
 
 def test_lockstep_refinement_diverges():

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from circulantwl.core import CoherentConfig, trivial_config, validate
-from circulantwl.refine import CapExceededError
+from circulantwl.core import CoherentConfig, circulant_matrix, trivial_config, validate
+from circulantwl.refine import CapExceededError, refine_circulant, refine_pairs
 from circulantwl.wl import (
     GameTable,
     pebble_game_oracle,
@@ -131,6 +131,23 @@ def test_pair_round_cap_refuses_before_allocating():
     # 465**3 just exceeds the cap; the check runs before the n**3 round table
     with pytest.raises(CapExceededError, match=r"465\*\*3 entries"):
         wl_closure(np.eye(465, k=1, dtype=np.int64))
+
+
+def test_row0_round_cap_refuses_before_allocating():
+    # 10**4 * (10**4 + 1) just exceeds the cap; only row 0 is ever built
+    with pytest.raises(CapExceededError, match=r"10000\*10001 entries"):
+        refine_circulant(np.zeros(10**4, dtype=np.int64))
+
+
+def test_row0_refinement_keeps_the_dense_ids():
+    # row d of the row-0 round is the dense row of every pair (a, a + d)
+    rows = ([0, 1, 2, 2, 1, 0, 1, 2, 2, 1], cay_arcs(16, {1, 15, 3, 13})[0],
+            cay_arcs(40, {1, 39, 3, 37, 8})[0])
+    for row in rows:
+        init = circulant_matrix(np.asarray(row)) * 2 + np.eye(len(row), dtype=np.int64)
+        [dense], rank = refine_pairs(init)
+        stable, row_rank = refine_circulant(init[0])
+        assert row_rank == rank and np.array_equal(circulant_matrix(stable), dense)
 
 
 def test_refinement_is_deterministic():
