@@ -4,11 +4,13 @@ Everything here works on integer color arrays and knows nothing about
 coherent configurations; the wrapping modules interpret the results.
 ``_refine`` refines k >= 1 colorings in lockstep through one shared color
 dictionary (k = 1 is plain refinement); pair (2-dim), row-0 (2-dim on a
-translation-invariant coloring) and m-tuple refinement differ only in the
-round function that builds each round's signature rows.  Color ids
-produced by a round are always assigned by sorted signature order (via
-``np.unique``), so refinement output is deterministic and independent of
-the input numbering.
+translation-invariant coloring), m-tuple and x0 = 0 m-tuple (m-ary on a
+translation-invariant coloring) refinement differ only in the round
+function that builds each round's signature rows.  Color ids produced by a
+round are always assigned by sorted signature order (via ``np.unique``),
+so refinement output is deterministic and independent of the input
+numbering; the row-0 and x0 = 0 rounds see the same distinct rows as
+their dense forms, so they produce the dense ids.
 """
 
 from __future__ import annotations
@@ -151,6 +153,16 @@ def tuple_digits(n: int, m: int) -> np.ndarray:
     return np.stack([(idx // s) % n for s in tuple_strides(n, m)])
 
 
+def _tuple_types(mats, digits: np.ndarray) -> list[np.ndarray]:
+    m = len(digits)
+    rows = [
+        np.stack([mat[digits[i], digits[j]] for i in range(m) for j in range(m)], axis=1)
+        for mat in mats
+    ]
+    inv, _ = _renumber_rows(_join(rows))
+    return np.split(inv, len(mats))
+
+
 def initial_tuple_colors(*mats: np.ndarray, m: int) -> list[np.ndarray]:
     """Atomic types of m-tuples: the full matrix of pair colors (c(x_i, x_j))_{i,j}.
 
@@ -159,13 +171,7 @@ def initial_tuple_colors(*mats: np.ndarray, m: int) -> list[np.ndarray]:
     one shared dictionary; the callers pre-map their colors so that
     corresponding pair colors carry equal integers.
     """
-    digits = tuple_digits(mats[0].shape[0], m)
-    rows = [
-        np.stack([mat[digits[i], digits[j]] for i in range(m) for j in range(m)], axis=1)
-        for mat in mats
-    ]
-    inv, _ = _renumber_rows(_join(rows))
-    return np.split(inv, len(mats))
+    return _tuple_types(mats, tuple_digits(mats[0].shape[0], m))
 
 
 def _substitution_table(colors: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -179,10 +185,16 @@ def _substitution_table(colors: np.ndarray, n: int, m: int) -> np.ndarray:
     return out.reshape(n**m * n, m)
 
 
-def _tuple_round_rows(colors: np.ndarray, codes: np.ndarray, n: int, m: int) -> np.ndarray:
-    per_alpha = codes.reshape(n**m, n)
-    per_alpha = np.sort(per_alpha, axis=1)
-    return np.concatenate([colors[:, None], per_alpha], axis=1)
+def _tuple_rounds(table: Callable[[np.ndarray], np.ndarray], n: int):
+    """The m-ary round: a tuple's row is its color followed by the sorted ids
+    of its n substitution rows, which ``table(colors)`` lists tuple by tuple."""
+
+    def round_rows(sides, rank):
+        codes, _ = _renumber_rows(_join([table(side) for side in sides]))
+        per_alpha = np.sort(codes.reshape(-1, n), axis=1)
+        return np.concatenate([_join(sides)[:, None], per_alpha], axis=1)
+
+    return round_rows
 
 
 def refine_tuples(*inits: np.ndarray, n: int, m: int) -> tuple[list[np.ndarray], int] | None:
@@ -191,14 +203,41 @@ def refine_tuples(*inits: np.ndarray, n: int, m: int) -> tuple[list[np.ndarray],
     Returns the stable colorings with shared ids and their rank, or None
     when the sides diverge.
     """
+    return _refine(
+        [np.asarray(init, np.int64) for init in inits],
+        _tuple_rounds(lambda colors: _substitution_table(colors, n, m), n),
+    )
 
-    def round_rows(sides, rank):
-        codes, _ = _renumber_rows(_join([_substitution_table(side, n, m) for side in sides]))
-        return _join(
-            [
-                _tuple_round_rows(side, side_codes, n, m)
-                for side, side_codes in zip(sides, np.split(codes, len(sides)))
-            ]
-        )
 
-    return _refine([np.asarray(init, np.int64) for init in inits], round_rows)
+def origin_tuple_index(digits: np.ndarray, n: int) -> np.ndarray:
+    """Index among the x0 = 0 tuples of the translate (0, x1 - x0, ...) of
+    each tuple given by its digits (m rows, as from ``tuple_digits``)."""
+    strides = tuple_strides(n, len(digits))
+    return sum(((digits[i] - digits[0]) % n) * strides[i] for i in range(1, len(digits)))
+
+
+def refine_circulant_tuples(*mats: np.ndarray, m: int) -> tuple[list[np.ndarray], int] | None:
+    """m-ary WL refinement of translation-invariant (n, n) pair colorings on
+    the n^(m-1) tuples (0, x1, ..., x_{m-1}), in lockstep.
+
+    Translations fix every color, so tuple x has the color of entry
+    ``origin_tuple_index`` of x.  A substitution at slot i >= 1 keeps
+    x0 = 0, and one of a at slot 0 is read on (0, x1 - a, ..., x_{m-1} - a).
+    Each dense row equals the row of its translate, so ``np.unique`` sees the
+    same distinct rows in the same order: the ids and rank are those of
+    ``refine_tuples`` on the dense tables, and every histogram is 1/n of
+    the dense one, so the sides diverge in the same round.
+    """
+    n = mats[0].shape[0]
+    count = n ** (m - 1)
+    digits = tuple_digits(n, m)
+    alphas = np.arange(n, dtype=np.int64)
+    index = np.empty((count, n, m), dtype=np.int64)
+    # (a, x1, ...) has flat index a * count + t, for t the index of (0, x1, ...)
+    index[:, :, 0] = origin_tuple_index(digits, n).reshape(n, count).T
+    for i, stride in enumerate(tuple_strides(n, m)[1:], 1):
+        base = np.arange(count) - digits[i, :count] * stride
+        index[:, :, i] = base[:, None] + stride * alphas[None, :]
+    index = index.reshape(count * n, m)
+    inits = _tuple_types(mats, digits[:, :count])
+    return _refine(inits, _tuple_rounds(lambda colors: colors[index], n))

@@ -28,7 +28,9 @@ from .refine import (
     InvariantError,
     check_tuple_cap,
     initial_tuple_colors,
+    origin_tuple_index,
     refine_circulant,
+    refine_circulant_tuples,
     refine_pairs,
     refine_tuples,
     tuple_digits,
@@ -75,12 +77,23 @@ class MAryConfig:
     rank: int
 
 
+def _refine_m_ary(mats: list[np.ndarray], m: int) -> tuple[list[np.ndarray], int] | None:
+    """m-ary refinement of pair colorings in lockstep.  Translation-invariant
+    colorings are refined on their tuples with x0 = 0 (the returned arrays
+    then hold n^(m-1) colors); the ids match the dense round's either way."""
+    if all(is_translation_invariant(mat) for mat in mats):
+        return refine_circulant_tuples(*mats, m=m)
+    return refine_tuples(*initial_tuple_colors(*mats, m=m), n=mats[0].shape[0], m=m)
+
+
 def wl_m_refine(cc: CoherentConfig, m: int, cap: int = DEFAULT_TUPLE_CAP) -> MAryConfig:
     """Stable m-ary refinement of a coherent configuration, m >= 2."""
     if m < 2:
         raise ValueError("m-ary refinement needs m >= 2")
     check_tuple_cap(cc.n, m, cap)
-    [colors], rank = refine_tuples(*initial_tuple_colors(cc.colors, m=m), n=cc.n, m=m)
+    [colors], rank = _refine_m_ary([cc.colors], m)
+    if len(colors) < cc.n**m:  # a translate of x has the color of x
+        colors = colors[origin_tuple_index(tuple_digits(cc.n, m), cc.n)]
     return MAryConfig(m=m, n=cc.n, color_of=colors, rank=rank)
 
 
@@ -141,12 +154,11 @@ def validate_m_ary(mc: MAryConfig) -> bool:
 # -- WL_m equivalence ----------------------------------------------------------
 
 
-def _matched_initial(
-    cc_a: CoherentConfig, cc_b: CoherentConfig, color_map: np.ndarray, m: int
-) -> list[np.ndarray]:
-    inverse = np.empty(cc_b.rank, dtype=np.int64)
-    inverse[color_map] = np.arange(cc_a.rank)
-    return initial_tuple_colors(cc_a.colors, inverse[cc_b.colors], m=m)
+def _color_permutation(color_map, rank: int) -> np.ndarray:
+    cmap = np.asarray(list(color_map), dtype=np.int64)
+    if not np.array_equal(np.sort(cmap), np.arange(rank)):
+        raise ValueError(f"color map {cmap.tolist()} is not a permutation of range({rank})")
+    return cmap
 
 
 def wl_m_equivalent(
@@ -159,16 +171,18 @@ def wl_m_equivalent(
     """Whether the m-dim WL refinements of the two configurations admit a
     color correspondence whose binary projection is the given color map.
 
-    ``color_map`` sends color ids of ``cc_a`` to color ids of ``cc_b`` and
-    must be an algebraic isomorphism (this is not re-checked here).
+    ``color_map`` sends color ids of ``cc_a`` to color ids of ``cc_b``.  It
+    must be a permutation (ValueError otherwise) and an algebraic
+    isomorphism (this is not re-checked here).
     """
     if m < 2:
         raise ValueError("WL_m equivalence needs m >= 2")
     if cc_a.n != cc_b.n or cc_a.rank != cc_b.rank:
         return False
+    cmap = _color_permutation(color_map, cc_a.rank)
     check_tuple_cap(cc_a.n, m, cap)
-    cmap = np.asarray(list(color_map), dtype=np.int64)
-    return refine_tuples(*_matched_initial(cc_a, cc_b, cmap, m), n=cc_a.n, m=m) is not None
+    inverse = np.argsort(cmap)
+    return _refine_m_ary([cc_a.colors, inverse[cc_b.colors]], m) is not None
 
 
 # -- the bijective pebble game ---------------------------------------------------
@@ -299,11 +313,13 @@ def pebble_game_oracle(
     n = cc_a.n
     if cc_b.n != n:
         raise ValueError("point sets must have equal size")
+    if cc_b.rank != cc_a.rank:
+        raise ValueError("configurations must have equal rank")
+    cmap = _color_permutation(color_map, cc_a.rank)
     if n > point_cap:
         raise CapExceededError(f"oracle point cap {point_cap} exceeded (n={n})")
     if m > pebble_cap:
         raise CapExceededError(f"oracle pebble cap {pebble_cap} exceeded (m={m})")
-    cmap = np.asarray(list(color_map), dtype=np.int64)
     full = m + 1
     memo: dict = {}
 

@@ -167,6 +167,29 @@ def test_wlm_verb():
     assert "equivalent=True" in out
 
 
+_CYCLE16_MAPS = (
+    "[0, 1, 2, 3, 4, 5, 6, 7, 8]",
+    "[0, 3, 6, 7, 4, 1, 2, 5, 8]",
+    "[0, 5, 6, 1, 4, 7, 2, 3, 8]",
+    "[0, 7, 2, 5, 4, 3, 6, 1, 8]",
+)
+
+
+@pytest.mark.parametrize(
+    "graph,m,expected",
+    [
+        ("n=12;S=1,11", 3, "phi=[0, 1, 2, 3, 4, 5, 6] m=3 equivalent=True\n"
+                           "phi=[0, 5, 2, 3, 4, 1, 6] m=3 equivalent=True\n"),
+        ("n=16;S=1,15", 2, "".join(f"phi={p} m=2 equivalent=True\n" for p in _CYCLE16_MAPS)),
+        ("n=16;S=1,15", 3, "".join(f"phi={p} m=3 equivalent=True\n" for p in _CYCLE16_MAPS)),
+    ],
+)
+def test_wlm_output_is_pinned(graph, m, expected):
+    code, out = invoke("wlm", "--graph", graph, "--graph2", graph, "--m", str(m))
+    assert code == 0
+    assert out == expected
+
+
 def test_multiplier_verb(tmp_path):
     path = tmp_path / "reg12.txt"
     path.write_text(io.dump_scheme(CirculantScheme.regular(12)))

@@ -25,7 +25,14 @@ from circulantwl.core import (
     validate,
 )
 from circulantwl.dimension import enumerate_graphs, enumerate_schemes
-from circulantwl.refine import initial_tuple_colors, refine_pairs, refine_tuples
+from circulantwl.refine import (
+    initial_tuple_colors,
+    origin_tuple_index,
+    refine_circulant_tuples,
+    refine_pairs,
+    refine_tuples,
+    tuple_digits,
+)
 from circulantwl.wl import (
     pebble_game_oracle,
     projection,
@@ -204,6 +211,62 @@ def test_row0_closure_matches_dense_closure(rows):
         init[np.diag_indices(len(row))] += 1
         [dense], _ = refine_pairs(init)
         assert np.array_equal(wl_closure(arcs).colors, CoherentConfig(dense).colors), row
+
+
+def _x0_refinement_expanded(mats, n, m):
+    res = refine_circulant_tuples(*mats, m=m)
+    if res is None:
+        return None
+    sides, rank = res
+    origin = origin_tuple_index(tuple_digits(n, m), n)
+    return [side[origin] for side in sides], rank
+
+
+def test_x0_refinement_matches_dense_refinement():
+    # the dense m-ary round is the oracle of the x0 = 0 round
+    checked = 0
+    for n in range(2, 10):
+        for X in enumerate_schemes(n).schemes:
+            for m in (2, 3, 4) if n <= 8 else (2, 3):
+                [dense], rank = refine_tuples(*initial_tuple_colors(X.cc.colors, m=m), n=n, m=m)
+                [reduced], reduced_rank = _x0_refinement_expanded([X.cc.colors], n, m)
+                assert reduced_rank == rank and np.array_equal(reduced, dense), (n, m, X.rank)
+                checked += 1
+    assert checked == 104
+
+
+def _transpositions(X, rng, k=2):
+    """k color maps that swap two random non-diagonal colors of X."""
+    off = [c for c in range(X.rank) if c != X.cc.colors[0, 0]]
+    if len(off) < 2:
+        return []
+    out = []
+    for _ in range(k):
+        a, b = rng.choice(off, size=2, replace=False)
+        swap = list(range(X.rank))
+        swap[a], swap[b] = b, a
+        out.append(swap)
+    return out
+
+
+def test_x0_lockstep_diverges_exactly_when_dense_does():
+    rng = np.random.default_rng(10)
+    verdicts = {True: 0, False: 0}
+    for n in range(2, 11):
+        for X in enumerate_schemes(n).schemes:
+            maps = [phi.color_map for phi in enumerate_algebraic_isos(X.cc, X.cc)]
+            for cmap in maps + _transpositions(X, rng):
+                inverse = np.argsort(cmap)
+                mats = (X.cc.colors, inverse[X.cc.colors])
+                for m in (2, 3):
+                    dense = refine_tuples(*initial_tuple_colors(*mats, m=m), n=n, m=m)
+                    reduced = _x0_refinement_expanded(mats, n, m)
+                    assert (reduced is None) == (dense is None), (n, cmap, m)
+                    if dense is not None:
+                        assert reduced[1] == dense[1]
+                        assert all(map(np.array_equal, reduced[0], dense[0]))
+                    verdicts[dense is None] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0, verdicts
 
 
 def test_lockstep_refinement_diverges():

@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from circulantwl import refine
 from circulantwl.core import CoherentConfig, circulant_matrix, trivial_config, validate
+from circulantwl.dimension import graph_scheme
 from circulantwl.refine import CapExceededError, refine_circulant, refine_pairs
 from circulantwl.wl import (
     GameTable,
@@ -190,6 +192,34 @@ def test_non_isomorphism_color_swap_is_inequivalent():
     c1, c2 = cc.color_of(0, 1), cc.color_of(0, 2)
     bad[c1], bad[c2] = bad[c2], bad[c1]
     assert not wl_m_equivalent(cc, cc, bad, 2)
+
+
+@pytest.mark.parametrize("bad", [[-1, 1, 2, 3, 4], [0] * 5, [0, 1, 2, 3, 5]])
+def test_color_map_must_be_a_permutation(bad):
+    # a negative entry, a duplicate and an out-of-range id are no bijection
+    # of the 5 colors; the inverse map would read uninitialised entries
+    cc = graph_scheme(8, frozenset({1, 7})).cc
+    assert cc.rank == 5
+    with pytest.raises(ValueError, match="not a permutation"):
+        wl_m_equivalent(cc, cc, bad, 2)
+    with pytest.raises(ValueError, match="not a permutation"):
+        pebble_game_oracle(cc, cc, bad, 2)
+
+
+def test_m_ary_rounds_take_the_x0_path_on_circulant_input(monkeypatch, rook_and_shrikhande):
+    # with the dense substitution table gone, circulant input still answers
+    # and point-relabelled input still reaches the dense table
+    def refuse(*args):
+        raise RuntimeError("dense substitution table")
+
+    monkeypatch.setattr(refine, "_substitution_table", refuse)
+    cc = cay_closure(12, {1, 11})
+    assert wl_m_equivalent(cc, cc, list(range(cc.rank)), 3)
+    assert wl_m_refine(cc, 3).rank > cc.rank
+    perm = np.random.default_rng(5).permutation(16)
+    rook, shrikhande = (CoherentConfig(c.colors[perm][:, perm]) for c in rook_and_shrikhande)
+    with pytest.raises(RuntimeError, match="dense substitution table"):
+        wl_m_equivalent(rook, shrikhande, list(range(rook.rank)), 3)
 
 
 # -- pebble game oracle -----------------------------------------------------------------
