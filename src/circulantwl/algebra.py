@@ -76,11 +76,18 @@ class AlgebraicIso:
 def is_algebraic_isomorphism(
     cc_a: CoherentConfig, cc_b: CoherentConfig, color_map
 ) -> bool:
+    """Whether color_map preserves every intersection number: at a
+    representative (a, b) of each color, the mapped multiset of pairs
+    (color(a, g), color(g, b)) over g equals the one at a representative of
+    its image.  Takes rank * n entries per side, not the rank**3 tensor."""
     if cc_a.n != cc_b.n or cc_a.rank != cc_b.rank:
         return False
-    cmap = np.asarray(list(color_map), dtype=np.int64)
-    ta, tb = intersection_tensor(cc_a), intersection_tensor(cc_b)
-    return bool(np.array_equal(ta, tb[np.ix_(cmap, cmap, cmap)]))
+    cmap, k = np.asarray(list(color_map), dtype=np.int64), np.int64(cc_a.rank)
+    mapped, (a, b) = cmap[cc_a.colors], cc_a.representative.T
+    a2, b2 = cc_b.representative[cmap].T
+    rows_a = np.sort(mapped[a] * k + mapped[:, b].T, axis=1)
+    rows_b = np.sort(cc_b.colors[a2] * k + cc_b.colors[:, b2].T, axis=1)
+    return bool(np.array_equal(rows_a, rows_b))
 
 
 def identity_iso(cc: CoherentConfig) -> AlgebraicIso:
@@ -401,13 +408,11 @@ def tuple_extension(
         return None
     (mat_a, mat_b), rank = res
     ext_a, ext_b = CoherentConfig(mat_a), CoherentConfig(mat_b)
-    cmap = np.full(ext_a.rank, -1, dtype=np.int64)
-    for shared in range(rank):
-        cells_a = np.argwhere(mat_a == shared)
-        cells_b = np.argwhere(mat_b == shared)
-        ca = ext_a.colors[cells_a[0][0], cells_a[0][1]]
-        cb = ext_b.colors[cells_b[0][0], cells_b[0][1]]
-        cmap[ca] = cb
+    # each side's canonical renumbering, as a map from the shared ids
+    to_a, to_b = np.empty(rank, dtype=np.int64), np.empty(rank, dtype=np.int64)
+    to_a[mat_a], to_b[mat_b] = ext_a.colors, ext_b.colors
+    cmap = np.empty(rank, dtype=np.int64)
+    cmap[to_a] = to_b
     lifted = AlgebraicIso(ext_a, ext_b, tuple(int(c) for c in cmap))
     if not is_algebraic_isomorphism(ext_a, ext_b, lifted.color_map):
         raise InvariantError("lifted map is not an algebraic isomorphism")
@@ -422,15 +427,10 @@ def tuple_extension(
 
 def _assert_extends(phi: AlgebraicIso, ext_a, ext_b, lifted: AlgebraicIso) -> None:
     """Refined classes must map inside the phi-image of their base class."""
-    base_of_a = {}
-    for c in range(ext_a.rank):
-        a, b = ext_a.representative[c]
-        base_of_a[c] = phi.source.color_of(a, b)
-    preimage = lifted.inverse().color_map
-    for c in range(ext_b.rank):
-        a, b = ext_b.representative[c]
-        if phi(base_of_a[preimage[c]]) != phi.target.color_of(a, b):
-            raise InvariantError("lifted map leaves the image of its base class")
+    (a, b), (a2, b2) = ext_a.representative.T, ext_b.representative.T
+    base_image = phi.array[phi.source.colors[a, b]]
+    if not np.array_equal(base_image, phi.target.colors[a2, b2][lifted.array]):
+        raise InvariantError("lifted map leaves the image of its base class")
 
 
 def extendable_at(phi: AlgebraicIso, x) -> TupleExtension | None:

@@ -5,6 +5,12 @@ differences, so the whole object is a partition of Z_n.  Subgroups whose
 coset equivalence is a relation of the scheme play the role of parabolics;
 sections are quotients of nested such subgroups and carry quotient schemes
 over smaller cyclic groups.
+
+``Section.project`` and ``Section.lift`` are the one numbering of a
+section.  A map on a circulant scheme is read off its connection sets: the
+projection of each basic set inside U goes to the projection of its image.
+A point extension is not circulant, so its section is read off coset
+cells: the cell (i, j) of U/L that each of its colors meets on U x U.
 """
 
 from __future__ import annotations
@@ -16,23 +22,20 @@ import numpy as np
 
 from .algebra import (
     AlgebraicIso,
+    TupleExtension,
     enumerate_algebraic_isos,
     extendable_at,
     find_isomorphism,
     identity_iso,
-    induced_on_section,
+    is_algebraic_isomorphism,
     iter_isomorphisms,
     tuple_extension,
 )
 from .core import (
     CoherentConfig,
-    Parabolic,
-    _covering_colors,
     circulant_matrix,
     is_translation_invariant,
     point_extension,
-    quotient,
-    restriction,
     trivial_config,
 )
 from .refine import CapExceededError, InvariantError
@@ -533,21 +536,12 @@ def singular_extension(X: CirculantScheme, S: Section) -> CirculantScheme:
 
 
 def _coset_split_closure(X: CirculantScheme, S: Section) -> CirculantScheme:
-    upper, lower = S.upper.elements, S.lower.elements
-    cosets = {}
-    for g in sorted(upper):
-        key = min((g - l) % X.n for l in lower)
-        cosets.setdefault(key, set()).add(g)
-    pieces = []
-    for conn in X.connection_sets:
-        outside = conn - upper
-        if outside:
-            pieces.append(outside)
-        for cos in cosets.values():
-            part = conn & cos
-            if part:
-                pieces.append(part)
-    return from_connection_partition(X.n, pieces)[0]
+    # each basic set splits into its part outside U and its part in each coset of L
+    upper, pieces = S.upper.elements, {}
+    for c, conn in enumerate(X.connection_sets):
+        for d in conn:
+            pieces.setdefault((c, S.project(d) if d in upper else -1), set()).add(d)
+    return from_connection_partition(X.n, list(pieces.values()))[0]
 
 
 def _assert_extension_ledger(
@@ -626,20 +620,24 @@ def _extends_scheme_map(
 def _section_color_map(
     X: CirculantScheme, section: Section, phi: AlgebraicIso
 ) -> AlgebraicIso:
-    """The induced color map on the section scheme of a circulant scheme."""
-    pts = sorted(section.upper.elements)
-    blocks = _coset_blocks(section)
-    out = induced_on_section(phi, pts, blocks, pts, blocks)
-    # align the generic section configuration with the scheme's own numbering
-    if out.source != section.scheme.cc:
-        raise InvariantError("section configurations must agree")
+    """The color map that an algebraic automorphism phi of X induces on the
+    section scheme: the projection of each basic set T_c inside U goes to the
+    projection of T_phi(c).  Raises ValueError where phi does not descend to
+    the section (``project`` raises it for a T_phi(c) outside U)."""
+    upper, color_of = section.upper.elements, section.scheme.color_of_difference
+    cmap = [-1] * section.scheme.rank
+    for c, conn in enumerate(X.connection_sets):
+        if not conn <= upper:
+            continue
+        image = X.connection_sets[phi(c)]
+        s, t = color_of(section.project(min(conn))), color_of(section.project(min(image)))
+        if cmap[s] not in (-1, t):
+            raise ValueError("color map does not descend to the section")
+        cmap[s] = t
+    out = AlgebraicIso(section.scheme.cc, section.scheme.cc, tuple(cmap))
+    if not is_algebraic_isomorphism(out.source, out.target, out.color_map):
+        raise ValueError("induced section map is not an algebraic isomorphism")
     return out
-
-
-def _coset_blocks(section: Section) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(sorted(section.subset(i))) for i in range(section.order)
-    )
 
 
 # -- base tuples and discreteness -------------------------------------------------------------
@@ -686,21 +684,24 @@ def secc0(X: CirculantScheme) -> list[Section]:
     return out
 
 
-def extension_section_config(
-    ext: CoherentConfig, section: Section
-) -> CoherentConfig:
-    """(ext restricted to U) modulo the cosets of L: the section configuration."""
+def _section_cells(cc: CoherentConfig, section: Section) -> np.ndarray | None:
+    """The cell i*k + j of (U/L) x (U/L) that each color of cc meets on U x U,
+    cosets numbered by ``project`` (-1 for a color off U x U); None when some
+    color meets two cells, that is, when the section of cc is not discrete.
+
+    Raises InvariantError when the coset partition of L in U is not a relation
+    of cc: some color meets both same-coset and cross-coset pairs."""
+    k = section.order
     pts = sorted(section.upper.elements)
-    sub = restriction(ext, pts)
-    relabel = {p: i for i, p in enumerate(pts)}
-    blocks = tuple(
-        tuple(sorted(relabel[p] for p in section.subset(i)))
-        for i in range(section.order)
-    )
-    colors = _covering_colors(sub, blocks)
-    if colors is None:
-        raise InvariantError("coset partition is not a relation of the extension")
-    return quotient(sub, Parabolic(blocks, colors))
+    coset = np.array([section.project(p) for p in pts], dtype=np.int64)
+    cells = (coset[:, None] * k + coset[None, :]).ravel()
+    colors = cc.colors[np.ix_(pts, pts)].ravel()
+    same = np.bincount(colors, weights=cells // k == cells % k, minlength=cc.rank)
+    if np.any((same > 0) & (same < np.bincount(colors, minlength=cc.rank))):
+        raise InvariantError("coset partition is not a relation of the configuration")
+    out = np.full(cc.rank, -1, dtype=np.int64)
+    out[colors] = cells
+    return out if np.array_equal(out[colors], cells) else None
 
 
 def section_discreteness_check(
@@ -709,11 +710,7 @@ def section_discreteness_check(
     """For each section equivalent to a principal one, whether the section of
     the point extension at x is discrete."""
     ext = point_extension(X.cc, x)
-    out = {}
-    for sec in secc0(X):
-        cfg = extension_section_config(ext, sec)
-        out[sec.label()] = cfg.rank == sec.order * sec.order
-    return out
+    return {sec.label(): _section_cells(ext, sec) is not None for sec in secc0(X)}
 
 
 # -- multipliers --------------------------------------------------------------------------------
@@ -743,35 +740,23 @@ def extract_multiplier(
     ext = tuple_extension(phi, x, x_image)
     if ext is None:
         raise ValueError("the color map has no extension at the given tuples")
-    entries = []
     secs = secc0(X)
-    for sec in secs:
-        sigma = _read_section_permutation(X, ext, sec)
-        entries.append((sec, sigma))
-    mult = Multiplier(entries=tuple(entries))
+    mult = Multiplier(entries=tuple((sec, _read_section_permutation(ext, sec)) for sec in secs))
     _assert_multiplier_conditions(X, phi, mult, secs)
     return mult
 
 
-def _read_section_permutation(X, ext, sec: Section) -> tuple[int, ...]:
-    k = sec.order
-    pts = sorted(sec.upper.elements)
-    blocks = _coset_blocks(sec)
-    # blocks sorted by least point coincide with the section numbering, so
-    # quotient point i of the induced configuration is section element i
-    lifted_section = induced_on_section(ext.lifted, pts, blocks, pts, blocks)
-    src, tgt = lifted_section.source, lifted_section.target
-    if src.rank != k * k or tgt.rank != k * k:
+def _read_section_permutation(ext: TupleExtension, sec: Section) -> tuple[int, ...]:
+    """sigma(i) = j where the lifted map sends the color of the diagonal
+    cell (i, i) of the discrete section to the color of the cell (j, j)."""
+    src, tgt = _section_cells(ext.ext_source, sec), _section_cells(ext.ext_target, sec)
+    if src is None or tgt is None:
         raise InvariantError("section of the extension is not discrete")
-    sigma = [0] * k
-    for i in range(k):
-        img = lifted_section(src.color_of(i, i))
-        cells = np.argwhere(tgt.colors == img)
-        j, j2 = int(cells[0][0]), int(cells[0][1])
-        if j != j2:
-            raise InvariantError("image of a diagonal singleton must be diagonal")
-        sigma[i] = j
-    return tuple(sigma)
+    diagonal = [ext.ext_source.color_of(g, g) for g in map(sec.lift, range(sec.order))]
+    j, j2 = np.divmod(tgt[ext.lifted.array[diagonal]], sec.order)
+    if np.any(j != j2):
+        raise InvariantError("image of a diagonal singleton must be diagonal")
+    return tuple(int(v) for v in j)
 
 
 def _assert_multiplier_conditions(X, phi, mult: Multiplier, secs) -> None:

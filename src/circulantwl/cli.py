@@ -15,7 +15,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from . import circulant, dimension, io, wl
+from . import algebra, circulant, dimension, io, wl
 from .algebra import AlgebraicIso, enumerate_algebraic_isos, extendable_at, find_isomorphism
 from .core import validate
 from .refine import CapExceededError
@@ -161,6 +161,8 @@ def _cmd_validate(args, out) -> int:
             out.write("not coherent; closure rank %d\n" % scheme.rank)
             return 0
         cc = scheme.cc
+    elif args.graph is None:
+        raise io.FormatError("validate needs --scheme, --graph or --config")
     else:
         n, arcs = io.parse_graph_spec(args.graph)
         cc = wl.wl_closure(arcs)
@@ -225,7 +227,10 @@ def _cmd_extend(args, out) -> int:
     X = _load_scheme(args.scheme, args.graph)
     singular = [r for r in circulant.singular_classes(X) if r.is_singular]
     if args.section:
-        upper, lower = (int(v) for v in args.section.split("/"))
+        upper, sep, lower = args.section.partition("/")
+        if not (sep and upper.isdigit() and lower.isdigit()):
+            raise io.FormatError(f"--section takes U/L with integer orders, got {args.section!r}")
+        upper, lower = int(upper), int(lower)
         sec = next(
             (
                 s
@@ -260,6 +265,8 @@ def _cmd_wlm(args, out) -> int:
 
 
 def _cmd_dim(args, out) -> int:
+    if args.graph is None:
+        raise io.FormatError("dim needs --graph")
     n, conn = io.parse_connection_set(args.graph)
     corpus = dimension.enumerate_graphs(n, directed=args.directed)
     rep = dimension.estimate_dimension(conn, corpus, max_m=args.max_m)
@@ -268,6 +275,8 @@ def _cmd_dim(args, out) -> int:
 
 
 def _cmd_enumerate(args, out) -> int:
+    if args.order < 1:
+        raise io.FormatError(f"--order takes an order >= 1, got {args.order}")
     try:
         if args.schemes:
             kw = {"cap": args.cap} if args.cap else {}
@@ -315,7 +324,12 @@ def _cmd_multiplier(args, out) -> int:
             cmap[X.color_of_difference(d)] = X.color_of_difference(args.unit * d % X.n)
         phi = AlgebraicIso(X.cc, X.cc, tuple(cmap))
     elif args.phi:
-        phi = AlgebraicIso.from_json(X.cc, X.cc, args.phi)
+        try:
+            phi = AlgebraicIso.from_json(X.cc, X.cc, args.phi)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise io.FormatError(f'--phi takes {{"map": [color permutation]}}: {exc!r}') from None
+        if not algebra.is_algebraic_isomorphism(X.cc, X.cc, phi.color_map):
+            raise io.FormatError("--phi is not an algebraic automorphism of the scheme")
     else:
         raise io.FormatError("need --unit or --phi")
     x = circulant.base_tuple(X)

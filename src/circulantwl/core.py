@@ -252,11 +252,10 @@ def intersection_tensor(cc: CoherentConfig) -> np.ndarray:
     """Full (rank, rank, rank) tensor of intersection numbers, cached."""
     if "tensor" not in cc._cache:
         k = cc.rank
-        tensor = np.zeros((k, k, k), dtype=np.int64)
-        for t in range(k):
-            a, b = cc.representative[t]
-            pair = cc.colors[a] * np.int64(k) + cc.colors[:, b]
-            tensor[:, :, t] = np.bincount(pair, minlength=k * k).reshape(k, k)
+        a, b = cc.representative.T
+        # entry (t, g) counts toward (color(a_t, g), color(g, b_t), t)
+        flat = (cc.colors[a] * k + cc.colors[:, b].T) * k + np.arange(k)[:, None]
+        tensor = np.bincount(flat.ravel(), minlength=k**3).reshape(k, k, k)
         tensor.flags.writeable = False
         cc._cache["tensor"] = tensor
     return cc._cache["tensor"]

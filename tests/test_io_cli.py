@@ -120,6 +120,34 @@ def test_main_table_is_pinned(args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            "verify --theorem discreteness --orders 1..12",
+            "19c36a81110468d5e4afeaa0ea76c86ea297f09d400a42833cc19f1adfb18c0c",
+        ),
+        (
+            "verify --theorem uniqueness --orders 4..10",
+            "d80a300edb6e02034f99ebf8f7ebec250b76fd67c30a11c6efa6fa130a70edc4",
+        ),
+        (
+            "multiplier --graph n=12;S=1 --unit 5",
+            "6881bd624b8673a7d6871ec7dd882d9a8e657085e4668fbd49344b955efe8873",
+        ),
+        (
+            "multiplier --graph n=20;S=1,19 --unit 3",
+            "287db07010cbad385d044df96fe7c29850a37e35158cb112b80940a21f81bb5b",
+        ),
+    ],
+)
+def test_section_map_output_is_pinned(argv, digest):
+    # runs that read section discreteness, section color maps and multipliers
+    code, out = invoke(*argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_enumerate_graphs_output():
     code, out = invoke("enumerate", "--order", "5")
     assert code == 0
@@ -442,3 +470,34 @@ def test_verify_rejects_request_before_output(argv, message, capsys):
     code, out = invoke("verify", "--theorem", theorem, "--orders", orders, *rest)
     assert code == 1 and out == ""
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ("dim", "dim needs --graph"),
+        ("validate", "validate needs --scheme, --graph or --config"),
+        ("multiplier --graph n=8;S=1,7 --phi {}", '--phi takes {"map": [color permutation]}'),
+        ("multiplier --graph n=8;S=1,7 --phi [1]", '--phi takes {"map": [color permutation]}'),
+        (
+            'multiplier --graph n=8;S=1,7 --phi {"map":[0,2,1,3,4]}',
+            "--phi is not an algebraic automorphism of the scheme",
+        ),
+        ("enumerate --order 0", "--order takes an order >= 1, got 0"),
+        ("enumerate --order 0 --schemes", "--order takes an order >= 1, got 0"),
+        ("enumerate --order -3 --schemes", "--order takes an order >= 1, got -3"),
+        (
+            "extend --graph n=4;S=1,2,3 --section 4",
+            "--section takes U/L with integer orders, got '4'",
+        ),
+        (
+            "extend --graph n=4;S=1,2,3 --section 4/x",
+            "--section takes U/L with integer orders, got '4/x'",
+        ),
+    ],
+)
+def test_malformed_flag_exits_1_naming_the_flag(argv, message, capsys):
+    code, out = invoke(*argv.split())
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert f"error: {message}" in err and "Traceback" not in err

@@ -1,13 +1,34 @@
 """Randomized and corpus-wide invariant checks (seeded, deterministic)."""
 
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from circulantwl.algebra import enumerate_algebraic_isos
+import circulantwl
+from circulantwl import algebra
+from circulantwl.algebra import (
+    enumerate_algebraic_isos,
+    extendable_at,
+    induced_on_section,
+    is_algebraic_isomorphism,
+)
 from circulantwl.circulant import (
     CirculantScheme,
+    Section,
+    XGroup,
+    _read_section_permutation,
+    _section_cells,
+    _section_color_map,
+    base_tuple,
     from_connection_partition,
+    is_quasinormal,
     scheme_radical,
+    secc0,
     sections,
     xgroup_lattice,
 )
@@ -15,19 +36,23 @@ from circulantwl.core import (
     CoherentConfig,
     Parabolic,
     Relation,
+    _covering_colors,
     circulant_matrix,
     generated_equivalence,
+    intersection_tensor,
     point_extension,
     quotient,
     radical,
     restriction,
     tensor_product,
+    trivial_config,
     validate,
 )
 from circulantwl.dimension import enumerate_graphs, enumerate_schemes
 from circulantwl.refine import (
     initial_tuple_colors,
     origin_tuple_index,
+    InvariantError,
     refine_circulant_tuples,
     refine_pairs,
     refine_tuples,
@@ -324,3 +349,163 @@ def test_scheme_radical_independent_of_generator(n):
             orders.add(_set_stabilizer(n, conn).order)
         assert len(orders) == 1
         assert orders.pop() == scheme_radical(scheme).order
+
+
+# -- section maps: closed forms against the generic restriction-then-quotient maps
+
+
+def _coset_blocks(sec):
+    return tuple(tuple(sorted(sec.subset(i))) for i in range(sec.order))
+
+
+def _generic_section_map(phi, sec):
+    pts, blocks = sorted(sec.upper.elements), _coset_blocks(sec)
+    return induced_on_section(phi, pts, blocks, pts, blocks)
+
+
+def _dense_section(cc, sec):
+    """cc restricted to U, modulo the cosets of L; None when the coset
+    partition is not a relation of the restriction."""
+    pts = sorted(sec.upper.elements)
+    sub = restriction(cc, pts)
+    relabel = {p: i for i, p in enumerate(pts)}
+    blocks = tuple(tuple(sorted(relabel[p] for p in blk)) for blk in _coset_blocks(sec))
+    colors = _covering_colors(sub, blocks)
+    return None if colors is None else quotient(sub, Parabolic(blocks, colors))
+
+
+def _generic_diagonal_images(ext, sec):
+    """The cell (j, j2) of the image of each diagonal cell (i, i) under the
+    generic section map of the lifted map; None when the section of either
+    point extension is not discrete."""
+    induced = _generic_section_map(ext.lifted, sec)
+    src, tgt = induced.source, induced.target
+    if src.rank != sec.order**2 or tgt.rank != sec.order**2:
+        return None
+    return [
+        tuple(int(v) for v in np.argwhere(tgt.colors == induced(src.color_of(i, i)))[0])
+        for i in range(sec.order)
+    ]
+
+
+def test_section_color_map_matches_generic_section_map(schemes_up_to_13):
+    moved = Counter()
+    for n in range(2, 11):
+        for X in schemes_up_to_13[n]:
+            autos = enumerate_algebraic_isos(X.cc, X.cc)
+            for sec in sections(X):
+                for phi in autos:
+                    generic = _generic_section_map(phi, sec)
+                    closed = _section_color_map(X, sec, phi)
+                    assert generic.source == closed.source == sec.scheme.cc
+                    assert closed.color_map == generic.color_map, (n, sec.label(), phi.color_map)
+                    moved[closed.is_identity] += 1
+    assert moved == {True: 509, False: 93}
+
+
+def test_section_cells_are_discrete_exactly_when_the_dense_quotient_is(schemes_up_to_13):
+    discrete = Counter()
+    for n in range(2, 13):
+        for X in schemes_up_to_13[n]:
+            cases = [(point_extension(X.cc, (0,)), sections(X))]
+            if is_quasinormal(X):
+                cases.append((point_extension(X.cc, base_tuple(X)), secc0(X)))
+            for ext, secs in cases:
+                for sec in secs:
+                    cells = _section_cells(ext, sec)
+                    dense = _dense_section(ext, sec)
+                    assert (cells is not None) == (dense.rank == sec.order**2), (n, sec.label())
+                    discrete[cells is not None] += 1
+    assert discrete == {True: 929, False: 180}
+
+
+def test_section_permutation_matches_generic_section_map(schemes_up_to_13):
+    read = Counter()
+    for n in range(2, 9):
+        for X in schemes_up_to_13[n]:
+            for phi in enumerate_algebraic_isos(X.cc, X.cc):
+                for x in {base_tuple(X), (0,)}:
+                    ext = extendable_at(phi, x)
+                    for sec in secc0(X) if ext is not None else ():
+                        cells = _generic_diagonal_images(ext, sec)
+                        if cells is None or any(j != j2 for j, j2 in cells):
+                            with pytest.raises(InvariantError):
+                                _read_section_permutation(ext, sec)
+                            read[False] += 1
+                        else:
+                            assert _read_section_permutation(ext, sec) == tuple(j for j, _ in cells)
+                            read[True] += 1
+    assert read == {True: 590, False: 28}
+
+
+def test_section_cells_refuse_a_coset_partition_that_is_not_a_relation():
+    # the single off-diagonal color of the trivial configuration on Z_4 meets
+    # pairs inside and across the cosets of {0, 2}
+    cc, sec = trivial_config(4), Section(XGroup(4, 4), XGroup(4, 2), CirculantScheme.regular(2))
+    assert _dense_section(cc, sec) is None
+    with pytest.raises(InvariantError, match="coset partition is not a relation"):
+        _section_cells(cc, sec)
+    script = (
+        "from circulantwl.circulant import CirculantScheme, Section, XGroup, _section_cells\n"
+        "from circulantwl.core import trivial_config\n"
+        "from circulantwl.refine import InvariantError\n"
+        "sec = Section(XGroup(4, 4), XGroup(4, 2), CirculantScheme.regular(2))\n"
+        "try:\n"
+        "    _section_cells(trivial_config(4), sec)\n"
+        "except InvariantError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(circulantwl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert res.stdout == "coset partition is not a relation of the configuration\n", res.stderr
+
+
+# -- vector forms against the per-color loops they replaced
+
+
+def _tensor_by_color(cc):
+    k = cc.rank
+    tensor = np.zeros((k, k, k), dtype=np.int64)
+    for t in range(k):
+        a, b = cc.representative[t]
+        pair = cc.colors[a] * np.int64(k) + cc.colors[:, b]
+        tensor[:, :, t] = np.bincount(pair, minlength=k * k).reshape(k, k)
+    return tensor
+
+
+def _lifted_by_shared_color(ext, mat_a, mat_b, rank):
+    lifted = [-1] * rank
+    for shared in range(rank):
+        (a, b), (a2, b2) = np.argwhere(mat_a == shared)[0], np.argwhere(mat_b == shared)[0]
+        lifted[ext.ext_source.color_of(a, b)] = ext.ext_target.color_of(a2, b2)
+    return lifted
+
+
+def test_tensor_iso_test_and_lifted_map_match_per_color_loops(monkeypatch, schemes_up_to_13):
+    refined = []
+
+    def recording_refine_pairs(*inits):
+        refined.append(refine_pairs(*inits))
+        return refined[-1]
+
+    monkeypatch.setattr(algebra, "refine_pairs", recording_refine_pairs)
+    rng = np.random.default_rng(11)
+    verdicts = Counter()
+    for n in range(2, 9):
+        for X in schemes_up_to_13[n]:
+            for phi in enumerate_algebraic_isos(X.cc, X.cc):
+                ext = extendable_at(phi, (0,))
+                (mat_a, mat_b), rank = refined[-1]
+                lifted = _lifted_by_shared_color(ext, mat_a, mat_b, rank)
+                assert ext.lifted.color_map == tuple(lifted)
+                src, tgt = ext.ext_source, ext.ext_target
+                ta, tb = _tensor_by_color(src), _tensor_by_color(tgt)
+                assert np.array_equal(intersection_tensor(src), ta)
+                for cmap in (lifted, list(rng.permutation(rank))):
+                    expected = np.array_equal(ta, tb[np.ix_(cmap, cmap, cmap)])
+                    assert is_algebraic_isomorphism(src, tgt, cmap) == expected
+                    verdicts[expected] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0, verdicts
