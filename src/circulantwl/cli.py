@@ -267,6 +267,8 @@ def _cmd_wlm(args, out) -> int:
 def _cmd_dim(args, out) -> int:
     if args.graph is None:
         raise io.FormatError("dim needs --graph")
+    if args.max_m < 2:
+        raise io.FormatError(f"dim needs --max-m >= 2, got {args.max_m}")
     n, conn = io.parse_connection_set(args.graph)
     corpus = dimension.enumerate_graphs(n, directed=args.directed)
     rep = dimension.estimate_dimension(conn, corpus, max_m=args.max_m)

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .refine import _pair_round_codes, _renumber_rows, normalize_colors, refine_pairs
+from .refine import _unstable_pairs, close_pairs, normalize_colors
 
 
 def _first_occurrences(flat: np.ndarray, rank: int) -> np.ndarray:
@@ -201,24 +201,19 @@ def validate(cc: CoherentConfig) -> ValidationReport:
 
     # composition counts must be constant on each class
     if n > 1:
-        inv, _ = _renumber_rows(_pair_round_codes(mat, cc.rank))
-        flat = mat.ravel()
-        for c in range(cc.rank):
-            members = np.flatnonzero(flat == c)
-            sub = inv[members]
-            if len(np.unique(sub)) > 1:
-                i0 = int(members[0])
-                j0 = int(members[np.argmax(sub != sub[0])])
-                a0, b0 = divmod(i0, n)
-                a1, b1 = divmod(j0, n)
-                r, s = _differing_composition(mat, cc.rank, (a0, b0), (a1, b1))
-                violations.append(
-                    (
-                        "CC3",
-                        (r, s, c),
-                        f"c[{r},{s};{c}] differs between pairs ({a0},{b0}) and ({a1},{b1})",
-                    )
+        unstable = np.flatnonzero(_unstable_pairs(mat, cc.rank))
+        colors, at = np.unique(mat.ravel()[unstable], return_index=True)
+        for c, j0 in zip(colors.tolist(), unstable[at].tolist()):
+            a0, b0 = (int(v) for v in cc.representative[c])
+            a1, b1 = divmod(j0, n)
+            r, s = _differing_composition(mat, cc.rank, (a0, b0), (a1, b1))
+            violations.append(
+                (
+                    "CC3",
+                    (r, s, c),
+                    f"c[{r},{s};{c}] differs between pairs ({a0},{b0}) and ({a1},{b1})",
                 )
+            )
     return ValidationReport(valid=not violations, violations=violations)
 
 
@@ -474,6 +469,6 @@ def point_extension(cc: CoherentConfig, x) -> CoherentConfig:
         tag[p] = i + 1
     k = len(pts) + 1
     init = (cc.colors * k + tag[:, None]) * k + tag[None, :]
-    [stable], _ = refine_pairs(init)
+    stable, _ = close_pairs(init)
     return CoherentConfig(stable)
 

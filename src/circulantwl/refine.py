@@ -1,4 +1,5 @@
-"""Vectorized Weisfeiler-Leman refinement: one lockstep engine.
+"""Vectorized Weisfeiler-Leman refinement: one lockstep engine and one
+Las Vegas pair closure.
 
 Everything here works on integer color arrays and knows nothing about
 coherent configurations; the wrapping modules interpret the results.
@@ -6,15 +7,21 @@ coherent configurations; the wrapping modules interpret the results.
 dictionary (k = 1 is plain refinement); pair (2-dim), row-0 (2-dim on a
 translation-invariant coloring), m-tuple and x0 = 0 m-tuple (m-ary on a
 translation-invariant coloring) refinement differ only in the round
-function that builds each round's signature rows.  Color ids produced by a
-round are always assigned by sorted signature order (via ``np.unique``),
-so refinement output is deterministic and independent of the input
-numbering; the row-0 and x0 = 0 rounds see the same distinct rows as
-their dense forms, so they produce the dense ids.
+function that builds each round's signature rows.  The color ids of these
+rounds are assigned by sorted signature order (via ``np.unique``), so their
+output is deterministic and independent of the input numbering; the row-0
+and x0 = 0 rounds see the same distinct rows as their dense forms, so they
+produce the dense ids.
+
+``close_pairs`` is the exception: a single-sided 2-dim closure whose rounds
+key each pair by random bilinear hashes of its signature and whose fixpoint
+is confirmed by one exact round.  It returns the same partition as
+``refine_pairs`` with arbitrary ids, for callers that canonicalize.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 import numpy as np
@@ -75,11 +82,16 @@ def _refine(
         rank = new_rank
 
 
+def _check_pair_cap(n: int) -> None:
+    """Refuse a pair round on n points, whose table holds n**3 entries."""
+    if n**3 > DEFAULT_TUPLE_CAP:
+        raise CapExceededError(f"refusing pair round of {n}**3 entries > cap {DEFAULT_TUPLE_CAP}")
+
+
 def _pair_round_codes(mat: np.ndarray, rank: int) -> np.ndarray:
     """Per-pair sorted composition multisets: row (a,b) lists {(c(a,g),c(g,b)): g}."""
     n = mat.shape[0]
-    if n**3 > DEFAULT_TUPLE_CAP:
-        raise CapExceededError(f"refusing pair round of {n}**3 entries > cap {DEFAULT_TUPLE_CAP}")
+    _check_pair_cap(n)
     codes = mat[:, None, :] * np.int64(rank) + mat.T[None, :, :]
     codes.sort(axis=2)
     return np.concatenate([mat.reshape(n * n, 1), codes.reshape(n * n, n)], axis=1)
@@ -103,6 +115,51 @@ def refine_pairs(*inits: np.ndarray) -> tuple[list[np.ndarray], int] | None:
         return None
     sides, rank = res
     return [side.reshape(n, n) for side in sides], rank
+
+
+def _unstable_pairs(mat: np.ndarray, rank: int) -> np.ndarray:
+    """Flat mask of the pairs whose exact pair-round row differs from that of
+    the first pair of their color; no pair is marked exactly when ``mat`` is
+    stable."""
+    flat = mat.ravel()
+    codes = _pair_round_codes(mat, rank)
+    return (codes != codes[np.unique(flat, return_index=True)[1][flat]]).any(axis=1)
+
+
+def _hash_weights(rng: np.random.Generator, rank: int, n: int) -> np.ndarray:
+    """(4, rank) float64 color weights u1, v1, u2, v2, each below
+    sqrt(2**53 / n), so that a sum of n products of two is exact."""
+    return rng.integers(1, math.isqrt((2**53 - 1) // n), size=(4, rank)).astype(np.float64)
+
+
+def close_pairs(init: np.ndarray) -> tuple[np.ndarray, int]:
+    """Stable 2-dim WL partition of one (n, n) pair coloring, and its rank.
+
+    A hashed round keys pair (a, b) by its color and two sums
+    sum_g u[c(a,g)] * v[c(g,b)], one n x n matmul each.  A sum depends only
+    on the pair's exact row, so every split is genuine and the partition
+    never gets finer than the closure.  When a hashed round does not split,
+    the exact check confirms stability, or one exact round runs and hashing
+    resumes.  The ids are arbitrary, not those of ``refine_pairs``.
+    """
+    mat, rank = normalize_colors(init)
+    n = mat.shape[0]
+    _check_pair_cap(n)
+    rng = np.random.default_rng(0)
+    while True:
+        u1, v1, u2, v2 = weights = _hash_weights(rng, rank, n)
+        top = int(np.abs(weights).max())
+        if n * top * top >= 2**53:
+            raise InvariantError(f"hash weight {top} makes sums of {n} products inexact")
+        sums = [(u[mat] @ v[mat]).astype(np.int64).ravel() for u, v in ((u1, v1), (u2, v2))]
+        ids, new_rank = _renumber_rows(np.stack([mat.ravel()] + sums, axis=1))
+        # an unchanged rank leaves the partition and, leading with the
+        # color, the ids unchanged
+        if new_rank == rank:
+            if not _unstable_pairs(mat, rank).any():
+                return mat, rank
+            ids, new_rank = _renumber_rows(_pair_round_codes(mat, rank))
+        mat, rank = ids.reshape(n, n), new_rank
 
 
 def refine_circulant(init_row: np.ndarray) -> tuple[np.ndarray, int]:

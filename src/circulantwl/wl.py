@@ -27,11 +27,11 @@ from .refine import (
     CapExceededError,
     InvariantError,
     check_tuple_cap,
+    close_pairs,
     initial_tuple_colors,
     origin_tuple_index,
     refine_circulant,
     refine_circulant_tuples,
-    refine_pairs,
     refine_tuples,
     tuple_digits,
     tuple_strides,
@@ -49,7 +49,10 @@ def wl_closure(arc_colors: np.ndarray) -> CoherentConfig:
 
     ``arc_colors`` is any square integer matrix (e.g. 0/1 adjacency); loops
     are permitted.  The diagonal is split off before refinement.  A
-    translation-invariant coloring is refined on its row 0 alone.
+    translation-invariant coloring is refined on its row 0 alone; any other
+    is closed by the Las Vegas pair closure ``close_pairs``, exact but with
+    arbitrary ids, which the canonical numbering of ``CoherentConfig``
+    makes immaterial.
     """
     arcs = np.asarray(arc_colors, dtype=np.int64)
     if arcs.ndim != 2 or arcs.shape[0] != arcs.shape[1]:
@@ -60,7 +63,7 @@ def wl_closure(arc_colors: np.ndarray) -> CoherentConfig:
     if is_translation_invariant(init):
         row, _ = refine_circulant(init[0])
         return CoherentConfig(circulant_matrix(row))
-    [stable], _ = refine_pairs(init)
+    stable, _ = close_pairs(init)
     return CoherentConfig(stable)
 
 

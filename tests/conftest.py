@@ -12,14 +12,14 @@ ROOK = [(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)]
 SHRIKHANDE = [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)]
 
 
-def _srg_closure(gens):
-    """Closure of a Cayley graph on Z_4 x Z_4, point (i, j) labelled 4i + j."""
+def _srg_arcs(gens):
+    """0/1 arcs of a Cayley graph on Z_4 x Z_4, point (i, j) labelled 4i + j."""
     arcs = np.zeros((16, 16), dtype=np.int64)
     for p in range(16):
         i, j = divmod(p, 4)
         for gi, gj in gens:
             arcs[p, (i + gi) % 4 * 4 + (j + gj) % 4] = 1
-    return wl_closure(arcs)
+    return arcs
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -49,10 +49,16 @@ def schemes_up_to_16(schemes_up_to_13):
 
 
 @pytest.fixture(scope="session")
-def rook_and_shrikhande():
+def rook_and_shrikhande_arcs():
+    """Arcs of the 4x4 rook's graph and the Shrikhande graph."""
+    return _srg_arcs(ROOK), _srg_arcs(SHRIKHANDE)
+
+
+@pytest.fixture(scope="session")
+def rook_and_shrikhande(rook_and_shrikhande_arcs):
     """Closures of the 4x4 rook's graph and the Shrikhande graph, both
     SRG(16, 6, 2, 2): 2-dim WL cannot tell them apart, 3-dim WL can."""
-    return _srg_closure(ROOK), _srg_closure(SHRIKHANDE)
+    return tuple(wl_closure(arcs) for arcs in rook_and_shrikhande_arcs)
 
 
 @pytest.fixture

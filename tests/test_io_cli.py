@@ -8,6 +8,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import circulantwl
@@ -238,6 +239,54 @@ def test_close_circulant_input_takes_row0_round():
     code, out = invoke("close", "--graph", "n=500;S=1")
     assert code == 0
     assert out == io.dump_scheme(CirculantScheme.regular(500))
+
+
+def _arcs_spec(arcs):
+    return f"n={len(arcs)};arcs=" + ";".join(f"1:{a},{b}" for a, b in zip(*np.nonzero(arcs)))
+
+
+def _relabelled_cayley_64():
+    """Cay(Z_64, {1, 3, 61, 63}) with point a relabelled perm[a]."""
+    perm = np.random.default_rng(0).permutation(64)
+    arcs = np.zeros((64, 64), dtype=np.int64)
+    for a in range(64):
+        for d in (1, 3, 61, 63):
+            arcs[perm[a], perm[(a + d) % 64]] = 1
+    return arcs
+
+
+def _c4_and_k3_config(tmp_path):
+    """A configuration file of the 4-cycle beside a triangle; colour 0 meets
+    the diagonal and non-edges, so it is not coherent."""
+    mat = np.zeros((7, 7), dtype=np.int64)
+    for a, b in ((0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)):
+        mat[a, b] = mat[b, a] = 1
+    path = tmp_path / "c4k3.txt"
+    path.write_text("n=7\n" + "".join(" ".join(map(str, row)) + "\n" for row in mat))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "verb,source,digest",
+    [
+        ("close", "cayley64", "9d56057fb79e489ce77a4b6a21b535a4ab135a431818b980a5459e6c884b5118"),
+        ("validate", "cayley64", "9e1084a1468dfcead32bac025cdf105665ce5a494b350da7e5b02f707cd26fa3"),
+        ("close", "rook", "954de9fdd78942399cf992ab2a85a0c1cbb232c1343ee25ff8e33c1b55438a34"),
+        ("validate", "rook", "f8ba249a35cf98a29b88a5630436662051b41e94656590ecc2afbc3701ef322a"),
+        ("close", "config", "87891737caced486ff879a25fc178df052cf0e92e66ee53a47c278d5918f89c3"),
+        ("validate", "config", "3911c7fad319d8a7e004815c2866cd3092a788be0c1883faf59506e0a462b41f"),
+    ],
+)
+def test_dense_closure_output_is_pinned(verb, source, digest, tmp_path, rook_and_shrikhande_arcs):
+    # closures of input that is not translation invariant, and the CC3
+    # witnesses of validate, byte for byte
+    if source == "config":
+        code, out = invoke(verb, "--config", _c4_and_k3_config(tmp_path))
+    else:
+        arcs = _relabelled_cayley_64() if source == "cayley64" else rook_and_shrikhande_arcs[0]
+        code, out = invoke(verb, "--graph", _arcs_spec(arcs))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def _limit_address_space():
@@ -476,6 +525,8 @@ def test_verify_rejects_request_before_output(argv, message, capsys):
     "argv,message",
     [
         ("dim", "dim needs --graph"),
+        ("dim --graph n=8;S=1,7 --max-m 1", "dim needs --max-m >= 2, got 1"),
+        ("dim --graph n=8;S=1,7 --max-m 0", "dim needs --max-m >= 2, got 0"),
         ("validate", "validate needs --scheme, --graph or --config"),
         ("multiplier --graph n=8;S=1,7 --phi {}", '--phi takes {"map": [color permutation]}'),
         ("multiplier --graph n=8;S=1,7 --phi [1]", '--phi takes {"map": [color permutation]}'),

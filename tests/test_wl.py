@@ -1,12 +1,32 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from circulantwl import refine
-from circulantwl.core import CoherentConfig, circulant_matrix, trivial_config, validate
-from circulantwl.dimension import graph_scheme
-from circulantwl.refine import CapExceededError, refine_circulant, refine_pairs
+import circulantwl
+from circulantwl import algebra, core, refine, wl
+from circulantwl.algebra import identity_iso, tuple_extension
+from circulantwl.core import (
+    CoherentConfig,
+    circulant_matrix,
+    point_extension,
+    trivial_config,
+    validate,
+)
+from circulantwl.circulant import base_tuple
+from circulantwl.dimension import enumerate_schemes, graph_scheme
+from circulantwl.refine import (
+    DEFAULT_TUPLE_CAP,
+    CapExceededError,
+    InvariantError,
+    close_pairs,
+    refine_circulant,
+    refine_pairs,
+)
 from circulantwl.wl import (
     GameTable,
     pebble_game_oracle,
@@ -133,6 +153,107 @@ def test_pair_round_cap_refuses_before_allocating():
     # 465**3 just exceeds the cap; the check runs before the n**3 round table
     with pytest.raises(CapExceededError, match=r"465\*\*3 entries"):
         wl_closure(np.eye(465, k=1, dtype=np.int64))
+
+
+def relabelled(rng, arcs):
+    perm = rng.permutation(len(arcs))
+    out = np.empty_like(arcs)
+    out[np.ix_(perm, perm)] = arcs
+    return out
+
+
+def test_hashed_closure_matches_lockstep_closure(monkeypatch, rook_and_shrikhande_arcs):
+    # refine_pairs is the oracle of close_pairs on every input that
+    # wl_closure and point_extension hand it
+    checked = []
+
+    def checked_close_pairs(init):
+        stable, rank = close_pairs(init)
+        [oracle], oracle_rank = refine_pairs(init)
+        assert rank == oracle_rank and CoherentConfig(stable) == CoherentConfig(oracle)
+        checked.append(len(init))
+        return stable, rank
+
+    monkeypatch.setattr(wl, "close_pairs", checked_close_pairs)
+    monkeypatch.setattr(core, "close_pairs", checked_close_pairs)
+    rng = np.random.default_rng(12)
+    for _ in range(12):
+        n = int(rng.integers(5, 25))
+        row = np.zeros(n, dtype=np.int64)
+        row[rng.choice(np.arange(1, n), size=int(rng.integers(1, n)), replace=False)] = 1
+        wl_closure(relabelled(rng, circulant_matrix(row)))
+    for arcs in rook_and_shrikhande_arcs:
+        wl_closure(relabelled(rng, arcs))
+    for _ in range(12):
+        n = int(rng.integers(2, 13))
+        wl_closure(rng.integers(0, 3, size=(n, n)))
+    dense = len(checked)  # one circulant drawn is K_8, which relabels to itself
+    for n in range(1, 11):
+        for X in enumerate_schemes(n).schemes:
+            point_extension(X.cc, (0,))
+            point_extension(X.cc, base_tuple(X))
+    assert (dense, len(checked) - dense) == (25, 96)
+
+
+def test_forced_hash_collisions_still_reach_the_closure(monkeypatch):
+    # constant weights give every pair the same sums, so no hashed round
+    # splits and only the exact check and exact rounds refine
+    monkeypatch.setattr(refine, "_hash_weights", lambda rng, rank, n: np.ones((4, rank)))
+    rng = np.random.default_rng(0)
+    inits = [
+        relabelled(rng, cay_arcs(12, {1, 11})) * 2 + np.eye(12, dtype=np.int64),
+        relabelled(rng, cay_arcs(15, {1, 3, 12, 14})) * 2 + np.eye(15, dtype=np.int64),
+        np.eye(9, k=1, dtype=np.int64),
+        rng.integers(0, 3, size=(8, 8)),
+    ]
+    for init in inits:
+        stable, rank = close_pairs(init)
+        [oracle], oracle_rank = refine_pairs(init)
+        assert rank == oracle_rank > len(np.unique(init))
+        assert CoherentConfig(stable) == CoherentConfig(oracle)
+
+
+def test_closures_take_the_hashed_round_and_extensions_the_lockstep_one(monkeypatch):
+    def lockstep(*inits):
+        raise RuntimeError("lockstep pair round")
+
+    for module in (refine, core, wl, algebra):
+        monkeypatch.setattr(module, "refine_pairs", lockstep, raising=False)
+    assert validate(wl_closure(relabelled(np.random.default_rng(2), cay_arcs(10, {1, 9})))).valid
+    cc = graph_scheme(10, frozenset({1, 9})).cc
+    assert validate(point_extension(cc, (0,))).valid
+    with pytest.raises(RuntimeError, match="lockstep pair round"):
+        tuple_extension(identity_iso(cc), (0,), (0,))
+
+
+def test_hash_sums_stay_exact_up_to_the_pair_cap(monkeypatch):
+    n = 464  # the largest order whose pair round fits the cap
+    assert n**3 <= DEFAULT_TUPLE_CAP < (n + 1) ** 3
+    weights = refine._hash_weights(np.random.default_rng(0), 10**4, n)
+    top = int(weights.max())
+    assert weights.min() >= 1 and n * top**2 < 2**53 and top > 4 * 10**6
+    # weights past the bound are refused, not summed inexactly
+    monkeypatch.setattr(refine, "_hash_weights", lambda rng, rank, n: np.full((4, rank), 2.0**26))
+    with pytest.raises(InvariantError, match="inexact"):
+        close_pairs(np.eye(4, k=1, dtype=np.int64))
+
+
+def test_hash_bound_fires_under_python_O():
+    script = (
+        "import numpy as np\n"
+        "from circulantwl import refine\n"
+        "refine._hash_weights = lambda rng, rank, n: np.full((4, rank), 2.0**26)\n"
+        "try:\n"
+        "    refine.close_pairs(np.eye(4, k=1, dtype=np.int64))\n"
+        "except refine.InvariantError as exc:\n"
+        "    print(__debug__, exc)\n"
+    )
+    src = str(Path(circulantwl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert res.stdout == "False hash weight 67108864 makes sums of 4 products inexact\n", res.stderr
 
 
 def test_row0_round_cap_refuses_before_allocating():
