@@ -116,8 +116,17 @@ def _color_invariants(cc: CoherentConfig) -> list[tuple]:
 def enumerate_algebraic_isos(
     cc_a: CoherentConfig, cc_b: CoherentConfig
 ) -> list[AlgebraicIso]:
-    """All color bijections preserving the intersection tensor, by
-    backtracking over colors ordered by invariant rarity."""
+    """All color bijections preserving the intersection tensor, in order of
+    their color maps.  The algebraic automorphisms of one configuration are
+    searched once and their color maps kept in its cache."""
+    cache = cc_a._cache if cc_a is cc_b else {}
+    if "autos" not in cache:
+        cache["autos"] = _search_color_maps(cc_a, cc_b)
+    return [AlgebraicIso(cc_a, cc_b, f) for f in cache["autos"]]
+
+
+def _search_color_maps(cc_a: CoherentConfig, cc_b: CoherentConfig) -> list[tuple[int, ...]]:
+    """Backtracking over colors ordered by invariant rarity."""
     if cc_a.n != cc_b.n or cc_a.rank != cc_b.rank:
         return []
     rank = cc_a.rank
@@ -167,10 +176,9 @@ def enumerate_algebraic_isos(
                 del assigned[c]
 
     rec(0)
-    out = [AlgebraicIso(cc_a, cc_b, f) for f in sorted(found)]
-    if not all(is_algebraic_isomorphism(cc_a, cc_b, iso.color_map) for iso in out):
+    if not all(is_algebraic_isomorphism(cc_a, cc_b, f) for f in found):
         raise InvariantError("search returned a map that is not an algebraic isomorphism")
-    return out
+    return sorted(found)
 
 
 # -- combinatorial isomorphisms ----------------------------------------------------

@@ -8,10 +8,10 @@ dictionary (k = 1 is plain refinement); pair (2-dim), row-0 (2-dim on a
 translation-invariant coloring), m-tuple and x0 = 0 m-tuple (m-ary on a
 translation-invariant coloring) refinement differ only in the round
 function that builds each round's signature rows.  The color ids of these
-rounds are assigned by sorted signature order (via ``np.unique``), so their
-output is deterministic and independent of the input numbering; the row-0
-and x0 = 0 rounds see the same distinct rows as their dense forms, so they
-produce the dense ids.
+rounds are assigned by sorted signature order (``_renumber_rows``, one
+lexsort), so their output is deterministic and independent of the input
+numbering; the row-0 and x0 = 0 rounds see the same distinct rows as their
+dense forms, so they produce the dense ids.
 
 ``close_pairs`` is the exception: a single-sided 2-dim closure whose rounds
 key each pair by random bilinear hashes of its signature and whose fixpoint
@@ -39,9 +39,15 @@ class InvariantError(AssertionError):
 
 
 def _renumber_rows(rows: np.ndarray) -> tuple[np.ndarray, int]:
-    """Assign contiguous ids to the rows of a 2-D array, sorted lexicographically."""
-    uniq, inv = np.unique(rows, axis=0, return_inverse=True)
-    return inv.astype(np.int64), len(uniq)
+    """Contiguous ids of the rows of a 2-D array in ascending lexicographic
+    order: the inverse and count of ``np.unique(rows, axis=0)``, by lexsort."""
+    order = np.lexsort(rows.T[::-1])
+    srt = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    np.any(srt[1:] != srt[:-1], axis=1, out=new[1:])
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids, int(new.sum())
 
 
 def normalize_colors(mat: np.ndarray) -> tuple[np.ndarray, int]:
@@ -120,10 +126,21 @@ def refine_pairs(*inits: np.ndarray) -> tuple[list[np.ndarray], int] | None:
 def _unstable_pairs(mat: np.ndarray, rank: int) -> np.ndarray:
     """Flat mask of the pairs whose exact pair-round row differs from that of
     the first pair of their color; no pair is marked exactly when ``mat`` is
-    stable."""
-    flat = mat.ravel()
-    codes = _pair_round_codes(mat, rank)
-    return (codes != codes[np.unique(flat, return_index=True)[1][flat]]).any(axis=1)
+    stable.  Compares the sorted codes of a few source rows at a time with
+    those of each color's first pair, never a whole n**3 table."""
+    n = mat.shape[0]
+    _check_pair_cap(n)
+    a0, b0 = np.divmod(np.unique(mat.ravel(), return_index=True)[1], n)
+    ref = mat[a0] * np.int64(rank) + mat.T[b0]
+    ref.sort(axis=1)
+    out = np.empty((n, n), dtype=bool)
+    step = max(1, 2**16 // n**2)
+    for a in range(0, n, step):
+        rows = mat[a : a + step]
+        block = rows[:, None, :] * np.int64(rank) + mat.T[None, :, :]
+        block.sort(axis=2)
+        np.any(block != ref[rows], axis=2, out=out[a : a + step])
+    return out.ravel()
 
 
 def _hash_weights(rng: np.random.Generator, rank: int, n: int) -> np.ndarray:
@@ -168,7 +185,7 @@ def refine_circulant(init_row: np.ndarray) -> tuple[np.ndarray, int]:
 
     Every round stays translation invariant, and the dense row of (a, b) is
     row d = b - a of the n rows [r(d), sorted {(r(h), r(d - h)) : h}], so
-    ``np.unique`` sees the same rows in the same order: the stable row and
+    the renumbering sees the same rows in the same order: the stable row and
     rank equal row 0 and rank of ``refine_pairs`` on the full matrix.
     """
     n = len(init_row)
@@ -280,8 +297,8 @@ def refine_circulant_tuples(*mats: np.ndarray, m: int) -> tuple[list[np.ndarray]
     Translations fix every color, so tuple x has the color of entry
     ``origin_tuple_index`` of x.  A substitution at slot i >= 1 keeps
     x0 = 0, and one of a at slot 0 is read on (0, x1 - a, ..., x_{m-1} - a).
-    Each dense row equals the row of its translate, so ``np.unique`` sees the
-    same distinct rows in the same order: the ids and rank are those of
+    Each dense row equals the row of its translate, so the renumbering sees
+    the same distinct rows in the same order: the ids and rank are those of
     ``refine_tuples`` on the dense tables, and every histogram is 1/n of
     the dense one, so the sides diverge in the same round.
     """

@@ -515,3 +515,40 @@ def test_z20_automorphisms_agree_with_constructed_witnesses(z20_fixture):
         f = find_isomorphism(X.cc, X.cc, phi)
         assert f is not None
         assert phi.color_map in constructed
+
+
+def test_extension_search_lists_the_automorphisms_once(z20_fixture, monkeypatch):
+    # every (phi, psi) pair of the Z_20 fixture searches the singular
+    # extension for its unique extension; the extension's automorphisms are
+    # enumerated by the first pair only
+    from circulantwl import algebra
+    from circulantwl.algebra import enumerate_algebraic_isos
+    from circulantwl.circulant import extend_algebraic_automorphism
+
+    X = z20_fixture
+    rep = next(r for r in singular_classes(X) if r.is_singular)
+    star = singular_extension(X, rep.smallest)
+    sec = _section(star, rep.smallest.upper, rep.smallest.lower)
+    searched = []
+
+    def counted(cc):
+        searched.append(cc)
+        return color_invariants(cc)
+
+    color_invariants = algebra._color_invariants
+    monkeypatch.setattr(algebra, "_color_invariants", counted)
+    pairs = [
+        (phi, psi)
+        for phi in enumerate_algebraic_isos(X.cc, X.cc)
+        for psi in enumerate_algebraic_isos(sec.scheme.cc, sec.scheme.cc)
+    ]
+    extensions = [extend_algebraic_automorphism(X, star, phi, psi, sec) for phi, psi in pairs]
+    assert len(pairs) == len(set(extensions)) > 1
+    # one search, which reads the invariants of its source and its target
+    assert sum(cc is star.cc for cc in searched) == 2
+    # the kept maps are not the caller's to change
+    autos = enumerate_algebraic_isos(star.cc, star.cc)
+    expected = [iso.color_map for iso in autos]
+    autos.clear()
+    assert [iso.color_map for iso in enumerate_algebraic_isos(star.cc, star.cc)] == expected
+    assert sum(cc is star.cc for cc in searched) == 2

@@ -1,3 +1,5 @@
+import ast
+import hashlib
 import itertools
 import os
 import subprocess
@@ -46,6 +48,70 @@ def cay_arcs(n, conn):
 
 def cay_closure(n, conn):
     return wl_closure(cay_arcs(n, conn))
+
+
+# -- renumbering -----------------------------------------------------------------
+
+
+def _tables():
+    rng = np.random.default_rng(1)
+    big = rng.integers(0, 2**52, size=3)
+    yield np.zeros((1, 1), dtype=np.int64)
+    for shape in ((9, 1), (16, 17), (800, 21), (16_000, 3), (4_096, 65)):
+        yield rng.integers(0, 3, size=shape)
+    yield np.full((50, 4), 7, dtype=np.int64)
+    yield rng.integers(0, 2**52, size=(500, 3))
+    yield big[rng.integers(0, 3, size=(600, 3))]
+
+
+def test_renumbering_gives_the_ids_of_np_unique():
+    # the ids of every refinement round: ascending lexicographic row order
+    for rows in _tables():
+        uniq, inv = np.unique(rows, axis=0, return_inverse=True)
+        ids, count = refine._renumber_rows(rows)
+        assert count == len(uniq) and ids.dtype == np.int64
+        assert np.array_equal(ids, inv.ravel()), rows.shape
+
+
+def test_rows_are_renumbered_by_one_mechanism():
+    # refinement ids come from refine._renumber_rows alone; the pebble-game
+    # oracle keeps its own np.unique so that it stays independent of it
+    found = []
+    for path in sorted(Path(circulantwl.__file__).resolve().parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Call)
+                    and ast.unparse(node.func) == "np.unique"
+                    and any(kw.arg == "axis" and ast.unparse(kw.value) == "0"
+                            for kw in node.keywords)
+                ):
+                    found.append((path.name, getattr(top, "name", None)))
+    assert found == [("wl.py", "_consistency")]
+
+
+def _digest(array):
+    return hashlib.sha256(np.asarray(array, dtype=np.int64).tobytes()).hexdigest()
+
+
+def test_ids_that_stdout_does_not_show_are_pinned(schemes_up_to_16, rook_and_shrikhande):
+    corpus = hashlib.sha256()
+    for n in range(1, 17):
+        for X in schemes_up_to_16[n]:
+            corpus.update(repr((n, X.cc.colors.tolist())).encode())
+    assert corpus.hexdigest() == (
+        "1109265e1be0a614a7c16af028eb69a257e300374ace883fc679d51a248f2be8"
+    )
+    cycle = wl_m_refine(graph_scheme(12, frozenset({1, 11})).cc, 3)  # x0 = 0 path
+    assert (cycle.rank, _digest(cycle.color_of)) == (
+        74, "24d23febf529a151f91688b9f95f23f33982c8b7f7e8b6ccbc5e11b44c7f984a"
+    )
+    rook = rook_and_shrikhande[0]  # dense path
+    dense = [wl_m_refine(rook, m) for m in (2, 3)]
+    assert [(mc.rank, _digest(mc.color_of)) for mc in dense] == [
+        (3, "5147c31796507908dee5943ae80708e97539db2d78c3a0a200cd0c48a0b7699a"),
+        (15, "4806673ddf788d3f42bb212c9373da771ffcc12f6b5dd1ab544304925c6d9dab"),
+    ]
 
 
 # -- closure ---------------------------------------------------------------------
@@ -176,6 +242,13 @@ def test_hashed_closure_matches_lockstep_closure(monkeypatch, rook_and_shrikhand
 
     monkeypatch.setattr(wl, "close_pairs", checked_close_pairs)
     monkeypatch.setattr(core, "close_pairs", checked_close_pairs)
+    _close_relabelled_and_random(rook_and_shrikhande_arcs)
+    dense = len(checked)  # one circulant drawn is K_8, which relabels to itself
+    _extend_small_schemes()
+    assert (dense, len(checked) - dense) == (25, 96)
+
+
+def _close_relabelled_and_random(rook_and_shrikhande_arcs):
     rng = np.random.default_rng(12)
     for _ in range(12):
         n = int(rng.integers(5, 25))
@@ -187,30 +260,71 @@ def test_hashed_closure_matches_lockstep_closure(monkeypatch, rook_and_shrikhand
     for _ in range(12):
         n = int(rng.integers(2, 13))
         wl_closure(rng.integers(0, 3, size=(n, n)))
-    dense = len(checked)  # one circulant drawn is K_8, which relabels to itself
+
+
+def _extend_small_schemes():
     for n in range(1, 11):
         for X in enumerate_schemes(n).schemes:
             point_extension(X.cc, (0,))
             point_extension(X.cc, base_tuple(X))
-    assert (dense, len(checked) - dense) == (25, 96)
+
+
+def _whole_table_unstable_pairs(mat, rank):
+    """The stability mask from the whole n**3 table of exact pair rows."""
+    flat = mat.ravel()
+    codes = refine._pair_round_codes(mat, rank)
+    return (codes != codes[np.unique(flat, return_index=True)[1][flat]]).any(axis=1)
+
+
+def test_blockwise_stability_check_matches_whole_table(monkeypatch, rook_and_shrikhande_arcs):
+    # every check close_pairs makes on the hashed-closure inputs and, where
+    # forced hash collisions leave partitions unstable, on the collision
+    # inputs; then the CC3 mask of a configuration that is not coherent
+    seen = []
+
+    def checked_unstable_pairs(mat, rank):
+        mask = unstable_pairs(mat, rank)
+        assert np.array_equal(mask, _whole_table_unstable_pairs(mat, rank))
+        seen.append(bool(mask.any()))
+        return mask
+
+    unstable_pairs = refine._unstable_pairs
+    monkeypatch.setattr(refine, "_unstable_pairs", checked_unstable_pairs)
+    _close_relabelled_and_random(rook_and_shrikhande_arcs)
+    _extend_small_schemes()
+    assert len(seen) >= 121
+    monkeypatch.setattr(refine, "_hash_weights", lambda rng, rank, n: np.ones((4, rank)))
+    for init in _collision_inputs():
+        close_pairs(init)
+    assert any(seen)
+    mat = np.zeros((7, 7), dtype=np.int64)
+    for a, b in ((0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)):
+        mat[a, b] = mat[b, a] = 1
+    cc = CoherentConfig(mat)
+    mask = unstable_pairs(cc.colors, cc.rank)
+    assert mask.any() and np.array_equal(mask, _whole_table_unstable_pairs(cc.colors, cc.rank))
+    assert not validate(cc).valid
 
 
 def test_forced_hash_collisions_still_reach_the_closure(monkeypatch):
     # constant weights give every pair the same sums, so no hashed round
     # splits and only the exact check and exact rounds refine
     monkeypatch.setattr(refine, "_hash_weights", lambda rng, rank, n: np.ones((4, rank)))
+    for init in _collision_inputs():
+        stable, rank = close_pairs(init)
+        [oracle], oracle_rank = refine_pairs(init)
+        assert rank == oracle_rank > len(np.unique(init))
+        assert CoherentConfig(stable) == CoherentConfig(oracle)
+
+
+def _collision_inputs():
     rng = np.random.default_rng(0)
-    inits = [
+    return [
         relabelled(rng, cay_arcs(12, {1, 11})) * 2 + np.eye(12, dtype=np.int64),
         relabelled(rng, cay_arcs(15, {1, 3, 12, 14})) * 2 + np.eye(15, dtype=np.int64),
         np.eye(9, k=1, dtype=np.int64),
         rng.integers(0, 3, size=(8, 8)),
     ]
-    for init in inits:
-        stable, rank = close_pairs(init)
-        [oracle], oracle_rank = refine_pairs(init)
-        assert rank == oracle_rank > len(np.unique(init))
-        assert CoherentConfig(stable) == CoherentConfig(oracle)
 
 
 def test_closures_take_the_hashed_round_and_extensions_the_lockstep_one(monkeypatch):
