@@ -91,6 +91,15 @@ class XGroup:
         return XGroup(self.n, (self.order * other.order) // math.gcd(self.order, other.order))
 
 
+def label_classes(labels: np.ndarray) -> list[frozenset[int]]:
+    """The classes of equal labels, in ascending label order: one stable
+    sort, split where the label changes."""
+    order = np.argsort(labels, kind="stable")
+    items = order.tolist()
+    cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), len(items)]
+    return [frozenset(items[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
 class CirculantScheme:
     """A coherent configuration over Z_n whose colors are difference classes."""
 
@@ -99,10 +108,8 @@ class CirculantScheme:
             raise ValueError("coloring is not translation invariant")
         self.n = cc.n
         self.cc = cc
-        row = cc.colors[0]
-        self.connection_sets: tuple[frozenset[int], ...] = tuple(
-            frozenset(int(d) for d in np.flatnonzero(row == c)) for c in range(cc.rank)
-        )
+        # every color of a circulant scheme occurs in row 0
+        self.connection_sets: tuple[frozenset[int], ...] = tuple(label_classes(cc.colors[0]))
         self._cache: dict = {}
 
     # -- construction -------------------------------------------------------
@@ -234,13 +241,15 @@ class Section:
         return f"{self.upper.order}/{self.lower.order}"
 
 
-def section_scheme(X: CirculantScheme, upper: XGroup, lower: XGroup) -> CirculantScheme:
-    """Quotient scheme on U/L, computed directly on connection sets."""
+def section_classes(X: CirculantScheme, upper: XGroup, lower: XGroup) -> list[frozenset[int]]:
+    """The basic sets of the quotient on U/L as subsets of Z_|U/L|: the
+    projections of the connection sets inside U, read without closing."""
     k = upper.order // lower.order
     h = X.n // upper.order
+    elems = upper.elements
     proj_sets: list[frozenset[int]] = []
     for conn in X.connection_sets:
-        inside = conn & upper.elements
+        inside = conn & elems
         if inside:
             proj_sets.append(frozenset((d // h) % k for d in inside))
     merged: list[frozenset[int]] = []
@@ -252,7 +261,14 @@ def section_scheme(X: CirculantScheme, upper: XGroup, lower: XGroup) -> Circulan
                 break
         else:
             merged.append(s)
-    scheme, coherent = from_connection_partition(k, merged)
+    return merged
+
+
+def section_scheme(X: CirculantScheme, upper: XGroup, lower: XGroup) -> CirculantScheme:
+    """Quotient scheme on U/L, computed directly on connection sets."""
+    scheme, coherent = from_connection_partition(
+        upper.order // lower.order, section_classes(X, upper, lower)
+    )
     if not coherent:
         raise InvariantError("section scheme of nested relation subgroups must be coherent")
     return scheme

@@ -279,6 +279,8 @@ def _cmd_dim(args, out) -> int:
 def _cmd_enumerate(args, out) -> int:
     if args.order < 1:
         raise io.FormatError(f"--order takes an order >= 1, got {args.order}")
+    if args.cap is not None and args.cap < 1:
+        raise io.FormatError(f"--cap takes a cap >= 1, got {args.cap}")
     try:
         if args.schemes:
             kw = {"cap": args.cap} if args.cap else {}

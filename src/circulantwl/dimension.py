@@ -12,33 +12,41 @@ different multiplier classes stay observable.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from itertools import combinations
+
+import numpy as np
 
 from .algebra import enumerate_algebraic_isos, find_isomorphism, is_m_extendable
 from .circulant import (
     CirculantScheme,
     Section,
+    XGroup,
     _extends_scheme_map,
     _section,
     base_tuple,
+    divisors,
     extend_algebraic_automorphism,
     from_connection_partition,
     is_quasinormal,
+    label_classes,
     omega,
+    section_classes,
     section_discreteness_check,
     singular_classes,
     singular_extension,
     unit_permutes_connection_sets,
     units,
+    xgroup_lattice,
 )
 from .refine import CapExceededError
 from .wl import pebble_game_oracle, wl_m_equivalent
 
 DEFAULT_UNDIRECTED_CAP = 20
 DEFAULT_DIRECTED_CAP = 12
-DEFAULT_SCHEME_CAP = 16
+DEFAULT_SCHEME_CAP = 36
 SCHEME_CACHE_VERSION = 1
 
 
@@ -110,10 +118,7 @@ def _orbit_count(n: int, gens: list[int]) -> int:
 # -- scheme enumeration -----------------------------------------------------------
 
 
-def _join(a: CirculantScheme, b: CirculantScheme) -> CirculantScheme:
-    # from_connection_partition drops the empty intersections
-    pieces = [ca & cb for ca in a.connection_sets for cb in b.connection_sets]
-    return from_connection_partition(a.n, pieces)[0]
+SCHEME_KINDS = ("trivial", "cyclotomic", "tensor", "wreath")
 
 
 def _scheme_order(X: CirculantScheme):
@@ -121,19 +126,109 @@ def _scheme_order(X: CirculantScheme):
     return X.rank, sorted(sorted(c) for c in X.connection_sets)
 
 
+def _unit_subgroups(n: int) -> set[frozenset[int]]:
+    """Every subgroup of the unit group Z_n^*, grown from {1} one adjoined unit at a time."""
+    us, found = units(n), {frozenset({1 % n})}
+    todo = list(found)
+    while todo:
+        K = todo.pop()
+        for g in us:
+            grown, p = set(K), g
+            while p not in K:
+                grown |= {k * p % n for k in K}
+                p = p * g % n
+            if (H := frozenset(grown)) not in found:
+                found.add(H)
+                todo.append(H)
+    return found
+
+
+def _orbit_labels(n: int, K: frozenset[int]) -> np.ndarray:
+    """Each element of Z_n labelled by the least element of its K-orbit."""
+    labels = np.full(n, -1)
+    for x in range(n):
+        if labels[x] < 0:
+            labels[[k * x % n for k in K]] = x
+    return labels
+
+
+def _has_xgroup(X: CirculantScheme, order: int) -> bool:
+    return any(H.order == order for H in xgroup_lattice(X))
+
+
+def scheme_candidates(n: int, corpora: dict[int, list[CirculantScheme]]):
+    """(kind, partition of Z_n) for every candidate scheme of order n, built
+    from the schemes in ``corpora`` of every proper divisor of n.
+
+    By Leung and Man every scheme over Z_n is of one of the four kinds of
+    ``SCHEME_KINDS``, so these candidates include every scheme of order n:
+    - "trivial": {0} and Z_n minus 0
+    - "cyclotomic": the orbits of a subgroup K of Z_n^* (the orbit of 1 is K)
+    - "tensor": A over Z_n1 times B over Z_n2 for n = n1*n2 with coprime
+      1 < n1 < n2, read through x -> (x mod n1, x mod n2)
+    - "wreath": the U/L wreath product for 1 < L <= U < Z_n of A over
+      U = Z_|U|, in which L is an X-group, and B over Z_n/L = Z_(n/|L|), in
+      which U/L is an X-group, that agree on U/L: A's basic sets scaled into
+      U, and the preimages of B's basic sets outside U/L.
+    A candidate need not be coherent; the caller closes it to decide.
+    """
+    x = np.arange(n)
+    yield "trivial", frozenset(label_classes(np.minimum(x, 1)))
+    for K in _unit_subgroups(n):
+        yield "cyclotomic", frozenset(label_classes(_orbit_labels(n, K)))
+    for n1 in divisors(n):
+        n2 = n // n1
+        if 1 < n1 < n2 and math.gcd(n1, n2) == 1:
+            for A in corpora[n1]:
+                for B in corpora[n2]:
+                    labels = A.cc.colors[0][x % n1] * B.rank + B.cc.colors[0][x % n2]
+                    yield "tensor", frozenset(label_classes(labels))
+    for u in divisors(n)[1:-1]:
+        h, top = n // u, XGroup(u, u)
+        in_u = x % h == 0
+        for lo in divisors(u)[1:]:
+            k = u // lo
+            sections = {}
+            for B in corpora[n // lo]:
+                if _has_xgroup(B, k):
+                    sub = XGroup(n // lo, k)
+                    key = frozenset(section_classes(B, sub, XGroup(n // lo, 1)))
+                    sections.setdefault(key, []).append(B)
+            for A in corpora[u]:
+                if not _has_xgroup(A, lo):
+                    continue
+                key = frozenset(section_classes(A, top, XGroup(u, lo)))
+                for B in sections.get(key, []):
+                    outside = A.rank + B.cc.colors[0][x % (n // lo)]
+                    labels = np.where(in_u, A.cc.colors[0][x // h], outside)
+                    yield "wreath", frozenset(label_classes(labels))
+
+
+def _corpora(n: int) -> dict[int, list[CirculantScheme]]:
+    """The schemes of every divisor of n, in corpus order: the coherent
+    candidates of each divisor, built from the divisors before it."""
+    corpora: dict[int, list[CirculantScheme]] = {}
+    for d in divisors(n):
+        closed: dict[frozenset[frozenset[int]], CirculantScheme | None] = {}
+        for _, parts in scheme_candidates(d, corpora):
+            if parts not in closed:
+                scheme, coherent = from_connection_partition(d, parts)
+                closed[parts] = scheme if coherent else None
+        corpora[d] = sorted((X for X in closed.values() if X is not None), key=_scheme_order)
+    return corpora
+
+
 def enumerate_schemes(n: int, cap: int = DEFAULT_SCHEME_CAP) -> Corpus:
     """All circulant schemes of order n.
 
-    Seeded with one closure WL(Cay(Z_n, C)) per unit class of connection
-    sets C, then closed under pairwise joins.  Every scheme is the join of
-    the closures of its own basic sets, so this reaches exactly the schemes
-    of order n.  No unit images are needed: by Schur's multiplier theorem
-    every unit permutes the basic sets of every circulant scheme, so the
-    closure of a unit image of C is the closure of C.  The joins run as a
-    worklist: each popped scheme is joined with every scheme popped before
-    it and any new join is pushed, so each unordered pair of distinct
-    schemes is joined once.  Results are memoized on disk when
-    CIRCULANTWL_CACHE points to a directory.
+    Every scheme over Z_n is trivial, cyclotomic, a tensor product over a
+    coprime split of n, or a generalised wreath product over a section U/L
+    with 1 < L <= U < Z_n (Leung and Man, J. Algebra 1996 and Israel
+    J. Math. 1998).  So the candidates of ``scheme_candidates``, built from
+    the schemes of the proper divisors, include every scheme of order n; a
+    candidate is kept only when its WL closure leaves it unchanged.  The
+    divisor corpora are memoized for this call only.  Results are memoized
+    on disk when CIRCULANTWL_CACHE points to a directory.
     """
     if n > cap:
         raise CapExceededError(f"scheme enumeration capped at n <= {cap}")
@@ -142,19 +237,7 @@ def enumerate_schemes(n: int, cap: int = DEFAULT_SCHEME_CAP) -> Corpus:
     cached = _read_scheme_cache(n)
     if cached is not None:
         return cached
-    seeds = enumerate_graphs(n, directed=True, cap_directed=cap).graphs
-    found = {graph_scheme(n, conn) for conn in seeds}
-    todo = list(found)
-    done: list[CirculantScheme] = []
-    while todo:
-        a = todo.pop()
-        for b in done:
-            j = _join(a, b)
-            if j not in found:
-                found.add(j)
-                todo.append(j)
-        done.append(a)
-    corpus = Corpus(n=n, schemes=sorted(found, key=_scheme_order))
+    corpus = Corpus(n=n, schemes=_corpora(n)[n])
     _write_scheme_cache(corpus)
     return corpus
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 from dataclasses import replace
 from types import SimpleNamespace
@@ -6,8 +7,10 @@ import pytest
 
 from circulantwl import cli, dimension
 from circulantwl.algebra import CapExceededError, enumerate_algebraic_isos, find_isomorphism
-from circulantwl.circulant import CirculantScheme, is_quasinormal
+from circulantwl.circulant import CirculantScheme, from_connection_partition, is_quasinormal
 from circulantwl.dimension import (
+    DEFAULT_SCHEME_CAP,
+    SCHEME_KINDS,
     brute_force_schemes,
     burnside_graph_count,
     enumerate_graphs,
@@ -16,6 +19,7 @@ from circulantwl.dimension import (
     format_csv,
     format_table,
     prepare_analysis,
+    scheme_candidates,
     verify_main_theorem,
     verify_reduction,
 )
@@ -89,6 +93,63 @@ def test_scheme_count_stable_across_runs():
     a = enumerate_schemes(12).schemes
     b = enumerate_schemes(12).schemes
     assert [s.partition_key for s in a] == [s.partition_key for s in b]
+
+
+def test_scheme_corpora_17_18_are_pinned():
+    # digests of the corpora that closing every unit class of connection
+    # sets and every join of two schemes gave, in corpus order
+    digests = {
+        17: "a2db11021dab9e0ee2262e41e1de9badbbb127c5e622fd915422b0061be57bef",
+        18: "153d60a1ead95c1dd55081683cd3514a888e27b64bdb3a83584cfaa5f72d58dd",
+    }
+    for n, digest in digests.items():
+        schemes = enumerate_schemes(n).schemes
+        text = repr([sorted(sorted(c) for c in X.connection_sets) for X in schemes])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _corpora_without(kind, top):
+    corpora = {}
+    for d in range(1, top + 1):
+        parts = {p for k, p in scheme_candidates(d, corpora) if k != kind}
+        closed = [from_connection_partition(d, p) for p in parts]
+        corpora[d] = {X for X, coherent in closed if coherent}
+    return corpora
+
+
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
+def test_every_constructor_is_needed(kind, schemes_up_to_16):
+    without = _corpora_without(kind, 16)
+    lost = [n for n in range(1, 17) if without[n] != set(schemes_up_to_16[n])]
+    assert lost
+    assert all(without[n] <= set(schemes_up_to_16[n]) for n in range(1, 17))
+
+
+def test_cold_enumeration_has_no_process_memo(monkeypatch):
+    monkeypatch.delenv("CIRCULANTWL_CACHE", raising=False)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return from_connection_partition(*args)
+
+    monkeypatch.setattr(dimension, "from_connection_partition", counted)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        enumerate_schemes(12)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_scheme_cap_is_refused_above_the_default(capsys):
+    with pytest.raises(CapExceededError, match=f"capped at n <= {DEFAULT_SCHEME_CAP}"):
+        enumerate_schemes(DEFAULT_SCHEME_CAP + 1)
+    out = io.StringIO()
+    argv = ["enumerate", "--schemes", "--order", str(DEFAULT_SCHEME_CAP + 1)]
+    assert cli.run(argv, out=out) == 1
+    assert out.getvalue() == ""
+    assert "raise it with --cap" in capsys.readouterr().err
 
 
 # -- dimension estimation -------------------------------------------------------------

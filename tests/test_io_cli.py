@@ -537,6 +537,8 @@ def test_verify_rejects_request_before_output(argv, message, capsys):
         ("enumerate --order 0", "--order takes an order >= 1, got 0"),
         ("enumerate --order 0 --schemes", "--order takes an order >= 1, got 0"),
         ("enumerate --order -3 --schemes", "--order takes an order >= 1, got -3"),
+        ("enumerate --order 8 --schemes --cap 0", "--cap takes a cap >= 1, got 0"),
+        ("enumerate --order 8 --schemes --cap -3", "--cap takes a cap >= 1, got -3"),
         (
             "extend --graph n=4;S=1,2,3 --section 4",
             "--section takes U/L with integer orders, got '4'",
