@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,15 +32,8 @@ from .algebra import (
     iter_isomorphisms,
     tuple_extension,
 )
-from .core import (
-    CoherentConfig,
-    circulant_matrix,
-    is_translation_invariant,
-    point_extension,
-    trivial_config,
-)
-from .refine import CapExceededError, InvariantError
-from .wl import wl_closure
+from .core import CoherentConfig, circulant_matrix, point_extension
+from .refine import CapExceededError, InvariantError, refine_circulant
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -101,25 +95,35 @@ def label_classes(labels: np.ndarray) -> list[frozenset[int]]:
 
 
 class CirculantScheme:
-    """A coherent configuration over Z_n whose colors are difference classes."""
+    """A coherent configuration over Z_n whose colors are difference classes,
+    held as its row 0 (the color of (a, b) is ``row[(b - a) mod n]``) with
+    colors numbered by least difference: the numbering that
+    ``canonical_color_matrix`` gives the dense ``cc``, built on first use."""
 
-    def __init__(self, cc: CoherentConfig):
-        if not is_translation_invariant(cc.colors):
-            raise ValueError("coloring is not translation invariant")
-        self.n = cc.n
-        self.cc = cc
-        # every color of a circulant scheme occurs in row 0
-        self.connection_sets: tuple[frozenset[int], ...] = tuple(label_classes(cc.colors[0]))
+    def __init__(self, row):
+        row = np.asarray(row, dtype=np.int64)
+        if row.ndim != 1 or not len(row):
+            raise ValueError("a circulant scheme takes its row 0, a nonempty 1-D array")
+        _, first, ids = np.unique(row, return_index=True, return_inverse=True)
+        self.row = np.argsort(np.argsort(first))[ids]  # ranked by least difference
+        self.row.flags.writeable = False
+        self.n = len(row)
+        self.connection_sets: tuple[frozenset[int], ...] = tuple(label_classes(self.row))
+        self.rank = len(self.connection_sets)
         self._cache: dict = {}
+
+    @cached_property
+    def cc(self) -> CoherentConfig:
+        return CoherentConfig(circulant_matrix(self.row))
 
     # -- construction -------------------------------------------------------
     @staticmethod
     def regular(n: int) -> "CirculantScheme":
-        return CirculantScheme(CoherentConfig(circulant_matrix(np.arange(n))))
+        return CirculantScheme(np.arange(n))
 
     @staticmethod
     def trivial(n: int) -> "CirculantScheme":
-        return CirculantScheme(trivial_config(n))
+        return CirculantScheme(np.minimum(np.arange(n), 1))
 
     # -- identity ------------------------------------------------------------
     @property
@@ -127,28 +131,17 @@ class CirculantScheme:
         return frozenset(self.connection_sets)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CirculantScheme)
-            and self.n == other.n
-            and self.partition_key == other.partition_key
-        )
+        return isinstance(other, CirculantScheme) and np.array_equal(self.row, other.row)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.partition_key))
+        return hash(self.row.tobytes())
 
     def __repr__(self) -> str:
         return f"CirculantScheme(n={self.n}, rank={self.rank})"
 
     # -- basics ----------------------------------------------------------------
-    @property
-    def rank(self) -> int:
-        return self.cc.rank
-
     def color_of_difference(self, d: int) -> int:
-        return int(self.cc.colors[0, d % self.n])
-
-    def connection_set(self, color: int) -> frozenset[int]:
-        return self.connection_sets[color]
+        return int(self.row[d % self.n])
 
 
 def from_connection_partition(n: int, parts) -> tuple[CirculantScheme, bool]:
@@ -168,12 +161,13 @@ def from_connection_partition(n: int, parts) -> tuple[CirculantScheme, bool]:
     elif missing:
         raise ValueError("connection classes do not cover the group")
     row = np.zeros(n, dtype=np.int64)
-    for i, s in enumerate(sorted(sets, key=lambda s: sorted(s))):
-        row[list(s)] = i
-    # the closure refines the partition, so it is coherent exactly when
-    # closing adds no class
-    closed = wl_closure(circulant_matrix(row))
-    return CirculantScheme(closed), closed.rank == len(sets)
+    for i, s in enumerate(sets):
+        row[list(s)] = 2 * i
+    # difference 0 is split off as in ``wl_closure``; the closure refines
+    # the partition, so it is coherent exactly when closing adds no class
+    row[0] += 1
+    closed, rank = refine_circulant(row)
+    return CirculantScheme(closed), rank == len(sets)
 
 
 # -- subgroup lattice and sections ------------------------------------------------

@@ -15,9 +15,11 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 from . import algebra, circulant, dimension, io, wl
 from .algebra import AlgebraicIso, enumerate_algebraic_isos, extendable_at, find_isomorphism
-from .core import validate
+from .core import is_translation_invariant, validate
 from .refine import CapExceededError
 
 
@@ -143,12 +145,13 @@ def _cmd_close(args, out) -> int:
     if spec is None:
         raise io.FormatError("need --graph, --file or --config")
     n, arcs = io.parse_graph_spec(spec)
-    closed = wl.wl_closure(arcs)
-    try:
-        scheme = circulant.CirculantScheme(closed)
+    # a closure refines its input, so it is translation invariant exactly
+    # when the input is
+    if is_translation_invariant(arcs):
+        scheme, _ = circulant.from_connection_partition(n, circulant.label_classes(arcs[0]))
         out.write(io.dump_scheme(scheme))
-    except ValueError:
-        out.write(io.dump_config(closed))
+    else:
+        out.write(io.dump_config(wl.wl_closure(arcs)))
     return 0
 
 
@@ -286,10 +289,8 @@ def _cmd_enumerate(args, out) -> int:
             kw = {"cap": args.cap} if args.cap else {}
             corpus = dimension.enumerate_schemes(args.order, **kw)
             for s in corpus.schemes:
-                sets = sorted(s.connection_sets, key=lambda c: sorted(c))
-                out.write(
-                    "; ".join(",".join(str(d) for d in sorted(c)) for c in sets) + "\n"
-                )
+                sets = (",".join(map(str, sorted(c))) for c in s.connection_sets)
+                out.write("; ".join(sets) + "\n")
         else:
             kw = (
                 {"cap_directed": args.cap, "cap_undirected": args.cap}
@@ -323,10 +324,12 @@ def _cmd_iso(args, out) -> int:
 def _cmd_multiplier(args, out) -> int:
     X = _load_scheme(args.scheme, args.graph)
     if args.unit is not None:
-        cmap = [0] * X.rank
-        for d in range(X.n):
-            cmap[X.color_of_difference(d)] = X.color_of_difference(args.unit * d % X.n)
-        phi = AlgebraicIso(X.cc, X.cc, tuple(cmap))
+        if args.unit % X.n not in circulant.units(X.n):
+            raise io.FormatError(f"--unit takes a unit of Z_{X.n}, got {args.unit}")
+        # a unit permutes the basic sets, so each color has one image
+        cmap = np.empty(X.rank, dtype=np.int64)
+        cmap[X.row] = X.row[np.arange(X.n) * args.unit % X.n]
+        phi = AlgebraicIso(X.cc, X.cc, tuple(cmap.tolist()))
     elif args.phi:
         try:
             phi = AlgebraicIso.from_json(X.cc, X.cc, args.phi)

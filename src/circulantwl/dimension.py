@@ -122,8 +122,9 @@ SCHEME_KINDS = ("trivial", "cyclotomic", "tensor", "wreath")
 
 
 def _scheme_order(X: CirculantScheme):
-    """Corpus order: by rank, then by the sorted list of sorted basic sets."""
-    return X.rank, sorted(sorted(c) for c in X.connection_sets)
+    """Corpus order: by rank, then by the list of sorted basic sets (which
+    ``connection_sets`` holds in order of least element)."""
+    return X.rank, [sorted(c) for c in X.connection_sets]
 
 
 def _unit_subgroups(n: int) -> set[frozenset[int]]:
@@ -181,7 +182,7 @@ def scheme_candidates(n: int, corpora: dict[int, list[CirculantScheme]]):
         if 1 < n1 < n2 and math.gcd(n1, n2) == 1:
             for A in corpora[n1]:
                 for B in corpora[n2]:
-                    labels = A.cc.colors[0][x % n1] * B.rank + B.cc.colors[0][x % n2]
+                    labels = A.row[x % n1] * B.rank + B.row[x % n2]
                     yield "tensor", frozenset(label_classes(labels))
     for u in divisors(n)[1:-1]:
         h, top = n // u, XGroup(u, u)
@@ -199,8 +200,8 @@ def scheme_candidates(n: int, corpora: dict[int, list[CirculantScheme]]):
                     continue
                 key = frozenset(section_classes(A, top, XGroup(u, lo)))
                 for B in sections.get(key, []):
-                    outside = A.rank + B.cc.colors[0][x % (n // lo)]
-                    labels = np.where(in_u, A.cc.colors[0][x // h], outside)
+                    outside = A.rank + B.row[x % (n // lo)]
+                    labels = np.where(in_u, A.row[x // h], outside)
                     yield "wreath", frozenset(label_classes(labels))
 
 
@@ -281,7 +282,7 @@ def _write_scheme_cache(corpus: Corpus) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     data = {
         "version": SCHEME_CACHE_VERSION,
-        "schemes": [sorted(sorted(c) for c in X.connection_sets) for X in corpus.schemes],
+        "schemes": [[sorted(c) for c in X.connection_sets] for X in corpus.schemes],
     }
     tmp = f"{path}.{os.getpid()}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:

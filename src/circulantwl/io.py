@@ -95,7 +95,7 @@ def parse_scheme(text: str) -> CirculantScheme:
 
 def dump_scheme(X: CirculantScheme) -> str:
     lines = [f"n={X.n}"]
-    for conn in sorted(X.connection_sets, key=lambda s: sorted(s)):
+    for conn in X.connection_sets:
         lines.append("C: " + ",".join(str(d) for d in sorted(conn)))
     return "\n".join(lines) + "\n"
 

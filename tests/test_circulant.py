@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import circulantwl
+from circulantwl import circulant
 from circulantwl.algebra import AlgebraicIso, identity_iso
 from circulantwl.circulant import (
     CirculantScheme,
@@ -81,13 +83,47 @@ def test_z20_fixture_shape(z20_fixture):
 
 
 def test_translation_invariance_enforced():
-    import numpy as np
+    import io as stdio
 
-    from circulantwl.core import CoherentConfig, point_extension, trivial_config
+    from circulantwl.cli import run
+    from circulantwl.core import point_extension, trivial_config
 
-    ext = point_extension(trivial_config(5), (0,))
+    # a scheme is its row 0, so a dense matrix is refused
     with pytest.raises(ValueError):
-        CirculantScheme(ext)
+        CirculantScheme(point_extension(trivial_config(5), (0,)).colors)
+    # close prints a configuration, not a scheme, for arcs that no
+    # translation preserves
+    buf = stdio.StringIO()
+    assert run(["close", "--graph", "n=4;arcs=1:0,1"], out=buf) == 0
+    lines = buf.getvalue().splitlines()
+    assert lines[0] == "n=4" and len(lines) == 5
+    assert all(len(ln.split()) == 4 and not ln.startswith("C:") for ln in lines[1:])
+
+
+def test_the_dense_configuration_is_built_only_by_cc():
+    # a scheme is its row 0: nothing in the circulant layer closes through
+    # wl or expands a row to an n x n matrix except the on-demand cc
+    tree = ast.parse(Path(circulant.__file__).read_text(encoding="utf-8"))
+    found = []
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            units = [(f"{top.name}.{getattr(unit, 'name', '')}", unit) for unit in top.body]
+        else:
+            units = [(getattr(top, "name", ""), top)]
+        for owner, unit in units:
+            for node in ast.walk(unit):
+                if isinstance(node, ast.Call):
+                    name = ast.unparse(node.func).split(".")[-1]
+                    if name in ("circulant_matrix", "CoherentConfig"):
+                        found.append((owner, name))
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                    if any(name.split(".")[-1] == "wl" for name in names):
+                        found.append((owner, "import wl"))
+    assert sorted(found) == [
+        ("CirculantScheme.cc", "CoherentConfig"),
+        ("CirculantScheme.cc", "circulant_matrix"),
+    ]
 
 
 # -- subgroup lattice and sections ------------------------------------------------

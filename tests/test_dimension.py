@@ -5,12 +5,18 @@ from types import SimpleNamespace
 
 import pytest
 
-from circulantwl import cli, dimension
+from circulantwl import cli, core, dimension
 from circulantwl.algebra import CapExceededError, enumerate_algebraic_isos, find_isomorphism
-from circulantwl.circulant import CirculantScheme, from_connection_partition, is_quasinormal
+from circulantwl.circulant import (
+    CirculantScheme,
+    from_connection_partition,
+    is_quasinormal,
+    sections,
+)
 from circulantwl.dimension import (
     DEFAULT_SCHEME_CAP,
     SCHEME_KINDS,
+    DimensionReport,
     brute_force_schemes,
     burnside_graph_count,
     enumerate_graphs,
@@ -142,6 +148,22 @@ def test_cold_enumeration_has_no_process_memo(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def test_enumeration_and_cache_read_build_no_dense_matrix(monkeypatch, tmp_path):
+    # schemes are rows: closing candidates, reading their sections and
+    # reading the cache back never canonicalise an n x n matrix
+    def refuse(mat):
+        raise AssertionError("dense canonicalisation")
+
+    monkeypatch.setattr(core, "canonical_color_matrix", refuse)
+    monkeypatch.delenv("CIRCULANTWL_CACHE", raising=False)
+    cold = enumerate_schemes(12).schemes
+    monkeypatch.setenv("CIRCULANTWL_CACHE", str(tmp_path))
+    written, read = enumerate_schemes(12).schemes, enumerate_schemes(12).schemes
+    assert (tmp_path / "schemes_12.json").exists()
+    assert len(cold) == 32 and cold == written == read
+    assert all(sections(X) for X in read)
+
+
 def test_scheme_cap_is_refused_above_the_default(capsys):
     with pytest.raises(CapExceededError, match=f"capped at n <= {DEFAULT_SCHEME_CAP}"):
         enumerate_schemes(DEFAULT_SCHEME_CAP + 1)
@@ -253,6 +275,23 @@ def test_witnesses_name_their_target_scheme(monkeypatch):
     estimate, witnesses = dimension._estimate(X, [target], max_m=2)
     assert estimate is None and len(witnesses) == 4
     assert {label for label, _, _ in witnesses} == {"target"}
+
+
+def test_estimate_bites_on_rook_and_shrikhande(rook_and_shrikhande):
+    # negative control of the headline check: the rook's graph and the
+    # Shrikhande graph share one algebraic isomorphism that 2-dim WL keeps,
+    # no point isomorphism induces and 3-dim WL refutes, so the estimate is 3
+    rook, shrikhande = (
+        SimpleNamespace(cc=cc, partition_key=name)
+        for cc, name in zip(rook_and_shrikhande, ("rook", "shrikhande"))
+    )
+    witness = [("shrikhande", (0, 1, 2), 2)]
+    assert dimension._estimate(rook, [rook, shrikhande], max_m=3) == (3, witness)
+    assert dimension._estimate(rook, [rook, shrikhande], max_m=2) == (None, witness)
+    report = DimensionReport(
+        frozenset(), order=16, rank=3, estimate=3, bound=3, searched_up_to=3, witnesses=witness
+    )
+    assert report.within_bound and not replace(report, bound=2).within_bound
 
 
 def test_format_outputs_are_deterministic():

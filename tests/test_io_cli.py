@@ -534,6 +534,8 @@ def test_verify_rejects_request_before_output(argv, message, capsys):
             'multiplier --graph n=8;S=1,7 --phi {"map":[0,2,1,3,4]}',
             "--phi is not an algebraic automorphism of the scheme",
         ),
+        ("multiplier --graph n=12;S=1,11 --unit 2", "--unit takes a unit of Z_12, got 2"),
+        ("multiplier --graph n=12;S=1,11 --unit 0", "--unit takes a unit of Z_12, got 0"),
         ("enumerate --order 0", "--order takes an order >= 1, got 0"),
         ("enumerate --order 0 --schemes", "--order takes an order >= 1, got 0"),
         ("enumerate --order -3 --schemes", "--order takes an order >= 1, got -3"),

@@ -27,6 +27,7 @@ from circulantwl.circulant import (
     base_tuple,
     from_connection_partition,
     is_quasinormal,
+    label_classes,
     scheme_radical,
     secc0,
     sections,
@@ -236,6 +237,29 @@ def test_row0_closure_matches_dense_closure(rows):
         init[np.diag_indices(len(row))] += 1
         [dense], _ = refine_pairs(init)
         assert np.array_equal(wl_closure(arcs).colors, CoherentConfig(dense).colors), row
+
+
+def test_scheme_row_is_the_dense_canonical_row(schemes_up_to_16):
+    # the canonical numbering of the dense matrix is the oracle of the row's
+    for n, schemes in schemes_up_to_16.items():
+        for X in schemes:
+            dense = CoherentConfig(circulant_matrix(X.row))
+            assert np.array_equal(dense.colors[0], X.row), (n, sorted(map(sorted, X.partition_key)))
+
+
+def test_partition_closure_matches_dense_closure():
+    # every partition of Z_n for n <= 7, also those where 0 shares a class:
+    # the closure of the dense matrix is the oracle of the row closure
+    seen = 0
+    for n in range(1, 8):
+        for labels in _set_partition_labels(n):
+            row = np.array(labels)
+            X, coherent = from_connection_partition(n, label_classes(row))
+            dense = wl_closure(circulant_matrix(row))
+            assert np.array_equal(X.cc.colors, dense.colors), labels
+            assert coherent == (dense.rank == max(labels) + 1), labels
+            seen += 1
+    assert seen == 1155
 
 
 def _x0_refinement_expanded(mats, n, m):
