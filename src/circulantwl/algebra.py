@@ -98,10 +98,10 @@ def identity_iso(cc: CoherentConfig) -> AlgebraicIso:
 
 
 def _color_invariants(cc: CoherentConfig) -> list[tuple]:
-    t = intersection_tensor(cc)
-    keys = []
-    for c in range(cc.rank):
-        keys.append(
+    """Per color: diagonal, valency and its sorted tensor slices; cached."""
+    if "invariants" not in cc._cache:
+        t = intersection_tensor(cc)
+        cc._cache["invariants"] = [
             (
                 cc.is_diagonal_color(c),
                 int(cc.valencies[c]),
@@ -109,8 +109,9 @@ def _color_invariants(cc: CoherentConfig) -> list[tuple]:
                 tuple(sorted(t[:, c, :].ravel().tolist())),
                 tuple(sorted(t[:, :, c].ravel().tolist())),
             )
-        )
-    return keys
+            for c in range(cc.rank)
+        ]
+    return cc._cache["invariants"]
 
 
 def enumerate_algebraic_isos(

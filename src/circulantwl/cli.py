@@ -284,19 +284,14 @@ def _cmd_enumerate(args, out) -> int:
         raise io.FormatError(f"--order takes an order >= 1, got {args.order}")
     if args.cap is not None and args.cap < 1:
         raise io.FormatError(f"--cap takes a cap >= 1, got {args.cap}")
+    kw = {"cap": args.cap} if args.cap else {}
     try:
         if args.schemes:
-            kw = {"cap": args.cap} if args.cap else {}
             corpus = dimension.enumerate_schemes(args.order, **kw)
             for s in corpus.schemes:
                 sets = (",".join(map(str, sorted(c))) for c in s.connection_sets)
                 out.write("; ".join(sets) + "\n")
         else:
-            kw = (
-                {"cap_directed": args.cap, "cap_undirected": args.cap}
-                if args.cap
-                else {}
-            )
             corpus = dimension.enumerate_graphs(args.order, directed=args.directed, **kw)
             for g in corpus.graphs:
                 out.write("S=" + ",".join(str(d) for d in sorted(g)) + "\n")
@@ -359,59 +354,68 @@ _ORDER_CHECKS = {
 }
 
 
-def _verify_lines(theorem: str, n: int, max_m: int):
-    """(line, report) for each line that verify prints for order n."""
+def _verify_order(theorem: str, max_m: int, directed: bool, n: int) -> list:
+    """What verify reports for order n: the ``DimensionReport``s of main,
+    or the (line, ok) pairs that every other theorem prints."""
+    if theorem == "main":
+        return dimension.verify_main_theorem([n], max_m=max_m, directed=directed)
     schemes = dimension.enumerate_schemes(n).schemes
     if theorem in _ORDER_CHECKS:
         check, fields = _ORDER_CHECKS[theorem]
         rep = check(schemes)
-        yield f"n={n} " + fields.format(checked=rep.checked, bad=len(rep.violations)), rep
-    elif theorem == "reduction":
-        for X in schemes:
-            if circulant.is_quasinormal(X):
-                continue
+        return [(f"n={n} " + fields.format(checked=rep.checked, bad=len(rep.violations)), rep.ok)]
+    lines = []
+    for X in schemes:
+        if theorem == "reduction" and not circulant.is_quasinormal(X):
             for m in (2, 3) if max_m >= 3 else (2,):
                 rep = dimension.verify_reduction(X, m)
                 tag = "ok" if rep.ok else "VIOLATION"
-                yield (
-                    f"n={n} rank={X.rank} m={m} checked={rep.checked} "
-                    f"extended={rep.extended} {tag}"
-                ), rep
+                line = f"n={n} rank={X.rank} m={m} checked={rep.checked} extended={rep.extended}"
+                lines.append((f"{line} {tag}", rep.ok))
+        elif theorem == "uniqueness" and any(r.is_singular for r in circulant.singular_classes(X)):
+            rep = dimension.verify_uniqueness(X)
+            unique = rep.checked - len(rep.violations)
+            lines.append((f"n={n} rank={X.rank} unique_extensions={unique}", rep.ok))
+    return lines
+
+
+def _map_orders(fn, orders: list[int], jobs: int):
+    """fn(n) for each order, in order: on a process pool when jobs > 1,
+    in-process otherwise."""
+    if jobs > 1:
+        # no more workers than orders or cores: the pool starts them all at once
+        workers = min(jobs, len(orders), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(fn, orders)
     else:
-        for X in schemes:
-            if any(r.is_singular for r in circulant.singular_classes(X)):
-                rep = dimension.verify_uniqueness(X)
-                unique = rep.checked - len(rep.violations)
-                yield f"n={n} rank={X.rank} unique_extensions={unique}", rep
+        yield from map(fn, orders)
 
 
 def _cmd_verify(args, out) -> int:
     orders = _parse_orders(args.orders)
     if args.max_m < 2:
         raise io.FormatError(f"verify needs --max-m >= 2, got {args.max_m}")
+    if args.jobs < 1:
+        raise io.FormatError(f"--jobs takes a worker count >= 1, got {args.jobs}")
     if args.theorem == "oracle" and orders[-1] > wl.DEFAULT_ORACLE_POINT_CAP:
         raise CapExceededError(f"oracle capped at n <= {wl.DEFAULT_ORACLE_POINT_CAP}")
+    if args.theorem != "main" and orders[-1] > dimension.DEFAULT_SCHEME_CAP:
+        raise CapExceededError(f"scheme enumeration capped at n <= {dimension.DEFAULT_SCHEME_CAP}")
     t0 = time.time()
+    check = functools.partial(_verify_order, args.theorem, args.max_m, args.directed)
+    results = _map_orders(check, orders, args.jobs)
     if args.theorem == "main":
-        check = functools.partial(
-            dimension.verify_main_theorem, max_m=args.max_m, directed=args.directed
-        )
-        if args.jobs > 1:
-            # no more workers than orders or cores: the pool starts them all at once
-            workers = min(args.jobs, len(orders), os.cpu_count() or 1)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                reports = [r for chunk in pool.map(check, [[n] for n in orders]) for r in chunk]
-        else:
-            reports = check(orders)
+        # column widths span every order, so the table is written once
+        reports = [r for chunk in results for r in chunk]
         fmt = dimension.format_csv if args.format == "csv" else dimension.format_table
         out.write(fmt(reports))
         ok = all(r.within_bound for r in reports)
     else:
         ok = True
-        for n in orders:
-            for line, rep in _verify_lines(args.theorem, n, args.max_m):
+        for chunk in results:
+            for line, line_ok in chunk:
                 out.write(line + "\n")
-                ok &= rep.ok
+                ok &= line_ok
     print(f"verify {args.theorem} finished in {time.time() - t0:.1f}s", file=sys.stderr)
     return 0 if ok else 1
 

@@ -64,15 +64,11 @@ def _unit_canonical(n: int, conn: frozenset[int]) -> frozenset[int]:
     return frozenset(min(tuple(sorted(u * d % n for d in conn)) for u in units(n)))
 
 
-def enumerate_graphs(
-    n: int,
-    directed: bool = False,
-    cap_undirected: int = DEFAULT_UNDIRECTED_CAP,
-    cap_directed: int = DEFAULT_DIRECTED_CAP,
-) -> Corpus:
+def enumerate_graphs(n: int, directed: bool = False, cap: int | None = None) -> Corpus:
     """All circulant connection sets of one order up to unit multipliers:
     unions of generator orbits, (d,) when directed and {d, -d} when not."""
-    cap = cap_directed if directed else cap_undirected
+    if cap is None:
+        cap = DEFAULT_DIRECTED_CAP if directed else DEFAULT_UNDIRECTED_CAP
     if n > cap:
         raise CapExceededError(f"graph enumeration capped at n <= {cap}")
     orbits = sorted({frozenset({d} if directed else {d, -d % n}) for d in range(1, n)}, key=min)
@@ -359,11 +355,7 @@ def _estimate(
 
     A map that fails at level m is not rechecked at m+1 (equivalence is
     monotone down in m, and being induced does not depend on m)."""
-    candidates = [
-        (b, phi)
-        for _, b, phi in _algebraic_isos([X], schemes)
-        if find_isomorphism(X.cc, b.cc, phi) is None
-    ]
+    candidates = [(b, phi) for _, b, phi, induced in _induced_walk([X], schemes) if not induced]
     witnesses = []
     for m in range(2, max_m + 1):
         candidates = [
@@ -417,39 +409,30 @@ def verify_main_theorem(
 
 
 def summary_rows(reports: list[DimensionReport]) -> list[tuple]:
-    rows = []
-    for rep in reports:
-        rows.append(
-            (
-                rep.order,
-                "{" + ",".join(str(d) for d in sorted(rep.connection_set)) + "}",
-                rep.rank,
-                omega(rep.order),
-                rep.estimate if rep.estimate is not None else f">{rep.searched_up_to}",
-                rep.bound,
-                len(rep.witnesses),
-            )
+    return [
+        (
+            rep.order,
+            "{" + ",".join(str(d) for d in sorted(rep.connection_set)) + "}",
+            rep.rank,
+            omega(rep.order),
+            rep.estimate if rep.estimate is not None else f">{rep.searched_up_to}",
+            rep.bound,
+            len(rep.witnesses),
         )
-    return rows
+        for rep in reports
+    ]
 
 
 def format_table(reports: list[DimensionReport]) -> str:
     header = ("order", "connectionSet", "rank", "Omega(n)", "estimate", "bound", "witnesses")
     rows = [header] + [tuple(str(v) for v in r) for r in summary_rows(reports)]
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    lines = []
-    for r in rows:
-        lines.append("  ".join(v.ljust(widths[i]) for i, v in enumerate(r)).rstrip())
-    return "\n".join(lines) + "\n"
+    return "".join("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() + "\n" for r in rows)
 
 
 def format_csv(reports: list[DimensionReport]) -> str:
     lines = ["order,connectionSet,rank,Omega(n),estimate,bound,witnesses"]
-    for r in summary_rows(reports):
-        conn = r[1]
-        lines.append(
-            ",".join([str(r[0]), '"' + conn + '"'] + [str(v) for v in r[2:]])
-        )
+    lines += [",".join([str(r[0]), f'"{r[1]}"', *map(str, r[2:])]) for r in summary_rows(reports)]
     return "\n".join(lines) + "\n"
 
 
@@ -479,13 +462,21 @@ def _algebraic_isos(sources: list[CirculantScheme], targets: list[CirculantSchem
                 yield a, b, phi
 
 
+def _induced_walk(sources: list[CirculantScheme], targets: list[CirculantScheme]):
+    """(a, b, phi, induced) for every algebraic isomorphism phi from a
+    source a to a target b; ``induced`` tells whether a point isomorphism
+    induces phi."""
+    for a, b, phi in _algebraic_isos(sources, targets):
+        yield a, b, phi, find_isomorphism(a.cc, b.cc, phi) is not None
+
+
 def verify_muzychuk(schemes: list[CirculantScheme]) -> CheckReport:
     """Every algebraic isomorphism between schemes of one order is induced
     by a point isomorphism."""
     report = CheckReport()
-    for a, b, phi in _algebraic_isos(schemes, schemes):
+    for a, _, phi, induced in _induced_walk(schemes, schemes):
         report.checked += 1
-        if find_isomorphism(a.cc, b.cc, phi) is None:
+        if not induced:
             report.violations.append(f"n={a.n} map {phi.color_map} is not induced")
     return report
 

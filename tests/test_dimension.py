@@ -27,6 +27,7 @@ from circulantwl.dimension import (
     prepare_analysis,
     scheme_candidates,
     verify_main_theorem,
+    verify_muzychuk,
     verify_reduction,
 )
 from circulantwl.wl import wl_m_equivalent
@@ -263,6 +264,19 @@ def test_ladder_runs_every_level_when_no_map_is_induced(monkeypatch):
     assert next(reports, None) is None
     argv = ["verify", "--theorem", "main", "--orders", "4..6", "--max-m", "4"]
     assert cli.run(argv, out=io.StringIO()) == 1
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_muzychuk_and_estimate_walk_the_same_maps(n, monkeypatch):
+    # with no map induced, the Muzychuk check reports every map of the walk
+    # and the estimate keeps every map out of each scheme as a candidate; a
+    # scheme's algebraic isomorphisms all survive 2-dim WL, so each one is a
+    # witness at m = 2
+    _no_map_induced(monkeypatch)
+    schemes = enumerate_schemes(n).schemes
+    report = verify_muzychuk(schemes)
+    witnesses = sum(len(dimension._estimate(X, schemes, max_m=2)[1]) for X in schemes)
+    assert report.checked == len(report.violations) == witnesses > 0
 
 
 def test_witnesses_name_their_target_scheme(monkeypatch):

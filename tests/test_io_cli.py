@@ -495,6 +495,39 @@ def test_verify_main_jobs_match_sequential(monkeypatch):
     assert workers and workers[0] <= 2
 
 
+@pytest.mark.parametrize(
+    "theorem,orders",
+    [
+        ("main", "4..6"),
+        ("schur", "4..8"),
+        ("reduction", "4..6"),
+        ("discreteness", "4..8"),
+        ("uniqueness", "4..6"),
+        ("oracle", "4..5"),
+        ("muzychuk", "4..8"),
+    ],
+)
+def test_verify_jobs_match_sequential(theorem, orders, monkeypatch):
+    # every theorem runs its orders through one pool; a one-thread pool
+    # records each request without starting a process
+    workers = []
+    pool = lambda max_workers: workers.append(max_workers) or ThreadPoolExecutor(1)  # noqa: E731
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+    argv = ["verify", "--theorem", theorem, "--orders", orders]
+    sequential = invoke(*argv, "--jobs", "1")
+    assert sequential[0] == 0 and sequential[1] and workers == []
+    assert invoke(*argv, "--jobs", "2") == sequential
+    assert len(workers) == 1 and 1 <= workers[0] <= 2
+
+
+def test_verify_line_theorem_runs_on_processes():
+    # the per-order (line, ok) pairs cross a real process boundary
+    argv = ["verify", "--theorem", "schur", "--orders", "4..8"]
+    sequential = invoke(*argv, "--jobs", "1")
+    assert sequential[0] == 0 and len(sequential[1].splitlines()) == 5
+    assert invoke(*argv, "--jobs", "2") == sequential
+
+
 def test_verify_reduction_checks_each_m_once():
     argv = ["verify", "--theorem", "reduction", "--orders", "4..6"]
     code, out = invoke(*argv, "--max-m", "2")
@@ -512,6 +545,10 @@ def test_verify_reduction_checks_each_m_once():
         ("main 4..6 --max-m 1", "verify needs --max-m >= 2, got 1"),
         ("reduction 4..6 --max-m 1", "verify needs --max-m >= 2, got 1"),
         ("oracle 7..9", "oracle capped at n <= 8"),
+        ("schur 4..5 --jobs 0", "--jobs takes a worker count >= 1, got 0"),
+        ("main 4..5 --jobs -2", "--jobs takes a worker count >= 1, got -2"),
+        # refused before order 35 is printed, as oracle is past its point cap
+        ("schur 35..37", "scheme enumeration capped at n <= 36"),
     ],
 )
 def test_verify_rejects_request_before_output(argv, message, capsys):

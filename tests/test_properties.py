@@ -204,7 +204,7 @@ def _every_connection_set():
 
 def _one_set_per_unit_class():
     for n in range(12, 15):
-        for conn in enumerate_graphs(n, directed=True, cap_directed=14).graphs:
+        for conn in enumerate_graphs(n, directed=True, cap=14).graphs:
             row = np.zeros(n, dtype=np.int64)
             row[list(conn)] = 1
             yield row
