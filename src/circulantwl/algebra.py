@@ -3,8 +3,10 @@
 Two layers: color bijections preserving all intersection numbers
 (algebraic isomorphisms), and point bijections inducing them
 (combinatorial isomorphisms, represented as plain tuples of point
-images).  Tuple extensions lift an algebraic isomorphism to the point
-extensions at matched tuples via seeded lockstep refinement.
+images).  One backtracking engine, ``_backtrack``, searches both; each
+search supplies only its candidate matrix and its pruning step.  Tuple
+extensions lift an algebraic isomorphism to the point extensions at
+matched tuples via seeded lockstep refinement.
 """
 
 from __future__ import annotations
@@ -127,59 +129,67 @@ def enumerate_algebraic_isos(
 
 
 def _search_color_maps(cc_a: CoherentConfig, cc_b: CoherentConfig) -> list[tuple[int, ...]]:
-    """Backtracking over colors ordered by invariant rarity."""
+    """Backtracking over colors ordered by invariant rarity: a color may go
+    to an image only where every intersection number among it and the colors
+    already mapped is preserved."""
     if cc_a.n != cc_b.n or cc_a.rank != cc_b.rank:
         return []
     rank = cc_a.rank
     keys_a, keys_b = _color_invariants(cc_a), _color_invariants(cc_b)
-    cand = [
-        [cb for cb in range(rank) if keys_b[cb] == keys_a[ca]] for ca in range(rank)
-    ]
-    if any(not c for c in cand):
+    cand = np.array([[kb == ka for kb in keys_b] for ka in keys_a], dtype=bool)
+    if not cand.any(axis=1).all():
         return []
-    order = sorted(range(rank), key=lambda c: (len(cand[c]), c))
+    order = sorted(range(rank), key=lambda c: (int(cand[c].sum()), c))
     ta, tb = intersection_tensor(cc_a), intersection_tensor(cc_b)
-    conv_a, conv_b = cc_a.converse_map, cc_b.converse_map
+    # each tensor's three views with one slot moved last, stacked
+    va, vb = (np.stack([np.moveaxis(t, k, 2) for k in (0, 1, 2)], axis=-1) for t in (ta, tb))
+    search = np.asarray(order)
 
-    assigned: dict[int, int] = {}
-    used = [False] * rank
-    found: list[tuple[int, ...]] = []
+    def narrow(i: int, images: np.ndarray, js: np.ndarray) -> np.ndarray:
+        # numbers among c and the colors before it: (r, s, c), (c, c, s) of each view, (c, c, c)
+        c, before = order[i], search[:i]
+        pairs = vb[images[:, None, None], images[:, None], js]
+        ok = (pairs == va[before[:, None], before, c, None]).all((0, 1, 3))
+        ok &= (vb[js[:, None], js[:, None], images] == va[c, c, before]).all((1, 2))
+        return ok & (vb[js, js, js, 0] == va[c, c, c, 0])
 
-    def consistent(c: int, img: int) -> bool:
-        if used[img]:
-            return False
-        ca = int(conv_a[c])
-        if ca in assigned and assigned[ca] != int(conv_b[img]):
-            return False
-        trial = {**assigned, c: img}
-        items = list(trial.items())
-        for (r, r2) in items:
-            for (s, s2) in items:
-                if (
-                    ta[r, s, c] != tb[r2, s2, img]
-                    or ta[r, c, s] != tb[r2, img, s2]
-                    or ta[c, r, s] != tb[img, r2, s2]
-                ):
-                    return False
-        return True
-
-    def rec(i: int) -> None:
-        if i == rank:
-            found.append(tuple(assigned[c] for c in range(rank)))
-            return
-        c = order[i]
-        for img in cand[c]:
-            if consistent(c, img):
-                assigned[c] = img
-                used[img] = True
-                rec(i + 1)
-                used[img] = False
-                del assigned[c]
-
-    rec(0)
+    position = [order.index(c) for c in range(rank)]
+    found = [tuple(images[i] for i in position) for images in _backtrack(cand, order, narrow)]
     if not all(is_algebraic_isomorphism(cc_a, cc_b, f) for f in found):
         raise InvariantError("search returned a map that is not an algebraic isomorphism")
     return sorted(found)
+
+
+def _backtrack(cand: np.ndarray, domain, narrow):
+    """Yield image tuples of ``domain`` in lexicographic order.
+
+    Item i of the domain may go to the images js that no earlier item took
+    and that ``cand[domain[i]]`` allows, where ``narrow(i, images, js)`` keeps
+    them; ``images`` holds the images of ``domain[:i]``.  A repeated item goes
+    where its first occurrence went.
+    """
+    first = [domain.index(p) for p in domain]
+    used = np.zeros(cand.shape[1], dtype=bool)
+    images = np.zeros(len(domain), dtype=np.int64)
+
+    def rec(i: int):
+        if i == len(domain):
+            yield tuple(images.tolist())
+            return
+        if first[i] < i:
+            images[i] = images[first[i]]
+            yield from rec(i + 1)
+            return
+        js = np.flatnonzero(cand[domain[i]] & ~used)
+        if len(js):
+            js = js[narrow(i, images[:i], js)]
+        for j in js:
+            images[i] = j
+            used[j] = True
+            yield from rec(i + 1)
+            used[j] = False
+
+    yield from rec(0)
 
 
 # -- combinatorial isomorphisms ----------------------------------------------------
@@ -196,40 +206,20 @@ def iter_isomorphisms(
     where its first occurrence went.  Images are tried in increasing point
     order, so tuples come out in lexicographic order.
     """
-    n = cc_a.n
-    if cc_b.n != n:
+    if cc_b.n != cc_a.n:
         return
-    domain = tuple(range(n)) if domain is None else tuple(int(p) for p in domain)
-    first = [domain.index(p) for p in domain]
-    mapped = phi.array[cc_a.colors]
-    mat_b = cc_b.colors
-    diag_b = mat_b.diagonal()
-    assign = [0] * len(domain)
-    used = np.zeros(n, dtype=bool)
+    domain = tuple(range(cc_a.n)) if domain is None else tuple(int(p) for p in domain)
+    full, mat_b = phi.array[cc_a.colors], cc_b.colors
+    # the mapped source colors between domain positions
+    mapped = full[np.ix_(domain, domain)]
 
-    def rec(i: int):
-        if i == len(domain):
-            yield tuple(assign)
-            return
-        if first[i] < i:
-            assign[i] = assign[first[i]]
-            yield from rec(i + 1)
-            return
-        p = domain[i]
-        ok = ~used & (diag_b == mapped[p, p])
-        for j in range(i):
-            q, fq = domain[j], assign[j]
-            ok &= mat_b[fq, :] == mapped[q, p]
-            ok &= mat_b[:, fq] == mapped[p, q]
-            if not ok.any():
-                return
-        for img in np.flatnonzero(ok):
-            assign[i] = int(img)
-            used[img] = True
-            yield from rec(i + 1)
-            used[img] = False
+    def narrow(i: int, images: np.ndarray, js: np.ndarray) -> np.ndarray:
+        return (mat_b[images[:, None], js] == mapped[:i, i, None]).all(0) & (
+            mat_b[js[:, None], images] == mapped[i, :i]
+        ).all(1)
 
-    yield from rec(0)
+    cand = full.diagonal()[:, None] == mat_b.diagonal()
+    yield from _backtrack(cand, domain, narrow)
 
 
 def find_isomorphism(

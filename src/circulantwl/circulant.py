@@ -399,12 +399,8 @@ def is_normal(X: CirculantScheme, cap: int = 20) -> bool:
     if X.n > cap:
         raise CapExceededError(f"normality test capped at n <= {cap}")
     if "normal" not in X._cache:
-        result = True
-        for f in iter_isomorphisms(X.cc, X.cc, identity_iso(X.cc)):
-            if not _in_holomorph(f, X.n):
-                result = False
-                break
-        X._cache["normal"] = result
+        autos = iter_isomorphisms(X.cc, X.cc, identity_iso(X.cc))
+        X._cache["normal"] = all(_in_holomorph(f, X.n) for f in autos)
     return X._cache["normal"]
 
 
@@ -618,13 +614,13 @@ def _extension_candidates(X, star, phi, psi, section) -> list[AlgebraicIso]:
 def _extends_scheme_map(
     X: CirculantScheme, star: CirculantScheme, phi: AlgebraicIso, cand: AlgebraicIso
 ) -> bool:
-    for c_star, conn in enumerate(star.connection_sets):
-        parent = X.color_of_difference(next(iter(conn)))
-        image_parent = phi(parent)
-        img_conn = star.connection_sets[cand(c_star)]
-        if not img_conn <= X.connection_sets[image_parent]:
-            return False
-    return True
+    """Whether cand, a color map of a refinement star of X, sends each color
+    into the phi-image of the X color that holds it."""
+    # the X color of each star color, read at its least difference
+    parent = X.row[np.unique(star.row, return_index=True)[1]]
+    if not np.array_equal(parent[star.row], X.row):
+        raise InvariantError("extension does not refine the scheme")
+    return bool(np.array_equal(parent[cand.array], phi.array[parent]))
 
 
 def _section_color_map(

@@ -254,17 +254,25 @@ def _cmd_extend(args, out) -> int:
     return 0
 
 
-def _cmd_wlm(args, out) -> int:
+def _per_map(args, out, line) -> int:
+    """Write ``phi=<map>`` and line(a, b, phi) for each algebraic isomorphism
+    phi between the two input schemes a and b."""
     a = _load_scheme(args.scheme, args.graph)
     b = _load_scheme(args.scheme2, args.graph2)
     isos = enumerate_algebraic_isos(a.cc, b.cc)
     if not isos:
         out.write("no algebraic isomorphisms\n")
-        return 0
     for phi in isos:
-        verdict = wl.wl_m_equivalent(a.cc, b.cc, phi.color_map, args.m, cap=args.tuple_cap)
-        out.write(f"phi={json.dumps(list(phi.color_map))} m={args.m} equivalent={verdict}\n")
+        out.write(f"phi={json.dumps(list(phi.color_map))}{line(a.cc, b.cc, phi)}\n")
     return 0
+
+
+def _cmd_wlm(args, out) -> int:
+    def line(a, b, phi):
+        verdict = wl.wl_m_equivalent(a, b, phi.color_map, args.m, cap=args.tuple_cap)
+        return f" m={args.m} equivalent={verdict}"
+
+    return _per_map(args, out, line)
 
 
 def _cmd_dim(args, out) -> int:
@@ -301,19 +309,13 @@ def _cmd_enumerate(args, out) -> int:
 
 
 def _cmd_iso(args, out) -> int:
-    a = _load_scheme(args.scheme, args.graph)
-    b = _load_scheme(args.scheme2, args.graph2)
-    isos = enumerate_algebraic_isos(a.cc, b.cc)
-    if not isos:
-        out.write("no algebraic isomorphisms\n")
-        return 0
-    for phi in isos:
-        line = f"phi={json.dumps(list(phi.color_map))}"
-        if args.find:
-            f = find_isomorphism(a.cc, b.cc, phi)
-            line += f" f={json.dumps(list(f)) if f is not None else 'none'}"
-        out.write(line + "\n")
-    return 0
+    def line(a, b, phi):
+        if not args.find:
+            return ""
+        f = find_isomorphism(a, b, phi)
+        return f" f={json.dumps(list(f)) if f is not None else 'none'}"
+
+    return _per_map(args, out, line)
 
 
 def _cmd_multiplier(args, out) -> int:
@@ -397,10 +399,16 @@ def _cmd_verify(args, out) -> int:
         raise io.FormatError(f"verify needs --max-m >= 2, got {args.max_m}")
     if args.jobs < 1:
         raise io.FormatError(f"--jobs takes a worker count >= 1, got {args.jobs}")
-    if args.theorem == "oracle" and orders[-1] > wl.DEFAULT_ORACLE_POINT_CAP:
-        raise CapExceededError(f"oracle capped at n <= {wl.DEFAULT_ORACLE_POINT_CAP}")
-    if args.theorem != "main" and orders[-1] > dimension.DEFAULT_SCHEME_CAP:
-        raise CapExceededError(f"scheme enumeration capped at n <= {dimension.DEFAULT_SCHEME_CAP}")
+    # the cap the largest order meets first, checked before any order runs
+    if args.theorem == "main":
+        what = "graph enumeration"
+        cap = dimension.DEFAULT_DIRECTED_CAP if args.directed else dimension.DEFAULT_UNDIRECTED_CAP
+    elif args.theorem == "oracle":
+        what, cap = "oracle", wl.DEFAULT_ORACLE_POINT_CAP
+    else:
+        what, cap = "scheme enumeration", dimension.DEFAULT_SCHEME_CAP
+    if orders[-1] > cap:
+        raise CapExceededError(f"{what} capped at n <= {cap}")
     t0 = time.time()
     check = functools.partial(_verify_order, args.theorem, args.max_m, args.directed)
     results = _map_orders(check, orders, args.jobs)

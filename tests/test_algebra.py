@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,25 @@ def test_all_enumerated_maps_preserve_tensor():
     cc = cay(12, {1, 5, 7, 11})
     for iso in enumerate_algebraic_isos(cc, cc):
         assert is_algebraic_isomorphism(cc, cc, iso.color_map)
+
+
+def test_color_search_keeps_exactly_the_permutations_that_pass(schemes_up_to_13):
+    # the search against every color permutation, on all small scheme pairs
+    pairs = 0
+    for n in range(1, 13):
+        small = [X for X in schemes_up_to_13[n] if X.rank <= 6]
+        for a in small:
+            for b in small:
+                if a.rank != b.rank:
+                    continue
+                pairs += 1
+                brute = [
+                    f
+                    for f in itertools.permutations(range(a.rank))
+                    if is_algebraic_isomorphism(a.cc, b.cc, f)
+                ]
+                assert [phi.color_map for phi in enumerate_algebraic_isos(a.cc, b.cc)] == brute
+    assert pairs == 225
 
 
 def test_iso_group_structure():

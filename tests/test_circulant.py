@@ -9,11 +9,12 @@ import pytest
 
 import circulantwl
 from circulantwl import circulant
-from circulantwl.algebra import AlgebraicIso, identity_iso
+from circulantwl.algebra import AlgebraicIso, enumerate_algebraic_isos, identity_iso
 from circulantwl.circulant import (
     CirculantScheme,
     Section,
     XGroup,
+    _extends_scheme_map,
     _section,
     base_tuple,
     extract_multiplier,
@@ -40,6 +41,7 @@ from circulantwl.circulant import (
 )
 from circulantwl.core import validate
 from circulantwl.io import dump_scheme
+from circulantwl.refine import InvariantError
 
 
 def unit_color_map(X, u):
@@ -420,6 +422,38 @@ def test_trivial_scheme_extension_ledger(n):
     assert reps
     star = singular_extension(X, reps[0].smallest)
     assert star.rank > X.rank
+
+
+def _extends_by_definition(X, star, phi, cand):
+    """Every star color goes inside the phi-image of the X color of each of
+    its differences."""
+    return all(
+        star.connection_sets[cand(c)] <= X.connection_sets[phi(X.color_of_difference(d))]
+        for c, conn in enumerate(star.connection_sets)
+        for d in conn
+    )
+
+
+def test_scheme_map_extension_matches_the_subset_definition(schemes_up_to_13):
+    verdicts = []
+    for n in range(4, 14):
+        for X in schemes_up_to_13[n]:
+            reps = [r for r in singular_classes(X) if r.is_singular]
+            if not reps:
+                continue
+            star = singular_extension(X, reps[0].smallest)
+            for phi in enumerate_algebraic_isos(X.cc, X.cc):
+                for cand in enumerate_algebraic_isos(star.cc, star.cc):
+                    verdict = _extends_scheme_map(X, star, phi, cand)
+                    assert verdict == _extends_by_definition(X, star, phi, cand)
+                    verdicts.append(verdict)
+    assert set(verdicts) == {False, True}
+
+
+def test_scheme_map_extension_needs_a_refinement():
+    X, coarse = CirculantScheme.regular(8), CirculantScheme.trivial(8)
+    with pytest.raises(InvariantError, match="does not refine"):
+        _extends_scheme_map(X, coarse, identity_iso(X.cc), identity_iso(coarse.cc))
 
 
 # -- Schur invariance --------------------------------------------------------------------------

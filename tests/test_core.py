@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from circulantwl.algebra import identity_iso, iter_isomorphisms
 from circulantwl.core import (
     CoherentConfig,
     Relation,
@@ -415,6 +416,8 @@ def test_orbits_of_automorphisms_respect_colors(make, n):
     for f in autos:
         perm = np.array(f)
         assert np.array_equal(cc.colors[perm][:, perm], cc.colors)
+    # the library's point search lists the same maps in the same order
+    assert list(iter_isomorphisms(cc, cc, identity_iso(cc))) == autos
 
 
 def test_invariant_config_of_full_symmetric_group_is_trivial():

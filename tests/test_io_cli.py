@@ -140,6 +140,14 @@ def test_main_table_is_pinned(args, digest):
             "multiplier --graph n=20;S=1,19 --unit 3",
             "287db07010cbad385d044df96fe7c29850a37e35158cb112b80940a21f81bb5b",
         ),
+        (
+            "verify --theorem muzychuk --orders 4..16",
+            "bbeacca75380512ec62d356975a032509782845a8b93330f0d4a8041195feb8d",
+        ),
+        (
+            "iso --graph n=16;S=1,15 --graph2 n=16;S=3,13 --find",
+            "cad9cca2fccef7e7597340fc09e70eb854b3e36c438d7c0278d41b12a4211225",
+        ),
     ],
 )
 def test_section_map_output_is_pinned(argv, digest):
@@ -549,6 +557,7 @@ def test_verify_reduction_checks_each_m_once():
         ("main 4..5 --jobs -2", "--jobs takes a worker count >= 1, got -2"),
         # refused before order 35 is printed, as oracle is past its point cap
         ("schur 35..37", "scheme enumeration capped at n <= 36"),
+        ("main 11..13 --directed", "graph enumeration capped at n <= 12"),
     ],
 )
 def test_verify_rejects_request_before_output(argv, message, capsys):
@@ -556,6 +565,18 @@ def test_verify_rejects_request_before_output(argv, message, capsys):
     code, out = invoke("verify", "--theorem", theorem, "--orders", orders, *rest)
     assert code == 1 and out == ""
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,cap",
+    [("11..13 --directed", dimension.DEFAULT_DIRECTED_CAP), ("4..21", dimension.DEFAULT_UNDIRECTED_CAP)],
+)
+def test_main_past_the_graph_cap_runs_no_order(argv, cap, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(dimension, "verify_main_theorem", lambda *args, **kw: calls.append(args))
+    assert invoke("verify", "--theorem", "main", "--orders", *argv.split()) == (1, "")
+    assert f"error: graph enumeration capped at n <= {cap}" in capsys.readouterr().err
+    assert calls == []
 
 
 @pytest.mark.parametrize(
