@@ -26,7 +26,7 @@ from .core import (
     quotient,
     restriction,
 )
-from .refine import CapExceededError, InvariantError, refine_pairs
+from .refine import CapExceededError, InvariantError, _renumber_rows, refine_pairs
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,7 @@ class AlgebraicIso:
         return np.asarray(self.color_map, dtype=np.int64)
 
     def inverse(self) -> "AlgebraicIso":
-        inv = [0] * len(self.color_map)
-        for c, img in enumerate(self.color_map):
-            inv[img] = c
-        return AlgebraicIso(self.target, self.source, tuple(inv))
+        return AlgebraicIso(self.target, self.source, tuple(np.argsort(self.color_map).tolist()))
 
     def compose(self, then: "AlgebraicIso") -> "AlgebraicIso":
         """self followed by ``then``."""
@@ -99,20 +96,21 @@ def identity_iso(cc: CoherentConfig) -> AlgebraicIso:
 # -- enumeration of algebraic isomorphisms --------------------------------------
 
 
-def _color_invariants(cc: CoherentConfig) -> list[tuple]:
-    """Per color: diagonal, valency and its sorted tensor slices; cached."""
+def _color_invariants(cc: CoherentConfig) -> np.ndarray:
+    """One int64 row per color: whether it is diagonal, its valency and the
+    multisets of its three tensor slices (c, ., .), (., c, .) and (., ., c),
+    each as the count of every value 0..n it holds; cached."""
     if "invariants" not in cc._cache:
-        t = intersection_tensor(cc)
-        cc._cache["invariants"] = [
-            (
-                cc.is_diagonal_color(c),
-                int(cc.valencies[c]),
-                tuple(sorted(t[c].ravel().tolist())),
-                tuple(sorted(t[:, c, :].ravel().tolist())),
-                tuple(sorted(t[:, :, c].ravel().tolist())),
-            )
-            for c in range(cc.rank)
-        ]
+        t, r, width = intersection_tensor(cc), cc.rank, cc.n + 1
+        diagonal = np.isin(np.arange(r), list(cc.diagonal_colors))
+        counts = []
+        for k in (0, 1, 2):
+            # the values of slice k at color c, shifted into c * width .. (c + 1) * width - 1
+            shifted = np.moveaxis(t, k, 0) + width * np.arange(r)[:, None, None]
+            counts.append(np.bincount(shifted.ravel("K"), minlength=r * width).reshape(r, width))
+        cc._cache["invariants"] = np.concatenate(
+            [diagonal[:, None], cc.valencies[:, None], *counts], axis=1, dtype=np.int64
+        )
     return cc._cache["invariants"]
 
 
@@ -135,8 +133,9 @@ def _search_color_maps(cc_a: CoherentConfig, cc_b: CoherentConfig) -> list[tuple
     if cc_a.n != cc_b.n or cc_a.rank != cc_b.rank:
         return []
     rank = cc_a.rank
-    keys_a, keys_b = _color_invariants(cc_a), _color_invariants(cc_b)
-    cand = np.array([[kb == ka for kb in keys_b] for ka in keys_a], dtype=bool)
+    # equal invariants get equal ids in one renumbering of both sides' rows
+    ids, _ = _renumber_rows(np.concatenate([_color_invariants(cc_a), _color_invariants(cc_b)]))
+    cand = ids[:rank, None] == ids[None, rank:]
     if not cand.any(axis=1).all():
         return []
     order = sorted(range(rank), key=lambda c: (int(cand[c].sum()), c))
@@ -189,7 +188,10 @@ def _backtrack(cand: np.ndarray, domain, narrow):
             yield from rec(i + 1)
             used[j] = False
 
-    yield from rec(0)
+    try:
+        yield from rec(0)
+    finally:
+        del rec  # rec refers to itself; break the cycle so what it holds is freed now
 
 
 # -- combinatorial isomorphisms ----------------------------------------------------
@@ -243,8 +245,7 @@ def induced_color_map(
     # image now holds, at (a', b'), the source color of the preimage pair
     cmap = np.full(cc_a.rank, -1, dtype=np.int64)
     cmap[image.ravel()] = cc_b.colors.ravel()
-    lost = np.flatnonzero(cmap < 0)
-    if len(lost):
+    if (cmap < 0).any():
         raise ValueError("point map is not a bijection")
     target_check = cc_b.colors[perm[:, None], perm[None, :]]
     if not np.array_equal(cmap[cc_a.colors], target_check):
@@ -261,14 +262,10 @@ def image_parabolic(phi: AlgebraicIso, e: Parabolic) -> Parabolic:
         raise ValueError("parabolic is not a relation of the source")
     colors = phi.apply_set(e.color_set)
     mat = np.isin(phi.target.colors, list(colors))
-    support = np.flatnonzero(mat.any(axis=1))
-    labels: dict[int, int] = {}
-    for p in support:
-        row = np.flatnonzero(mat[p])
-        labels[int(p)] = int(row[0])
     groups: dict[int, list[int]] = {}
-    for p, lab in labels.items():
-        groups.setdefault(lab, []).append(p)
+    for p in np.flatnonzero(mat.any(axis=1)):
+        # the points of one block share their least neighbour
+        groups.setdefault(int(np.argmax(mat[p])), []).append(int(p))
     blocks = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
     return Parabolic(blocks, frozenset(colors))
 

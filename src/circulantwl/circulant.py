@@ -1,16 +1,18 @@
 """Circulant schemes: coherent configurations invariant under a cyclic group.
 
 Every color class of such a scheme is determined by its connection set of
-differences, so the whole object is a partition of Z_n.  Subgroups whose
-coset equivalence is a relation of the scheme play the role of parabolics;
-sections are quotients of nested such subgroups and carry quotient schemes
-over smaller cyclic groups.
+differences, so the whole object is a partition of Z_n, held as a label
+row: the color of each difference.  Subgroups whose coset equivalence is a
+relation of the scheme play the role of parabolics; sections are quotients
+of nested such subgroups and carry quotient schemes over smaller cyclic
+groups.  Connection sets are a view for output only.
 
 ``Section.project`` and ``Section.lift`` are the one numbering of a
-section.  A map on a circulant scheme is read off its connection sets: the
-projection of each basic set inside U goes to the projection of its image.
-A point extension is not circulant, so its section is read off coset
-cells: the cell (i, j) of U/L that each of its colors meets on U x U.
+section.  A map on a circulant scheme is read off its row: the projection
+of the least difference of each color inside U goes to the projection of
+that of its image.  A point extension is not circulant, so its section is
+read off coset cells: the cell (i, j) of U/L that each of its colors meets
+on U x U.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from .algebra import (
 )
 from .core import CoherentConfig, circulant_matrix, point_extension
 from .refine import CapExceededError, InvariantError, refine_circulant
+
+DEFAULT_NORMALITY_CAP = 20
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -75,6 +79,11 @@ class XGroup:
         step = self.n // self.order
         return frozenset(range(0, self.n, step))
 
+    @property
+    def mask(self) -> np.ndarray:
+        """Which elements of Z_n lie in the subgroup."""
+        return np.arange(self.n) % (self.n // self.order) == 0
+
     def __le__(self, other: "XGroup") -> bool:
         return other.order % self.order == 0
 
@@ -94,6 +103,15 @@ def label_classes(labels: np.ndarray) -> list[frozenset[int]]:
     return [frozenset(items[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
+def _partition_key(labels) -> tuple[int, ...]:
+    """The partition of a sequence of labels, as its labels renumbered by
+    first occurrence: two sequences get equal keys exactly when their
+    classes agree.  A canonical row is its own key."""
+    seen: dict = {}
+    labels = labels.tolist() if isinstance(labels, np.ndarray) else labels
+    return tuple(seen.setdefault(v, len(seen)) for v in labels)
+
+
 class CirculantScheme:
     """A coherent configuration over Z_n whose colors are difference classes,
     held as its row 0 (the color of (a, b) is ``row[(b - a) mod n]``) with
@@ -108,13 +126,22 @@ class CirculantScheme:
         self.row = np.argsort(np.argsort(first))[ids]  # ranked by least difference
         self.row.flags.writeable = False
         self.n = len(row)
-        self.connection_sets: tuple[frozenset[int], ...] = tuple(label_classes(self.row))
-        self.rank = len(self.connection_sets)
+        self.rank = len(first)
         self._cache: dict = {}
 
     @cached_property
     def cc(self) -> CoherentConfig:
         return CoherentConfig(circulant_matrix(self.row))
+
+    @cached_property
+    def connection_sets(self) -> tuple[frozenset[int], ...]:
+        """The basic sets of differences, in color order: the output view."""
+        return tuple(label_classes(self.row))
+
+    @cached_property
+    def least(self) -> np.ndarray:
+        """The least difference of each color, in color order."""
+        return np.unique(self.row, return_index=True)[1]
 
     # -- construction -------------------------------------------------------
     @staticmethod
@@ -144,47 +171,53 @@ class CirculantScheme:
         return int(self.row[d % self.n])
 
 
-def from_connection_partition(n: int, parts) -> tuple[CirculantScheme, bool]:
-    """Turn a partition of Z_n (or of Z_n minus 0) into a circulant scheme.
-
-    Returns the scheme and a flag telling whether the input partition was
-    already coherent; when it is not, the scheme is its WL closure, which
-    is again circulant.
-    """
-    sets = [frozenset(int(x) % n for x in p) for p in parts if len(p)]
-    covered = [x for s in sets for x in s]
-    if len(covered) != len(set(covered)):
-        raise ValueError("connection classes overlap")
-    missing = set(range(n)) - set(covered)
-    if missing == {0}:
-        sets.append(frozenset({0}))
-    elif missing:
-        raise ValueError("connection classes do not cover the group")
-    row = np.zeros(n, dtype=np.int64)
-    for i, s in enumerate(sets):
-        row[list(s)] = 2 * i
+def close_labels(labels) -> tuple[CirculantScheme, bool]:
+    """The WL closure of the translation-invariant coloring with row 0
+    ``labels``, a circulant scheme, and whether the partition of Z_n into
+    classes of equal labels was already coherent."""
+    labels = np.asarray(labels, dtype=np.int64)
+    row = labels * 2
     # difference 0 is split off as in ``wl_closure``; the closure refines
     # the partition, so it is coherent exactly when closing adds no class
     row[0] += 1
     closed, rank = refine_circulant(row)
-    return CirculantScheme(closed), rank == len(sets)
+    return CirculantScheme(closed), rank == len(set(labels.tolist()))
+
+
+def from_connection_partition(n: int, parts) -> tuple[CirculantScheme, bool]:
+    """Turn a partition of Z_n (or of Z_n minus 0) into a circulant scheme,
+    as ``close_labels`` does for its label row."""
+    sets = [{int(x) for x in p} for p in parts if len(p)]
+    covered = [x for s in sets for x in s]
+    if any(not 0 <= x < n for x in covered):
+        raise ValueError(f"connection classes hold an element outside 0..{n - 1}")
+    if len(covered) != len(set(covered)):
+        raise ValueError("connection classes overlap")
+    if set(range(1, n)) - set(covered):
+        raise ValueError("connection classes do not cover the group")
+    labels = np.full(n, len(sets), dtype=np.int64)  # 0 alone when no class holds it
+    for i, s in enumerate(sets):
+        labels[list(s)] = i
+    return close_labels(labels)
 
 
 # -- subgroup lattice and sections ------------------------------------------------
 
 
+def _colors_meeting(X: CirculantScheme, mask: np.ndarray) -> np.ndarray:
+    """Which colors of X hold a difference in the mask, indexed by color."""
+    meets = np.zeros(X.rank, dtype=bool)
+    meets[X.row[mask]] = True
+    return meets
+
+
 def xgroup_lattice(X: CirculantScheme) -> list[XGroup]:
-    """Subgroups whose coset partition is a relation of the scheme."""
+    """Subgroups whose coset partition is a relation of the scheme: no color
+    meets both the subgroup and its complement."""
     if "xgroups" not in X._cache:
-        out = []
-        for order in divisors(X.n):
-            H = XGroup(X.n, order)
-            elems = H.elements
-            if all(
-                conn <= elems or not (conn & elems) for conn in X.connection_sets
-            ):
-                out.append(H)
-        X._cache["xgroups"] = out
+        groups = [XGroup(X.n, order) for order in divisors(X.n)]
+        meets = [(_colors_meeting(X, H.mask), _colors_meeting(X, ~H.mask)) for H in groups]
+        X._cache["xgroups"] = [H for H, (a, b) in zip(groups, meets) if not (a & b).any()]
     return list(X._cache["xgroups"])
 
 
@@ -235,34 +268,25 @@ class Section:
         return f"{self.upper.order}/{self.lower.order}"
 
 
-def section_classes(X: CirculantScheme, upper: XGroup, lower: XGroup) -> list[frozenset[int]]:
-    """The basic sets of the quotient on U/L as subsets of Z_|U/L|: the
-    projections of the connection sets inside U, read without closing."""
-    k = upper.order // lower.order
-    h = X.n // upper.order
-    elems = upper.elements
-    proj_sets: list[frozenset[int]] = []
-    for conn in X.connection_sets:
-        inside = conn & elems
-        if inside:
-            proj_sets.append(frozenset((d // h) % k for d in inside))
-    merged: list[frozenset[int]] = []
-    for s in proj_sets:
-        for t in merged:
-            if s & t:
-                if s != t:
-                    raise InvariantError("quotient classes overlap without coinciding")
-                break
-        else:
-            merged.append(s)
-    return merged
+def section_labels(X: CirculantScheme, upper: XGroup, lower: XGroup) -> np.ndarray:
+    """The basic sets of the quotient on U/L as a label row of Z_|U/L|: the
+    cosets of L in U, numbered as ``Section.project`` numbers them, keyed
+    by the sorted colors of their elements, read without closing.
+
+    Raises InvariantError where a color lies in cosets of two keys: then the
+    projections of two basic sets overlap without coinciding."""
+    k, h, row = upper.order // lower.order, X.n // upper.order, X.row.tolist()
+    # coset i holds the differences (i + k * j) * h for j < |L|
+    cosets = [tuple(sorted(row[(i + k * j) * h] for j in range(lower.order))) for i in range(k)]
+    owner = {c: coset for coset in cosets for c in coset}
+    if any(owner[c] != coset for coset in cosets for c in coset):
+        raise InvariantError("quotient classes overlap without coinciding")
+    return np.array(_partition_key(cosets))
 
 
 def section_scheme(X: CirculantScheme, upper: XGroup, lower: XGroup) -> CirculantScheme:
-    """Quotient scheme on U/L, computed directly on connection sets."""
-    scheme, coherent = from_connection_partition(
-        upper.order // lower.order, section_classes(X, upper, lower)
-    )
+    """Quotient scheme on U/L, closed from its label row."""
+    scheme, coherent = close_labels(section_labels(X, upper, lower))
     if not coherent:
         raise InvariantError("section scheme of nested relation subgroups must be coherent")
     return scheme
@@ -289,20 +313,12 @@ def _section(X: CirculantScheme, upper: XGroup, lower: XGroup) -> Section:
 
 
 def scheme_radical(X: CirculantScheme) -> XGroup:
-    """The subgroup whose cosets stabilize the color of a generator pair."""
-    if X.n == 1:
-        return XGroup(1, 1)
-    conn = X.connection_sets[X.color_of_difference(1)]
-    return _set_stabilizer(X.n, conn)
-
-
-def _set_stabilizer(n: int, conn: frozenset[int]) -> XGroup:
-    best = 1
-    for order in divisors(n):
-        step = n // order
-        if frozenset((x + step) % n for x in conn) == conn:
-            best = max(best, order)
-    return XGroup(n, best)
+    """The subgroup whose cosets stabilize the color of a generator pair:
+    the shifts fixing the differences of color c(0, 1) form a subgroup,
+    generated by the least of them, which divides n."""
+    mask = X.row == X.color_of_difference(1)
+    step = next(s for s in divisors(X.n) if np.array_equal(np.roll(mask, s), mask))
+    return XGroup(X.n, X.n // step)
 
 
 # -- multiples, projective equivalence, bridges -------------------------------------
@@ -353,10 +369,12 @@ def section_bridge(X: CirculantScheme, T: Section, S: Section) -> int:
 
 
 def _is_cayley_isomorphism(A: CirculantScheme, B: CirculantScheme, u: int) -> bool:
+    """Whether multiplication by u sends the basic sets of A onto those of B:
+    d and u * d are in corresponding classes.  A non-unit u merges 0 with
+    another difference, so it never is."""
     if A.n != B.n:
         return False
-    mapped = {frozenset((u * d) % A.n for d in conn) for conn in A.connection_sets}
-    return mapped == set(B.connection_sets)
+    return _partition_key(B.row[np.arange(A.n) * u % A.n]) == _partition_key(A.row)
 
 
 def unit_permutes_connection_sets(X: CirculantScheme, u: int) -> bool:
@@ -371,13 +389,9 @@ def satisfies_ul_condition(X: CirculantScheme, upper: XGroup, lower: XGroup) -> 
     """Every basis color disjoint from the U-cosets has all L-translates equal."""
     if not lower <= upper:
         raise ValueError("lower group must lie inside the upper group")
-    uelems = upper.elements
-    for conn in X.connection_sets:
-        if conn & uelems:
-            continue
-        if lower.order > 1 and not lower <= _set_stabilizer(X.n, conn):
-            return False
-    return True
+    # the differences whose color is disjoint from U, and their L-translates
+    away = np.flatnonzero(~_colors_meeting(X, upper.mask)[X.row])
+    return bool(np.array_equal(X.row[(away + X.n // lower.order) % X.n], X.row[away]))
 
 
 def _in_holomorph(f: tuple[int, ...], n: int) -> bool:
@@ -390,7 +404,7 @@ def _in_holomorph(f: tuple[int, ...], n: int) -> bool:
     return all(f[x] == (u * x + b) % n for x in range(n))
 
 
-def is_normal(X: CirculantScheme, cap: int = 20) -> bool:
+def is_normal(X: CirculantScheme, cap: int = DEFAULT_NORMALITY_CAP) -> bool:
     """Whether the translation group is normal in the full automorphism group.
 
     Equivalent to every automorphism lying in the holomorph; the search
@@ -413,18 +427,12 @@ def quasinormal_by_definition(X: CirculantScheme) -> bool:
     """Slow cross-validation path: every trivial section must be projectively
     equivalent to a subsection of a normal section."""
     classes = proj_equivalence_classes(X)
-    secs = sections(X)
-    normal_secs = [s for s in secs if is_normal(s.scheme)]
-    for cls in classes:
-        if not cls[0].is_trivial or cls[0].order == 1:
-            continue
-        ok = any(
-            any(t <= t_prime for t_prime in normal_secs)
-            for t in cls
-        )
-        if not ok:
-            return False
-    return True
+    normal_secs = [s for s in sections(X) if is_normal(s.scheme)]
+    return all(
+        any(t <= big for t in cls for big in normal_secs)
+        for cls in classes
+        if cls[0].is_trivial and cls[0].order > 1
+    )
 
 
 # -- singular classes ---------------------------------------------------------------------
@@ -446,26 +454,14 @@ def _tensor_condition(X: CirculantScheme, T: Section, S: Section) -> bool:
     big = _section(X, u1, l0).scheme
     part_a = _section(X, l1, l0).scheme
     part_b = _section(X, u0, l0).scheme
-    K = big.n
-    k = part_a.n
-    kk = part_b.n
-    if k * kk != K:
+    k, kk = part_a.n, part_b.n
+    if k * kk != big.n:
         return False
-    if K == 1:
-        return True
-    inv_a = pow(K // k, -1, k) if k > 1 else 0
-    inv_b = pow(k, -1, kk) if kk > 1 else 0
-    pair_color = {}
-    for v in range(K):
-        i = (v * inv_a) % k if k > 1 else 0
-        j = (v * inv_b) % kk if kk > 1 else 0
-        pair_color[v] = (part_a.color_of_difference(i), part_b.color_of_difference(j))
-    for conn in big.connection_sets:
-        vals = {pair_color[v] for v in conn}
-        if len(vals) != 1:
-            return False
-    # the pair partition must not be finer either: class counts must agree
-    return len(set(pair_color.values())) == big.rank
+    # v goes to (v / kk mod k, v / k mod kk); the pairs of colors must give
+    # exactly the classes of the big section
+    v = np.arange(big.n)
+    i, j = v * pow(kk, -1, k) % k, v * pow(k, -1, kk) % kk
+    return _partition_key(part_a.row[i] * part_b.rank + part_b.row[j]) == _partition_key(big.row)
 
 
 def _pair_is_singular_witness(X: CirculantScheme, T: Section, S: Section) -> bool:
@@ -543,11 +539,9 @@ def singular_extension(X: CirculantScheme, S: Section) -> CirculantScheme:
 
 def _coset_split_closure(X: CirculantScheme, S: Section) -> CirculantScheme:
     # each basic set splits into its part outside U and its part in each coset of L
-    upper, pieces = S.upper.elements, {}
-    for c, conn in enumerate(X.connection_sets):
-        for d in conn:
-            pieces.setdefault((c, S.project(d) if d in upper else -1), set()).add(d)
-    return from_connection_partition(X.n, list(pieces.values()))[0]
+    d, h = np.arange(X.n), X.n // S.upper.order
+    coset = np.where(d % h == 0, d // h % S.order, -1)
+    return close_labels(X.row * (S.order + 1) + coset + 1)[0]
 
 
 def _assert_extension_ledger(
@@ -562,16 +556,16 @@ def _assert_extension_ledger(
     after = sum(1 for r in singular_classes(star) if r.is_singular)
     if after != before - 1:
         raise InvariantError(f"singular class count {before} -> {after}")
-    u1 = rep.largest.upper.elements
-    u0 = rep.largest.lower.elements
-    away = {conn for conn in X.connection_sets if not (conn & u1)}
-    away_star = {conn for conn in star.connection_sets if not (conn & u1)}
-    if away != away_star:
-        raise InvariantError("extension changed a color disjoint from the top group")
-    inside = {conn for conn in X.connection_sets if conn <= u0}
-    inside_star = {conn for conn in star.connection_sets if conn <= u0}
-    if inside != inside_star:
-        raise InvariantError("extension changed a color inside the bottom-anchor group")
+    u1, u0 = rep.largest.upper.mask, rep.largest.lower.mask
+    for what, where in (
+        ("disjoint from the top group", lambda Y: ~_colors_meeting(Y, u1)[Y.row]),
+        ("inside the bottom-anchor group", lambda Y: ~_colors_meeting(Y, ~u0)[Y.row]),
+    ):
+        # the same differences, split into the same classes
+        mask = where(X)
+        same = np.array_equal(mask, where(star))
+        if not (same and _partition_key(X.row[mask]) == _partition_key(star.row[mask])):
+            raise InvariantError(f"extension changed a color {what}")
     # the witness pair still satisfies the split conditions in the extension
     star_small = _section(star, rep.smallest.upper, rep.smallest.lower)
     star_large = _section(star, rep.largest.upper, rep.largest.lower)
@@ -617,7 +611,7 @@ def _extends_scheme_map(
     """Whether cand, a color map of a refinement star of X, sends each color
     into the phi-image of the X color that holds it."""
     # the X color of each star color, read at its least difference
-    parent = X.row[np.unique(star.row, return_index=True)[1]]
+    parent = X.row[star.least]
     if not np.array_equal(parent[star.row], X.row):
         raise InvariantError("extension does not refine the scheme")
     return bool(np.array_equal(parent[cand.array], phi.array[parent]))
@@ -628,19 +622,19 @@ def _section_color_map(
 ) -> AlgebraicIso:
     """The color map that an algebraic automorphism phi of X induces on the
     section scheme: the projection of each basic set T_c inside U goes to the
-    projection of T_phi(c).  Raises ValueError where phi does not descend to
-    the section (``project`` raises it for a T_phi(c) outside U)."""
-    upper, color_of = section.upper.elements, section.scheme.color_of_difference
-    cmap = [-1] * section.scheme.rank
-    for c, conn in enumerate(X.connection_sets):
-        if not conn <= upper:
-            continue
-        image = X.connection_sets[phi(c)]
-        s, t = color_of(section.project(min(conn))), color_of(section.project(min(image)))
-        if cmap[s] not in (-1, t):
-            raise ValueError("color map does not descend to the section")
-        cmap[s] = t
-    out = AlgebraicIso(section.scheme.cc, section.scheme.cc, tuple(cmap))
+    projection of T_phi(c), each read at its least difference.  Raises
+    ValueError where phi does not descend to the section."""
+    h, k = X.n // section.upper.order, section.order
+    inside = np.flatnonzero(~_colors_meeting(X, ~section.upper.mask))  # basic sets in U
+    src, img = X.least[inside], X.least[phi.array[inside]]
+    if np.any(img % h):
+        raise ValueError("element lies outside the upper group")
+    s, t = section.scheme.row[src // h % k], section.scheme.row[img // h % k]
+    cmap = np.full(section.scheme.rank, -1, dtype=np.int64)
+    cmap[s] = t
+    if not np.array_equal(cmap[s], t):
+        raise ValueError("color map does not descend to the section")
+    out = AlgebraicIso(section.scheme.cc, section.scheme.cc, tuple(cmap.tolist()))
     if not is_algebraic_isomorphism(out.source, out.target, out.color_map):
         raise ValueError("induced section map is not an algebraic isomorphism")
     return out
@@ -670,14 +664,8 @@ def _assert_base_tuple(X: CirculantScheme, x: tuple[int, ...]) -> None:
     for sec in sections(X):
         if len(_factorize(sec.order)) != 1:
             continue
-        hit = False
-        for g in pts:
-            if g in sec.upper.elements:
-                img = sec.project(g)
-                if math.gcd(img, sec.order) == 1:
-                    hit = True
-                    break
-        if not hit:
+        h = X.n // sec.upper.order
+        if not any(g % h == 0 and math.gcd(sec.project(g), sec.order) == 1 for g in pts):
             raise InvariantError(f"no generator witness for prime-power section {sec.label()}")
 
 

@@ -20,9 +20,10 @@ import numpy as np
 from . import algebra, circulant, dimension, io, wl
 from .algebra import AlgebraicIso, enumerate_algebraic_isos, extendable_at, find_isomorphism
 from .core import is_translation_invariant, validate
-from .refine import CapExceededError
+from .refine import DEFAULT_TUPLE_CAP, CapExceededError
 
 
+@functools.cache  # built once: a parser is a web of cycles that only gc frees
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="circulantwl",
@@ -47,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="summary of a circulant scheme")
     add_input(p)
-    p.add_argument("--normality-cap", type=int, default=20)
+    p.add_argument("--normality-cap", type=int, default=circulant.DEFAULT_NORMALITY_CAP)
 
     p = sub.add_parser("sections", help="sections and projective equivalence classes")
     add_input(p)
@@ -64,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme2", help="second scheme file")
     p.add_argument("--graph2", help="second inline graph")
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--tuple-cap", type=int, default=10**8)
+    p.add_argument("--tuple-cap", type=int, default=DEFAULT_TUPLE_CAP)
 
     p = sub.add_parser("dim", help="WL-dimension estimate within the order corpus")
     add_input(p, scheme=False)
@@ -148,8 +149,7 @@ def _cmd_close(args, out) -> int:
     # a closure refines its input, so it is translation invariant exactly
     # when the input is
     if is_translation_invariant(arcs):
-        scheme, _ = circulant.from_connection_partition(n, circulant.label_classes(arcs[0]))
-        out.write(io.dump_scheme(scheme))
+        out.write(io.dump_scheme(circulant.close_labels(arcs[0])[0]))
     else:
         out.write(io.dump_config(wl.wl_closure(arcs)))
     return 0

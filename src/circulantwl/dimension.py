@@ -25,16 +25,17 @@ from .circulant import (
     Section,
     XGroup,
     _extends_scheme_map,
+    _partition_key,
     _section,
     base_tuple,
+    close_labels,
     divisors,
     extend_algebraic_automorphism,
     from_connection_partition,
     is_quasinormal,
-    label_classes,
     omega,
-    section_classes,
     section_discreteness_check,
+    section_labels,
     singular_classes,
     singular_extension,
     unit_permutes_connection_sets,
@@ -154,8 +155,9 @@ def _has_xgroup(X: CirculantScheme, order: int) -> bool:
 
 
 def scheme_candidates(n: int, corpora: dict[int, list[CirculantScheme]]):
-    """(kind, partition of Z_n) for every candidate scheme of order n, built
-    from the schemes in ``corpora`` of every proper divisor of n.
+    """(kind, label row of a partition of Z_n) for every candidate scheme of
+    order n, built from the schemes in ``corpora`` of every proper divisor
+    of n.
 
     By Leung and Man every scheme over Z_n is of one of the four kinds of
     ``SCHEME_KINDS``, so these candidates include every scheme of order n:
@@ -170,16 +172,15 @@ def scheme_candidates(n: int, corpora: dict[int, list[CirculantScheme]]):
     A candidate need not be coherent; the caller closes it to decide.
     """
     x = np.arange(n)
-    yield "trivial", frozenset(label_classes(np.minimum(x, 1)))
+    yield "trivial", np.minimum(x, 1)
     for K in _unit_subgroups(n):
-        yield "cyclotomic", frozenset(label_classes(_orbit_labels(n, K)))
+        yield "cyclotomic", _orbit_labels(n, K)
     for n1 in divisors(n):
         n2 = n // n1
         if 1 < n1 < n2 and math.gcd(n1, n2) == 1:
             for A in corpora[n1]:
                 for B in corpora[n2]:
-                    labels = A.row[x % n1] * B.rank + B.row[x % n2]
-                    yield "tensor", frozenset(label_classes(labels))
+                    yield "tensor", A.row[x % n1] * B.rank + B.row[x % n2]
     for u in divisors(n)[1:-1]:
         h, top = n // u, XGroup(u, u)
         in_u = x % h == 0
@@ -189,28 +190,29 @@ def scheme_candidates(n: int, corpora: dict[int, list[CirculantScheme]]):
             for B in corpora[n // lo]:
                 if _has_xgroup(B, k):
                     sub = XGroup(n // lo, k)
-                    key = frozenset(section_classes(B, sub, XGroup(n // lo, 1)))
+                    key = _partition_key(section_labels(B, sub, XGroup(n // lo, 1)))
                     sections.setdefault(key, []).append(B)
             for A in corpora[u]:
                 if not _has_xgroup(A, lo):
                     continue
-                key = frozenset(section_classes(A, top, XGroup(u, lo)))
+                key = _partition_key(section_labels(A, top, XGroup(u, lo)))
                 for B in sections.get(key, []):
                     outside = A.rank + B.row[x % (n // lo)]
-                    labels = np.where(in_u, A.row[x // h], outside)
-                    yield "wreath", frozenset(label_classes(labels))
+                    yield "wreath", np.where(in_u, A.row[x // h], outside)
 
 
 def _corpora(n: int) -> dict[int, list[CirculantScheme]]:
     """The schemes of every divisor of n, in corpus order: the coherent
-    candidates of each divisor, built from the divisors before it."""
+    candidates of each divisor, built from the divisors before it, each
+    partition closed once."""
     corpora: dict[int, list[CirculantScheme]] = {}
     for d in divisors(n):
-        closed: dict[frozenset[frozenset[int]], CirculantScheme | None] = {}
-        for _, parts in scheme_candidates(d, corpora):
-            if parts not in closed:
-                scheme, coherent = from_connection_partition(d, parts)
-                closed[parts] = scheme if coherent else None
+        closed: dict[tuple[int, ...], CirculantScheme | None] = {}
+        for _, labels in scheme_candidates(d, corpora):
+            key = _partition_key(labels)
+            if key not in closed:
+                scheme, coherent = close_labels(labels)
+                closed[key] = scheme if coherent else None
         corpora[d] = sorted((X for X in closed.values() if X is not None), key=_scheme_order)
     return corpora
 
@@ -255,18 +257,23 @@ def _read_scheme_cache(n: int) -> Corpus | None:
             data = json.load(fh)
         partitions = data["schemes"]
         read = [from_connection_partition(n, [set(c) for c in parts]) for parts in partitions]
+    except OSError as exc:
+        raise ValueError(f"scheme cache {path} cannot be read: {exc}") from exc
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"scheme cache {path} is malformed: {exc!r}") from exc
     for (_, coherent), parts in zip(read, partitions):
         if not coherent:
             raise ValueError(f"scheme cache {path} holds a partition that is not coherent: {parts}")
+    schemes = [scheme for scheme, _ in read]
+    if any(_scheme_order(a) >= _scheme_order(b) for a, b in zip(schemes, schemes[1:])):
+        raise ValueError(f"scheme cache {path} is not strictly increasing in corpus order")
     # checked last, so a file that is also malformed is named as malformed
     if data.get("version") != SCHEME_CACHE_VERSION:
         raise ValueError(
             f"scheme cache {path} has format version {data.get('version')!r}, expected "
             f"{SCHEME_CACHE_VERSION}; delete the file to rebuild it"
         )
-    return Corpus(n=n, schemes=[scheme for scheme, _ in read])
+    return Corpus(n=n, schemes=schemes)
 
 
 def _write_scheme_cache(corpus: Corpus) -> None:
@@ -275,23 +282,24 @@ def _write_scheme_cache(corpus: Corpus) -> None:
     path = _cache_path(corpus.n)
     if path is None:
         return
-    os.makedirs(os.path.dirname(path), exist_ok=True)
     data = {
         "version": SCHEME_CACHE_VERSION,
         "schemes": [[sorted(c) for c in X.connection_sets] for X in corpus.schemes],
     }
     tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(data, fh)
-    os.replace(tmp, path)
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise ValueError(f"scheme cache {path} cannot be written: {exc}") from exc
 
 
 def brute_force_schemes(n: int) -> list[CirculantScheme]:
     """Oracle path: filter every partition of Z_n minus 0 through validation."""
-    if n == 1:
-        return [CirculantScheme.trivial(1)]
-    elements = list(range(1, n))
-    out = []
 
     def partitions(rest):
         if not rest:
@@ -303,11 +311,8 @@ def brute_force_schemes(n: int) -> list[CirculantScheme]:
                 yield sub[:i] + [sub[i] | {head}] + sub[i + 1 :]
             yield sub + [{head}]
 
-    for part in partitions(elements):
-        scheme, coherent = from_connection_partition(n, part)
-        if coherent:
-            out.append(scheme)
-    return sorted(set(out), key=_scheme_order)
+    closed = (from_connection_partition(n, part) for part in partitions(list(range(1, n))))
+    return sorted({X for X, coherent in closed if coherent}, key=_scheme_order)
 
 
 # -- dimension estimation ------------------------------------------------------------
@@ -331,7 +336,10 @@ class DimensionReport:
 
 
 def graph_scheme(n: int, conn: frozenset[int]) -> CirculantScheme:
-    return from_connection_partition(n, [set(conn), set(range(1, n)) - set(conn)])[0]
+    """The WL closure of the circulant graph on Z_n with connection set conn."""
+    labels = np.zeros(n, dtype=np.int64)
+    labels[sorted(conn)] = 1
+    return close_labels(labels)[0]
 
 
 def prepare_analysis(corpus: Corpus) -> tuple[list[CirculantScheme], dict[frozenset[int], int]]:

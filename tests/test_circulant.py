@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import math
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import circulantwl
-from circulantwl import circulant
+from circulantwl import circulant, dimension
 from circulantwl.algebra import AlgebraicIso, enumerate_algebraic_isos, identity_iso
 from circulantwl.circulant import (
     CirculantScheme,
@@ -128,6 +129,33 @@ def test_the_dense_configuration_is_built_only_by_cc():
     ]
 
 
+def test_connection_sets_are_read_only_where_partitions_leave_the_library():
+    # the circulant and dimension layers work on label rows; the frozenset
+    # view is read only for output, the cache file and corpus order
+    found = []
+    for module in (circulant, dimension):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef):
+                units = [(f"{top.name}.{getattr(unit, 'name', '')}", unit) for unit in top.body]
+            else:
+                units = [(getattr(top, "name", ""), top)]
+            for owner, unit in units:
+                for node in ast.walk(unit):
+                    name = getattr(node, "attr", None) or getattr(node, "id", None)
+                    if isinstance(node, (ast.Attribute, ast.Name)) and name in (
+                        "connection_sets",
+                        "label_classes",
+                    ):
+                        found.append((module.__name__.split(".")[-1], owner, name))
+    assert sorted(set(found)) == [
+        ("circulant", "CirculantScheme.connection_sets", "label_classes"),
+        ("circulant", "CirculantScheme.partition_key", "connection_sets"),
+        ("dimension", "_scheme_order", "connection_sets"),
+        ("dimension", "_write_scheme_cache", "connection_sets"),
+    ]
+
+
 # -- subgroup lattice and sections ------------------------------------------------
 
 
@@ -165,6 +193,29 @@ def test_section_lookup_reads_the_sections_cache():
     assert "sections" not in X._cache
     cached = next(s for s in sections(X) if (s.upper, s.lower) == (U, L))
     assert alone == cached and _section(X, U, L) is cached
+
+
+def test_section_layer_of_every_scheme_to_16_is_pinned(schemes_up_to_16):
+    # X-groups, radical, projective classes, singular classes and
+    # quasinormality of every scheme of order <= 16, in corpus order
+    rows = [
+        (
+            [g.order for g in xgroup_lattice(X)],
+            scheme_radical(X).order,
+            [[s.label() for s in cls] for cls in proj_equivalence_classes(X)],
+            [
+                (r.order, r.is_singular, r.smallest.label(), r.largest.label(),
+                 [s.label() for s in r.sections])
+                for r in singular_classes(X)
+            ],
+            is_quasinormal(X),
+        )
+        for n in range(1, 17)
+        for X in schemes_up_to_16[n]
+    ]
+    assert len(rows) == 161
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "49c1e29ff90ffe39885bfbf4484a90c2574ce85e028976aeb1b954c4c89a42d8"
 
 
 # -- multiples, projective equivalence, bridges --------------------------------------

@@ -9,7 +9,7 @@ from circulantwl import cli, core, dimension
 from circulantwl.algebra import CapExceededError, enumerate_algebraic_isos, find_isomorphism
 from circulantwl.circulant import (
     CirculantScheme,
-    from_connection_partition,
+    close_labels,
     is_quasinormal,
     sections,
 )
@@ -118,8 +118,9 @@ def test_scheme_corpora_17_18_are_pinned():
 def _corpora_without(kind, top):
     corpora = {}
     for d in range(1, top + 1):
-        parts = {p for k, p in scheme_candidates(d, corpora) if k != kind}
-        closed = [from_connection_partition(d, p) for p in parts]
+        candidates = (r for k, r in scheme_candidates(d, corpora) if k != kind)
+        rows = {dimension._partition_key(r): r for r in candidates}
+        closed = [close_labels(r) for r in rows.values()]
         corpora[d] = {X for X, coherent in closed if coherent}
     return corpora
 
@@ -136,11 +137,11 @@ def test_cold_enumeration_has_no_process_memo(monkeypatch):
     monkeypatch.delenv("CIRCULANTWL_CACHE", raising=False)
     calls = []
 
-    def counted(*args):
-        calls.append(args[0])
-        return from_connection_partition(*args)
+    def counted(labels):
+        calls.append(len(labels))
+        return close_labels(labels)
 
-    monkeypatch.setattr(dimension, "from_connection_partition", counted)
+    monkeypatch.setattr(dimension, "close_labels", counted)
     counts = []
     for _ in range(2):
         calls.clear()

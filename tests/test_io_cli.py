@@ -1,3 +1,5 @@
+import argparse
+import gc
 import hashlib
 import io as stdio
 import json
@@ -152,6 +154,27 @@ def test_main_table_is_pinned(args, digest):
 )
 def test_section_map_output_is_pinned(argv, digest):
     # runs that read section discreteness, section color maps and multipliers
+    code, out = invoke(*argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            "verify --theorem reduction --orders 4..16",
+            "a97d67df254b6275c1c5e2e72b4144cea642bd7accef0fafaf27ad6c7c313291",
+        ),
+        (
+            "verify --theorem schur --orders 4..16",
+            "02d7153ffeaa8bfa5231d0d086ba61ba26c8f098f2d2c2e427b9f960e7614a54",
+        ),
+    ],
+)
+def test_section_layer_output_is_pinned(argv, digest):
+    # runs that read U/L conditions, tensor splits, coset-split closures and
+    # Cayley isomorphisms of every scheme of the orders
     code, out = invoke(*argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -487,6 +510,62 @@ def test_poisoned_scheme_cache_is_rejected(tmp_path, monkeypatch, capsys):
         assert code == 1 and out == ""
         err = capsys.readouterr().err
         assert f"error: scheme cache {cache}" in err and why in err
+
+
+@pytest.mark.parametrize(
+    "make,why",
+    [
+        # the cache root is a file, so its directory cannot be made
+        (lambda root: root.write_text(""), "cannot be written"),
+        # the cache file is a directory
+        (lambda root: (root / "schemes_6.json").mkdir(parents=True), "cannot be read"),
+    ],
+    ids=["root-is-a-file", "file-is-a-directory"],
+)
+def test_unusable_scheme_cache_fails_cleanly(make, why, tmp_path, monkeypatch, capsys):
+    root = tmp_path / "cache"
+    make(root)
+    monkeypatch.setenv("CIRCULANTWL_CACHE", str(root))
+    code, out = invoke("enumerate", "--schemes", "--order", "6")
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert f"error: scheme cache {root / 'schemes_6.json'} {why}" in err
+    assert "Traceback" not in err
+    assert not [p for p in tmp_path.rglob("*.tmp")]
+
+
+@pytest.mark.parametrize(
+    "schemes,why",
+    [
+        # 7 is not an element of Z_6; read mod 6 it would give the trivial scheme
+        ([[[7, 2, 3, 4, 5]]], "outside 0..5"),
+        ([[[1, 2, 3, 4, 5]], [[1, 2, 3, 4, 5]]], "not strictly increasing in corpus order"),
+        ([[[1], [2], [3], [4], [5]], [[1, 2, 3, 4, 5]]], "not strictly increasing in corpus order"),
+    ],
+    ids=["entry-past-n", "duplicate", "out-of-order"],
+)
+def test_scheme_cache_outside_the_corpus_is_rejected(schemes, why, tmp_path, monkeypatch, capsys):
+    (tmp_path / "schemes_6.json").write_text(json.dumps({"version": 1, "schemes": schemes}))
+    monkeypatch.setenv("CIRCULANTWL_CACHE", str(tmp_path))
+    code, out = invoke("enumerate", "--schemes", "--order", "6")
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert f"error: scheme cache {tmp_path / 'schemes_6.json'}" in err and why in err
+
+
+def test_run_leaves_no_parser_for_the_garbage_collector():
+    # an argparse parser is a web of reference cycles; building one per run
+    # left thousands of objects per verify order for the cyclic collector
+    invoke("enumerate", "--order", "5")
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert invoke("enumerate", "--order", "5")[0] == 0
+        gc.collect()
+        assert not [o for o in gc.garbage if isinstance(o, argparse.ArgumentParser)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
 
 
 def test_verify_main_jobs_match_sequential(monkeypatch):
