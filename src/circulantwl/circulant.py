@@ -32,7 +32,6 @@ from .algebra import (
     identity_iso,
     is_algebraic_isomorphism,
     iter_isomorphisms,
-    tuple_extension,
 )
 from .core import CoherentConfig, circulant_matrix, point_extension
 from .refine import CapExceededError, InvariantError, refine_circulant
@@ -187,17 +186,19 @@ def close_labels(labels) -> tuple[CirculantScheme, bool]:
 def from_connection_partition(n: int, parts) -> tuple[CirculantScheme, bool]:
     """Turn a partition of Z_n (or of Z_n minus 0) into a circulant scheme,
     as ``close_labels`` does for its label row."""
-    sets = [{int(x) for x in p} for p in parts if len(p)]
-    covered = [x for s in sets for x in s]
+    parts = [[int(x) for x in p] for p in parts if len(p)]
+    covered = [x for p in parts for x in p]
     if any(not 0 <= x < n for x in covered):
         raise ValueError(f"connection classes hold an element outside 0..{n - 1}")
-    if len(covered) != len(set(covered)):
-        raise ValueError("connection classes overlap")
-    if set(range(1, n)) - set(covered):
+    # a repeat inside one class counts as much as one across two
+    if len(seen := set(covered)) != len(covered):
+        twice = next(x for x in covered if covered.count(x) > 1)
+        raise ValueError(f"connection classes overlap: {twice} appears more than once")
+    if len(seen | {0}) < n:
         raise ValueError("connection classes do not cover the group")
-    labels = np.full(n, len(sets), dtype=np.int64)  # 0 alone when no class holds it
-    for i, s in enumerate(sets):
-        labels[list(s)] = i
+    labels = np.full(n, len(parts), dtype=np.int64)  # 0 alone when no class holds it
+    for i, p in enumerate(parts):
+        labels[p] = i
     return close_labels(labels)
 
 
@@ -712,32 +713,48 @@ def section_discreteness_check(
 
 @dataclass(frozen=True)
 class Multiplier:
-    """Consistent family of section automorphisms read off a tuple extension."""
+    """Consistent family of section automorphisms read off a tuple extension,
+    each multiplication by a unit: one (section, unit) entry per section."""
 
-    entries: tuple[tuple[Section, tuple[int, ...]], ...]
+    entries: tuple[tuple[Section, int], ...]
 
     def unit(self, section: Section) -> int:
-        perm = dict(self.entries)[section]
-        return perm[1] if section.order > 1 else 0
+        return dict(self.entries)[section]
 
 
-def extract_multiplier(
-    X: CirculantScheme, phi: AlgebraicIso, x: tuple[int, ...], x_image: tuple[int, ...]
-) -> Multiplier:
-    """Read the section automorphisms off the (x, x')-extension of phi.
+def extract_multiplier(X: CirculantScheme, ext: TupleExtension) -> Multiplier:
+    """Read the section automorphisms off the extension ext of phi = ext.base.
 
-    Requires the extension to exist and every relevant section of the
-    extension to be discrete (guaranteed for quasinormal schemes at base
-    tuples).  The family is checked to restrict consistently along
-    subsections and bridges and to consist of group automorphisms.
+    Requires X to be quasinormal and every relevant section of the extension
+    to be discrete (guaranteed for quasinormal schemes at base tuples).  Each
+    sigma is checked to be multiplication by a unit u, which makes the
+    paper's conditions closed forms: the induced color map sends row[d] to
+    row[u*d] on the section's label row, units agree mod |S| on S <= T, and
+    sections in one projective class carry one unit (a bridge is a unit, so
+    it commutes with them).
     """
-    ext = tuple_extension(phi, x, x_image)
-    if ext is None:
-        raise ValueError("the color map has no extension at the given tuples")
+    if not is_quasinormal(X):
+        raise ValueError("scheme is not quasinormal")
     secs = secc0(X)
-    mult = Multiplier(entries=tuple((sec, _read_section_permutation(ext, sec)) for sec in secs))
-    _assert_multiplier_conditions(X, phi, mult, secs)
-    return mult
+    # every sigma is read before any is checked: a section that is not
+    # discrete is reported before a condition fails
+    sigmas = [_read_section_permutation(ext, sec) for sec in secs]
+    units = {}
+    for sec, sigma in zip(secs, sigmas):
+        k, row = sec.order, sec.scheme.row
+        u = sigma[1] if k > 1 else 1
+        d = np.arange(k) * u % k
+        if math.gcd(u, k) != 1 or not np.array_equal(sigma, d):
+            raise InvariantError("section automorphism must be multiplication by a unit")
+        if not np.array_equal(_section_color_map(X, sec, ext.base).array[row], row[d]):
+            raise InvariantError("section permutation must induce the section color map")
+        units[sec] = u
+    if any(S <= T and (units[S] - units[T]) % S.order for S in secs for T in secs):
+        raise InvariantError("restriction compatibility fails")
+    for cls in proj_equivalence_classes(X):
+        if len({units[s] for s in cls if s in units}) > 1:
+            raise InvariantError("bridge compatibility fails")
+    return Multiplier(entries=tuple(units.items()))
 
 
 def _read_section_permutation(ext: TupleExtension, sec: Section) -> tuple[int, ...]:
@@ -751,55 +768,6 @@ def _read_section_permutation(ext: TupleExtension, sec: Section) -> tuple[int, .
     if np.any(j != j2):
         raise InvariantError("image of a diagonal singleton must be diagonal")
     return tuple(int(v) for v in j)
-
-
-def _assert_multiplier_conditions(X, phi, mult: Multiplier, secs) -> None:
-    lookup = dict(mult.entries)
-    for sec in secs:
-        sigma = lookup[sec]
-        # group automorphism
-        k = sec.order
-        if k > 1:
-            u = sigma[1]
-            if math.gcd(u, k) != 1 or any(sigma[a] != (u * a) % k for a in range(k)):
-                raise InvariantError("section automorphism must be multiplication by a unit")
-        # compatibility with the induced color map of phi on the section
-        phi_s, color_of = _section_color_map(X, sec, phi), sec.scheme.cc.color_of
-        for a in range(k):
-            for b in range(k):
-                if phi_s(color_of(a, b)) != color_of(sigma[a], sigma[b]):
-                    raise InvariantError("section permutation must induce the section color map")
-    for sec in secs:
-        for other in secs:
-            if sec <= other and sec != other:
-                _assert_restriction_compat(lookup, sec, other)
-    for cls in proj_equivalence_classes(X):
-        members = [s for s in cls if s in lookup]
-        for t in members:
-            for s in members:
-                if t == s:
-                    continue
-                u = section_bridge(X, t, s)
-                st, ss = lookup[t], lookup[s]
-                if s.order > 1 and any(
-                    (u * st[a]) % s.order != ss[(u * a) % s.order] for a in range(t.order)
-                ):
-                    raise InvariantError("bridge compatibility fails")
-
-
-def _assert_restriction_compat(lookup, sec: Section, other: Section) -> None:
-    sigma_t = lookup[other]
-    sigma_s = lookup[sec]
-    for a in range(sec.order):
-        g = sec.lift(a)
-        i = other.project(g)
-        j = sigma_t[i]
-        g_img = other.lift(j)
-        if g_img % (sec.upper.n // sec.upper.order):
-            raise InvariantError("restricted automorphism leaves the subsection")
-        b = sec.project(g_img)
-        if sigma_s[a] != b:
-            raise InvariantError("restriction compatibility fails")
 
 
 def _is_quasinormal_certified(X: CirculantScheme, sec: Section) -> bool:

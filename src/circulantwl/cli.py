@@ -341,9 +341,7 @@ def _cmd_multiplier(args, out) -> int:
     if ext is None:
         out.write("not extendable at the base tuple\n")
         return 0
-    mult = circulant.extract_multiplier(X, phi, x, ext.x_image)
-    for sec, perm in mult.entries:
-        unit = perm[1] if sec.order > 1 else 1
+    for sec, unit in circulant.extract_multiplier(X, ext).entries:
         out.write(f"section={sec.label()} unit={unit}\n")
     return 0
 

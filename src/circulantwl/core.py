@@ -134,9 +134,6 @@ class CoherentConfig:
     def color_of(self, a: int, b: int) -> int:
         return int(self.colors[a, b])
 
-    def is_diagonal_color(self, c: int) -> bool:
-        return c in self.diagonal_colors
-
 
 # -- standard configurations ------------------------------------------------
 
@@ -230,17 +227,11 @@ def _differing_composition(mat, rank, p0, p1) -> tuple[int, int]:
 
 def intersection_number(cc: CoherentConfig, r: int, s: int, t: int) -> int:
     """c_{rs}^t: for (a,b) of color t, the number of g with
-    color(a,g) = r and color(g,b) = s.  Cached per triple."""
+    color(a,g) = r and color(g,b) = s, read off ``intersection_tensor``."""
     for c in (r, s, t):
         if not 0 <= c < cc.rank:
             raise ValueError(f"color id {c} out of range 0..{cc.rank - 1}")
-    key = ("c", r, s, t)
-    if key not in cc._cache:
-        a, b = cc.representative[t]
-        cc._cache[key] = int(
-            np.count_nonzero((cc.colors[a] == r) & (cc.colors[:, b] == s))
-        )
-    return cc._cache[key]
+    return int(intersection_tensor(cc)[r, s, t])
 
 
 def intersection_tensor(cc: CoherentConfig) -> np.ndarray:

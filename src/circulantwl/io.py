@@ -2,7 +2,8 @@
 
 Formats:
   configuration  "n=<int>" then n rows of n color ids
-  scheme         "n=<int>" then one line "C: a,b,c" per connection set
+  scheme         "n=<int>" then one line "C: a,b,c" per connection set;
+                 each of 1..n-1 in exactly one set, 0 in at most one
   graph          inline "n=<int>;S=a,b,c" (circulant shorthand) or
                  "n=<int>;arcs=<color>:<i>,<j>;..." (arc-colored digraph)
 """
@@ -77,7 +78,7 @@ def parse_scheme_lenient(text: str) -> tuple[CirculantScheme, bool]:
         if not items:
             raise FormatError("empty connection set line")
         try:
-            sets.append({int(v) % n for v in items.split(",")})
+            sets.append([int(v) for v in items.split(",")])
         except ValueError as exc:
             raise FormatError("connection set entries must be integers") from exc
     try:

@@ -10,7 +10,13 @@ import pytest
 
 import circulantwl
 from circulantwl import circulant, dimension
-from circulantwl.algebra import AlgebraicIso, enumerate_algebraic_isos, identity_iso
+from circulantwl.algebra import (
+    AlgebraicIso,
+    enumerate_algebraic_isos,
+    extendable_at,
+    identity_iso,
+    tuple_extension,
+)
 from circulantwl.circulant import (
     CirculantScheme,
     Section,
@@ -126,6 +132,26 @@ def test_the_dense_configuration_is_built_only_by_cc():
     assert sorted(found) == [
         ("CirculantScheme.cc", "CoherentConfig"),
         ("CirculantScheme.cc", "circulant_matrix"),
+    ]
+
+
+def test_the_dense_configuration_is_read_only_where_points_are():
+    # sections, multipliers and the lattice work on label rows; the dense cc
+    # is read only where maps act on points or color maps are enumerated
+    tree = ast.parse(Path(circulant.__file__).read_text(encoding="utf-8"))
+    readers = set()
+    for top in tree.body:
+        units = top.body if isinstance(top, ast.ClassDef) else [top]
+        for unit in units:
+            reads = (isinstance(node, ast.Attribute) and node.attr == "cc" for node in ast.walk(unit))
+            if any(reads):
+                readers.add(getattr(unit, "name", ""))
+    assert sorted(readers) == [
+        "_extension_candidates",
+        "_section_color_map",
+        "is_induced_by_isomorphism",
+        "is_normal",
+        "section_discreteness_check",
     ]
 
 
@@ -555,7 +581,7 @@ def test_radical_of_regular_is_trivial_and_wreath_is_not():
 def test_identity_multiplier_is_trivial():
     X = CirculantScheme.regular(12)
     x = base_tuple(X)
-    mult = extract_multiplier(X, identity_iso(X.cc), x, x)
+    mult = extract_multiplier(X, tuple_extension(identity_iso(X.cc), x, x))
     for sec in secc0(X):
         if sec.order > 1:
             assert mult.unit(sec) == 1
@@ -566,7 +592,7 @@ def test_unit_map_multiplier_reads_the_unit():
     phi = unit_color_map(X, 5)
     x = base_tuple(X)
     x_img = tuple((5 * p) % 12 for p in x)
-    mult = extract_multiplier(X, phi, x, x_img)
+    mult = extract_multiplier(X, tuple_extension(phi, x, x_img))
     full = next(s for s in secc0(X) if s.order == 12)
     assert mult.unit(full) == 5
 
@@ -576,9 +602,68 @@ def test_restriction_compatibility_on_nested_sections():
     phi = unit_color_map(X, 7)
     x = base_tuple(X)
     x_img = tuple((7 * p) % 12 for p in x)
-    mult = extract_multiplier(X, phi, x, x_img)  # M1-M3 asserted internally
+    mult = extract_multiplier(X, tuple_extension(phi, x, x_img))  # M1-M3 asserted internally
     sub = next(s for s in secc0(X) if s.order == 6 and s.lower.order == 1)
     assert mult.unit(sub) == 7 % 6
+
+
+def _multiplier_at_base(X, phi):
+    """The multiplier of phi at the base tuple, or None when phi is not
+    extendable there."""
+    x = base_tuple(X)
+    ext = extendable_at(phi, x)
+    return None if ext is None else extract_multiplier(X, ext)
+
+
+def _z6_tensor():
+    # the trivial scheme on Z_3 times the regular one on Z_2: the trivial
+    # sections 3/1 and 6/2 form one projective class under 6/1
+    X, coherent = from_connection_partition(6, [{0}, {3}, {2, 4}, {1, 5}])
+    assert coherent and is_quasinormal(X)
+    return X
+
+
+@pytest.mark.parametrize(
+    "scheme,perms,dropped,message",
+    [
+        # sigma(1) = 3 is no unit of Z_6
+        ("z6", {"6/1": (0, 3, 0, 3, 0, 3)}, None, "multiplication by a unit"),
+        # sigma(1) = 1, but sigma swaps 4 and 5
+        ("z6", {"6/1": (0, 1, 2, 3, 5, 4)}, None, "multiplication by a unit"),
+        # multiplication by 5 moves the colors of the regular scheme that phi fixes
+        ("z12", {"12/1": tuple(5 * a % 12 for a in range(12))}, None,
+         "section permutation must induce the section color map"),
+        # 2 on 3/1 against 1 on 6/1: 2 is not 1 mod 3
+        ("z6", {"3/1": (0, 2, 1)}, None, "restriction compatibility fails"),
+        # without 6/1 nothing but the bridge ties 3/1 to 6/2
+        ("z6", {"6/2": (0, 2, 1)}, "6/1", "bridge compatibility fails"),
+    ],
+)
+def test_each_multiplier_condition_can_fail(scheme, perms, dropped, message, monkeypatch):
+    X = _z6_tensor() if scheme == "z6" else CirculantScheme.regular(12)
+    read, secs = circulant._read_section_permutation, circulant.secc0
+    forged = lambda ext, sec: perms.get(sec.label()) or read(ext, sec)  # noqa: E731
+    monkeypatch.setattr(circulant, "_read_section_permutation", forged)
+    monkeypatch.setattr(circulant, "secc0", lambda X: [s for s in secs(X) if s.label() != dropped])
+    with pytest.raises(InvariantError, match=message):
+        _multiplier_at_base(X, identity_iso(X.cc))
+
+
+def test_multipliers_of_every_scheme_to_16_are_pinned(schemes_up_to_16):
+    # the unit on each section of order > 1 of every map extendable at the
+    # base tuple, on every quasinormal scheme of order <= 16
+    rows, maps = [], 0
+    for n in range(1, 17):
+        for X in filter(is_quasinormal, schemes_up_to_16[n]):
+            for phi in enumerate_algebraic_isos(X.cc, X.cc):
+                mult = _multiplier_at_base(X, phi)
+                maps += mult is not None
+                for sec in secc0(X) if mult is not None else ():
+                    if sec.order > 1:
+                        rows.append((n, X.rank, phi.color_map, sec.label(), mult.unit(sec)))
+    assert (maps, len(rows)) == (389, 1669)
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "d6d3876cc479b7b12970b7fd15db7b2a38c9be61a282dd30c07765f7e19ca2ba"
 
 
 # -- induced-by-isomorphism pathway ------------------------------------------------------------

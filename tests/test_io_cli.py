@@ -44,6 +44,8 @@ def test_graph_shorthand_parsing():
     n, arcs = io.parse_graph_spec("n=5;S=1,4")
     assert n == 5
     assert arcs[0, 1] == 1 and arcs[0, 4] == 1 and arcs[0, 2] == 0
+    # differences in the shorthand are read mod n, unlike scheme file entries
+    assert np.array_equal(io.parse_graph_spec("n=5;S=-1,1")[1], arcs)
 
 
 def test_arc_list_parsing():
@@ -256,6 +258,36 @@ def test_multiplier_verb(tmp_path):
     code, out = invoke("multiplier", "--scheme", str(path), "--unit", "5")
     assert code == 0
     assert "section=12/1 unit=5" in out
+
+
+
+def test_multiplier_refuses_a_scheme_that_is_not_quasinormal(capsys):
+    # multiplication by 3 is extendable at the base tuple of the trivial
+    # scheme on Z_4, which is not quasinormal
+    code, out = invoke("multiplier", "--graph", "n=4;S=1,2,3", "--unit", "3")
+    assert (code, out) == (1, "")
+    assert "error: scheme is not quasinormal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body,why",
+    [
+        # 7 is no element of Z_6; read mod 6 it would merge into the class of 1
+        ("C: 0\nC: 1,5,7\nC: 2,4\nC: 3", "hold an element outside 0..5"),
+        ("C: 0\nC: -1,1\nC: 2,4\nC: 3", "hold an element outside 0..5"),
+        ("C: 0\nC: 1,1,5\nC: 2,4\nC: 3", "overlap: 1 appears more than once"),
+        ("C: 0\nC: 1,5\nC: 2,4\nC: 3,5", "overlap: 5 appears more than once"),
+        ("C: 0\nC: 1,5\nC: 2,4", "do not cover the group"),
+    ],
+    ids=["entry-past-n", "negative-entry", "repeat-in-a-class", "repeat-across-classes", "gap"],
+)
+def test_malformed_scheme_file_exits_1(body, why, tmp_path, capsys):
+    path = tmp_path / "bad.scheme"
+    path.write_text(f"n=6\n{body}\n")
+    code, out = invoke("validate", "--scheme", str(path))
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert f"error: connection classes {why}" in err and "Traceback" not in err
 
 
 def test_close_refuses_oversized_pair_round(capsys):
