@@ -4,7 +4,11 @@ Two layers: color bijections preserving all intersection numbers
 (algebraic isomorphisms), and point bijections inducing them
 (combinatorial isomorphisms, represented as plain tuples of point
 images).  One backtracking engine, ``_backtrack``, searches both; each
-search supplies only its candidate matrix and its pruning step.  Tuple
+search supplies only its candidate matrix and its pruning step.  On a
+translation-invariant configuration the unit multipliers x -> ux of Z_n
+that preserve its partition are a symmetry known in advance: the color-map
+search keeps one image per orbit of their color maps and closes its result
+under them, and ``is_induced`` tries them before any point search.  Tuple
 extensions lift an algebraic isomorphism to the point extensions at
 matched tuples via seeded lockstep refinement.
 """
@@ -25,6 +29,7 @@ from .core import (
     is_translation_invariant,
     quotient,
     restriction,
+    units,
 )
 from .refine import CapExceededError, InvariantError, _renumber_rows, refine_pairs
 
@@ -93,6 +98,52 @@ def identity_iso(cc: CoherentConfig) -> AlgebraicIso:
     return AlgebraicIso(cc, cc, tuple(range(cc.rank)))
 
 
+# -- unit multipliers ------------------------------------------------------------
+
+
+def _row(cc: CoherentConfig) -> np.ndarray | None:
+    """Row 0 of a translation-invariant configuration, else None; cached."""
+    if "row" not in cc._cache:
+        cc._cache["row"] = cc.colors[0] if is_translation_invariant(cc.colors) else None
+    return cc._cache["row"]
+
+
+def _unit_images(row: np.ndarray) -> np.ndarray:
+    """One row per unit u of Z_n: the entries row[u * x mod n] over x."""
+    n = len(row)
+    return row[np.outer(units(n), np.arange(n)) % n]
+
+
+def _unit_maps(cc: CoherentConfig) -> np.ndarray:
+    """The distinct color maps, one row each in increasing order, of the
+    units u whose multiplier x -> ux sends the color classes of a
+    translation-invariant cc onto color classes.  They form a group of
+    algebraic automorphisms that holds the identity.  No rows for any other
+    cc.  Cached."""
+    if "unit_maps" not in cc._cache:
+        maps, row = np.empty((0, cc.rank), dtype=np.int64), _row(cc)
+        if row is not None:
+            images = _unit_images(row)
+            # each color goes where its least difference goes; u is kept when all agree
+            cmaps = images[:, cc.representative[:, 1]]
+            kept = cmaps[(cmaps[:, row] == images).all(axis=1)]
+            maps = np.array(sorted(set(map(tuple, kept.tolist()))), dtype=np.int64)
+        cc._cache["unit_maps"] = maps
+    return cc._cache["unit_maps"]
+
+
+def is_induced(cc_a: CoherentConfig, cc_b: CoherentConfig, phi: AlgebraicIso) -> bool:
+    """Whether a point isomorphism induces phi.  When both sides are
+    translation invariant, the units u with row_b[u * x] = phi(row_a[x]) for
+    every x are looked for first, in one compare; when there is none, or a
+    side is not translation invariant, ``find_isomorphism`` decides."""
+    row_a, row_b = _row(cc_a), _row(cc_b)
+    if row_a is not None and row_b is not None and cc_a.n == cc_b.n:
+        if (_unit_images(row_b) == phi.array[row_a]).all(axis=1).any():
+            return True
+    return find_isomorphism(cc_a, cc_b, phi) is not None
+
+
 # -- enumeration of algebraic isomorphisms --------------------------------------
 
 
@@ -129,7 +180,13 @@ def enumerate_algebraic_isos(
 def _search_color_maps(cc_a: CoherentConfig, cc_b: CoherentConfig) -> list[tuple[int, ...]]:
     """Backtracking over colors ordered by invariant rarity: a color may go
     to an image only where every intersection number among it and the colors
-    already mapped is preserved."""
+    already mapped is preserved.
+
+    The unit maps H of cc_b (``_unit_maps``) send every map found to another
+    one, h o f.  So the first color with a choice of images, the pivot, is
+    sent only to images least in their H-orbit: any map f equals h o g for
+    the h taking f(pivot) to the least of its orbit and g = h^-1 o f.  The
+    maps found are then closed under H."""
     if cc_a.n != cc_b.n or cc_a.rank != cc_b.rank:
         return []
     rank = cc_a.rank
@@ -139,6 +196,13 @@ def _search_color_maps(cc_a: CoherentConfig, cc_b: CoherentConfig) -> list[tuple
     if not cand.any(axis=1).all():
         return []
     order = sorted(range(rank), key=lambda c: (int(cand[c].sum()), c))
+    group = _unit_maps(cc_b)
+    if not len(group):
+        group = np.arange(rank)[None]
+    pivot = next((c for c in order if cand[c].sum() > 1), None)
+    if pivot is not None:
+        # the identity is in H, so an image is least in its orbit when no h lowers it
+        cand[pivot] &= (group >= np.arange(rank)).all(axis=0)
     ta, tb = intersection_tensor(cc_a), intersection_tensor(cc_b)
     # each tensor's three views with one slot moved last, stacked
     va, vb = (np.stack([np.moveaxis(t, k, 2) for k in (0, 1, 2)], axis=-1) for t in (ta, tb))
@@ -153,10 +217,14 @@ def _search_color_maps(cc_a: CoherentConfig, cc_b: CoherentConfig) -> list[tuple
         return ok & (vb[js, js, js, 0] == va[c, c, c, 0])
 
     position = [order.index(c) for c in range(rank)]
-    found = [tuple(images[i] for i in position) for images in _backtrack(cand, order, narrow)]
-    if not all(is_algebraic_isomorphism(cc_a, cc_b, f) for f in found):
+    found = np.array(
+        [[images[i] for i in position] for images in _backtrack(cand, order, narrow)],
+        dtype=np.int64,
+    ).reshape(-1, rank)
+    closed = sorted(set(map(tuple, group[:, found].reshape(-1, rank).tolist())))
+    if not all(is_algebraic_isomorphism(cc_a, cc_b, f) for f in closed):
         raise InvariantError("search returned a map that is not an algebraic isomorphism")
-    return sorted(found)
+    return closed
 
 
 def _backtrack(cand: np.ndarray, domain, narrow):
@@ -211,6 +279,12 @@ def iter_isomorphisms(
     if cc_b.n != cc_a.n:
         return
     domain = tuple(range(cc_a.n)) if domain is None else tuple(int(p) for p in domain)
+    cand, narrow = _point_search(cc_a, cc_b, phi, domain)
+    yield from _backtrack(cand, domain, narrow)
+
+
+def _point_search(cc_a: CoherentConfig, cc_b: CoherentConfig, phi: AlgebraicIso, domain):
+    """The candidate matrix and pruning step of a point search over domain."""
     full, mat_b = phi.array[cc_a.colors], cc_b.colors
     # the mapped source colors between domain positions
     mapped = full[np.ix_(domain, domain)]
@@ -220,16 +294,25 @@ def iter_isomorphisms(
             mat_b[js[:, None], images] == mapped[i, :i]
         ).all(1)
 
-    cand = full.diagonal()[:, None] == mat_b.diagonal()
-    yield from _backtrack(cand, domain, narrow)
+    return full.diagonal()[:, None] == mat_b.diagonal(), narrow
 
 
 def find_isomorphism(
     cc_a: CoherentConfig, cc_b: CoherentConfig, phi: AlgebraicIso
 ) -> tuple[int, ...] | None:
     """The lexicographically least point bijection f with
-    color'(f a, f b) = phi(color(a, b)) for all pairs, or None."""
-    f = next(iter_isomorphisms(cc_a, cc_b, phi), None)
+    color'(f a, f b) = phi(color(a, b)) for all pairs, or None.
+
+    When cc_b is translation invariant, following any such f by the
+    translation taking f(0) to 0 gives another, so the least one sends 0 to
+    0 and only such maps are searched."""
+    f = None
+    if cc_b.n == cc_a.n:
+        domain = tuple(range(cc_a.n))
+        cand, narrow = _point_search(cc_a, cc_b, phi, domain)
+        if _row(cc_b) is not None:
+            cand[0, 1:] = False
+        f = next(_backtrack(cand, domain, narrow), None)
     if f is not None and induced_color_map(cc_a, cc_b, f).color_map != phi.color_map:
         raise InvariantError("point isomorphism does not induce the color map")
     return f

@@ -33,7 +33,7 @@ from .algebra import (
     is_algebraic_isomorphism,
     iter_isomorphisms,
 )
-from .core import CoherentConfig, circulant_matrix, point_extension
+from .core import CoherentConfig, circulant_matrix, point_extension, units  # noqa: F401 (re-export)
 from .refine import CapExceededError, InvariantError, refine_circulant
 
 DEFAULT_NORMALITY_CAP = 20
@@ -56,10 +56,6 @@ def _factorize(n: int) -> list[tuple[int, int]]:
 def omega(n: int) -> int:
     """Total number of prime divisors counted with multiplicity."""
     return sum(k for _, k in _factorize(n))
-
-
-def units(n: int) -> list[int]:
-    return [u for u in range(1, n + 1) if math.gcd(u, n) == 1] if n > 1 else [0]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ so that equal configurations have bit-identical matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -153,6 +154,11 @@ def circulant_matrix(row) -> np.ndarray:
     return row[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
 
 
+def units(n: int) -> list[int]:
+    """The units of Z_n, as 1..n coprime to n ([0] for n = 1)."""
+    return [u for u in range(1, n + 1) if math.gcd(u, n) == 1] if n > 1 else [0]
+
+
 def is_translation_invariant(colors: np.ndarray) -> bool:
     """Whether the color of (a, b) depends only on b - a mod n, so that
     every translation of Z_n preserves colors."""
@@ -227,11 +233,12 @@ def _differing_composition(mat, rank, p0, p1) -> tuple[int, int]:
 
 def intersection_number(cc: CoherentConfig, r: int, s: int, t: int) -> int:
     """c_{rs}^t: for (a,b) of color t, the number of g with
-    color(a,g) = r and color(g,b) = s, read off ``intersection_tensor``."""
+    color(a,g) = r and color(g,b) = s, counted at the representative of t."""
     for c in (r, s, t):
         if not 0 <= c < cc.rank:
             raise ValueError(f"color id {c} out of range 0..{cc.rank - 1}")
-    return int(intersection_tensor(cc)[r, s, t])
+    a, b = cc.representative[t]
+    return int(np.count_nonzero((cc.colors[a] == r) & (cc.colors[:, b] == s)))
 
 
 def intersection_tensor(cc: CoherentConfig) -> np.ndarray:

@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import enumerate_algebraic_isos, find_isomorphism, is_m_extendable
+from .algebra import enumerate_algebraic_isos, is_induced, is_m_extendable
 from .circulant import (
     CirculantScheme,
     Section,
@@ -39,9 +39,9 @@ from .circulant import (
     singular_classes,
     singular_extension,
     unit_permutes_connection_sets,
-    units,
     xgroup_lattice,
 )
+from .core import CoherentConfig, units
 from .refine import CapExceededError
 from .wl import pebble_game_oracle, wl_m_equivalent
 
@@ -462,10 +462,21 @@ class CheckReport:
         return not self.violations
 
 
+def _iso_key(cc: CoherentConfig) -> tuple:
+    """Order, rank and sorted valencies (on a circulant scheme, the counts of
+    each color in row 0): equal on the two sides of any algebraic isomorphism."""
+    return cc.n, cc.rank, tuple(sorted(cc.valencies.tolist()))
+
+
 def _algebraic_isos(sources: list[CirculantScheme], targets: list[CirculantScheme]):
-    """(a, b, phi) for every algebraic isomorphism phi from a source a to a target b."""
+    """(a, b, phi) for every algebraic isomorphism phi from a source a to a
+    target b, in order of a, then b.  Only the targets that share a's
+    ``_iso_key`` are searched."""
+    buckets: dict[tuple, list[CirculantScheme]] = {}
+    for b in targets:
+        buckets.setdefault(_iso_key(b.cc), []).append(b)
     for a in sources:
-        for b in targets:
+        for b in buckets.get(_iso_key(a.cc), []):
             for phi in enumerate_algebraic_isos(a.cc, b.cc):
                 yield a, b, phi
 
@@ -473,9 +484,9 @@ def _algebraic_isos(sources: list[CirculantScheme], targets: list[CirculantSchem
 def _induced_walk(sources: list[CirculantScheme], targets: list[CirculantScheme]):
     """(a, b, phi, induced) for every algebraic isomorphism phi from a
     source a to a target b; ``induced`` tells whether a point isomorphism
-    induces phi."""
+    induces phi (``is_induced``, the one place this module decides it)."""
     for a, b, phi in _algebraic_isos(sources, targets):
-        yield a, b, phi, find_isomorphism(a.cc, b.cc, phi) is not None
+        yield a, b, phi, is_induced(a.cc, b.cc, phi)
 
 
 def verify_muzychuk(schemes: list[CirculantScheme]) -> CheckReport:

@@ -26,7 +26,8 @@ from circulantwl.algebra import (
     iter_isomorphisms,
     tuple_extension,
 )
-from circulantwl import algebra
+from circulantwl import algebra, dimension
+from circulantwl.refine import InvariantError
 from circulantwl.wl import wl_closure
 
 
@@ -95,6 +96,78 @@ def test_iso_group_structure():
         assert a.compose(a.inverse()).is_identity
         for b in isos:
             assert a.compose(b).color_map in maps
+
+
+# -- unit multipliers ----------------------------------------------------------------
+
+
+def test_unit_maps_are_the_color_maps_of_unit_multipliers(schemes_up_to_13, rook_and_shrikhande):
+    for n in range(1, 14):
+        for X in schemes_up_to_13[n]:
+            expected = set()
+            for u in range(n):
+                # x -> ux keeps the partition exactly when it induces a color map
+                f = [u * x % n for x in range(n)]
+                if len(set(f)) == n:
+                    try:
+                        expected.add(induced_color_map(X.cc, X.cc, f).color_map)
+                    except ValueError:
+                        pass
+            assert list(map(tuple, algebra._unit_maps(X.cc).tolist())) == sorted(expected)
+    rook, _ = rook_and_shrikhande
+    assert algebra._unit_maps(rook).shape == (0, rook.rank)
+
+
+def test_pruned_color_search_equals_unpruned(schemes_up_to_16, monkeypatch):
+    # the search without unit maps is the unpruned one; the pruned one keeps
+    # fewer maps out of the backtracking and returns the same sorted lists
+    pairs = [
+        (a.cc, b.cc) for schemes in schemes_up_to_16.values() for a in schemes for b in schemes
+    ]
+    leaves = []
+    backtrack = algebra._backtrack
+    monkeypatch.setattr(
+        algebra, "_backtrack", lambda *args: [leaves.append(f) or f for f in backtrack(*args)]
+    )
+    pruned = [algebra._search_color_maps(a, b) for a, b in pairs]
+    pruned_leaves = len(leaves)
+    monkeypatch.setattr(algebra, "_unit_maps", lambda cc: np.empty((0, cc.rank), dtype=np.int64))
+    assert [algebra._search_color_maps(a, b) for a, b in pairs] == pruned
+    assert pruned_leaves < len(leaves) - pruned_leaves
+
+
+def test_forged_unit_map_is_caught(monkeypatch):
+    # a row that is no automorphism spreads into maps the final check rejects
+    z8 = cay(8, {1})
+    forged = np.arange(z8.rank)
+    forged[[z8.color_of(0, 1), z8.color_of(0, 2)]] = z8.color_of(0, 2), z8.color_of(0, 1)
+    monkeypatch.setattr(algebra, "_unit_maps", lambda cc: np.stack([np.arange(cc.rank), forged]))
+    with pytest.raises(InvariantError):
+        algebra._search_color_maps(z8, z8)
+
+
+def test_is_induced_agrees_with_the_point_search(schemes_up_to_16, rook_and_shrikhande):
+    for n in range(1, 17):
+        schemes = schemes_up_to_16[n]
+        for a, b, phi, induced in dimension._induced_walk(schemes, schemes):
+            f = find_isomorphism(a.cc, b.cc, phi)
+            assert induced == (f is not None) == algebra.is_induced(a.cc, b.cc, phi)
+            # pinning 0 to 0 keeps the least of all point isomorphisms
+            assert f == next(iter_isomorphisms(a.cc, b.cc, phi), None)
+    rook, shrikhande = rook_and_shrikhande
+    (phi,) = enumerate_algebraic_isos(rook, shrikhande)
+    assert not algebra.is_induced(rook, shrikhande, phi)
+    assert algebra.is_induced(rook, rook, identity_iso(rook))
+
+
+def test_units_decide_before_the_point_search(schemes_up_to_13, monkeypatch):
+    # with no point search, exactly the unit maps of a scheme are induced
+    monkeypatch.setattr(algebra, "find_isomorphism", lambda *args: None)
+    for n in range(1, 14):
+        for X in schemes_up_to_13[n]:
+            unit_maps = set(map(tuple, algebra._unit_maps(X.cc).tolist()))
+            for phi in enumerate_algebraic_isos(X.cc, X.cc):
+                assert algebra.is_induced(X.cc, X.cc, phi) == (phi.color_map in unit_maps)
 
 
 # -- combinatorial isomorphisms ------------------------------------------------------

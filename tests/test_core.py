@@ -153,6 +153,17 @@ def test_pentagon_distance_scheme():
     )
 
 
+def test_intersection_number_builds_no_tensor():
+    # one number is counted at one pair, not read off the rank**3 tensor
+    cc = cycle_scheme(9)
+    numbers = [
+        [[intersection_number(cc, r, s, t) for t in range(cc.rank)] for s in range(cc.rank)]
+        for r in range(cc.rank)
+    ]
+    assert "tensor" not in cc._cache
+    assert np.array_equal(numbers, intersection_tensor(cc))
+
+
 def test_intersection_number_rejects_bad_color():
     with pytest.raises(ValueError):
         intersection_number(trivial_config(4), 0, 0, 5)

@@ -229,7 +229,7 @@ def test_main_theorem_matches_single_graph_estimates():
 
 
 def _no_map_induced(monkeypatch):
-    monkeypatch.setattr(dimension, "find_isomorphism", lambda *args: None)
+    monkeypatch.setattr(dimension, "is_induced", lambda *args: False)
 
 
 def test_unit_image_gets_its_canonical_report(monkeypatch):

@@ -421,7 +421,7 @@ _BROKEN = {
     "discreteness": ("section_discreteness_check", lambda X, x: {"forced": False}),
     "uniqueness": ("extend_algebraic_automorphism", _not_unique),
     "oracle": ("wl_m_equivalent", lambda *args: not wl.wl_m_equivalent(*args)),
-    "muzychuk": ("find_isomorphism", lambda *args: None),
+    "muzychuk": ("is_induced", lambda *args: False),
 }
 
 
