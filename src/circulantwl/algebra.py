@@ -1,16 +1,16 @@
 """Isomorphisms of coherent configurations.
 
-Two layers: color bijections preserving all intersection numbers
-(algebraic isomorphisms), and point bijections inducing them
-(combinatorial isomorphisms, represented as plain tuples of point
-images).  One backtracking engine, ``_backtrack``, searches both; each
-search supplies only its candidate matrix and its pruning step.  On a
-translation-invariant configuration the unit multipliers x -> ux of Z_n
-that preserve its partition are a symmetry known in advance: the color-map
-search keeps one image per orbit of their color maps and closes its result
-under them, and ``is_induced`` tries them before any point search.  Tuple
-extensions lift an algebraic isomorphism to the point extensions at
-matched tuples via seeded lockstep refinement.
+Two layers: color bijections preserving all intersection numbers (algebraic
+isomorphisms), and point bijections inducing them (combinatorial
+isomorphisms, represented as plain tuples of point images).  One
+backtracking engine, ``_backtrack``, searches both; each search supplies
+only its candidate matrix and its pruning step.  One compare,
+``unit_multipliers``, finds the units u of Z_n whose x -> ux carries one
+label row onto another.  Those of a translation-invariant configuration are
+a symmetry known in advance: the color-map search keeps one image per orbit
+of their color maps and closes its result under them, and ``is_induced``
+tries them before any point search.  Tuple extensions lift an algebraic
+isomorphism to matched point extensions by seeded lockstep refinement.
 """
 
 from __future__ import annotations
@@ -108,38 +108,40 @@ def _row(cc: CoherentConfig) -> np.ndarray | None:
     return cc._cache["row"]
 
 
-def _unit_images(row: np.ndarray) -> np.ndarray:
-    """One row per unit u of Z_n: the entries row[u * x mod n] over x."""
-    n = len(row)
-    return row[np.outer(units(n), np.arange(n)) % n]
+def unit_multipliers(row_a, row_b) -> tuple[np.ndarray, np.ndarray]:
+    """The units u of Z_n, increasing, for which row_b[u * x] over x relabels
+    label row a (labels 0..k-1) bijectively, and the color map c ->
+    row_b[u * least_a(c)] of each, one row per u; none for unequal lengths."""
+    n, least = len(row_a), np.unique(row_a, return_index=True)[1]
+    us = np.asarray(units(n) if len(row_b) == n else [], dtype=np.int64)
+    images = row_b[np.outer(us, np.arange(n)) % n]
+    # each color goes where its least x goes; u is kept when all agree
+    cmaps = images[:, least]
+    kept = (cmaps[:, row_a] == images).all(axis=1) & (len(least) == len(np.unique(row_b)))
+    return us[kept], cmaps[kept]
 
 
 def _unit_maps(cc: CoherentConfig) -> np.ndarray:
-    """The distinct color maps, one row each in increasing order, of the
-    units u whose multiplier x -> ux sends the color classes of a
-    translation-invariant cc onto color classes.  They form a group of
-    algebraic automorphisms that holds the identity.  No rows for any other
-    cc.  Cached."""
+    """The distinct color maps, in increasing order, of the unit multipliers
+    of row 0 of a translation-invariant cc: a group of algebraic
+    automorphisms that holds the identity.  No rows for any other cc; cached."""
     if "unit_maps" not in cc._cache:
         maps, row = np.empty((0, cc.rank), dtype=np.int64), _row(cc)
         if row is not None:
-            images = _unit_images(row)
-            # each color goes where its least difference goes; u is kept when all agree
-            cmaps = images[:, cc.representative[:, 1]]
-            kept = cmaps[(cmaps[:, row] == images).all(axis=1)]
-            maps = np.array(sorted(set(map(tuple, kept.tolist()))), dtype=np.int64)
+            cmaps = unit_multipliers(row, row)[1].tolist()
+            maps = np.array(sorted(set(map(tuple, cmaps))), dtype=np.int64)
         cc._cache["unit_maps"] = maps
     return cc._cache["unit_maps"]
 
 
 def is_induced(cc_a: CoherentConfig, cc_b: CoherentConfig, phi: AlgebraicIso) -> bool:
-    """Whether a point isomorphism induces phi.  When both sides are
-    translation invariant, the units u with row_b[u * x] = phi(row_a[x]) for
-    every x are looked for first, in one compare; when there is none, or a
-    side is not translation invariant, ``find_isomorphism`` decides."""
+    """Whether a point isomorphism induces phi: first whether phi is the color
+    map of a unit multiplier (cached for a self pair), when both sides are
+    translation invariant, then by ``find_isomorphism``."""
     row_a, row_b = _row(cc_a), _row(cc_b)
-    if row_a is not None and row_b is not None and cc_a.n == cc_b.n:
-        if (_unit_images(row_b) == phi.array[row_a]).all(axis=1).any():
+    if row_a is not None and row_b is not None:
+        maps = _unit_maps(cc_a) if cc_a is cc_b else unit_multipliers(row_a, row_b)[1]
+        if (maps == phi.array).all(axis=1).any():
             return True
     return find_isomorphism(cc_a, cc_b, phi) is not None
 
@@ -196,9 +198,7 @@ def _search_color_maps(cc_a: CoherentConfig, cc_b: CoherentConfig) -> list[tuple
     if not cand.any(axis=1).all():
         return []
     order = sorted(range(rank), key=lambda c: (int(cand[c].sum()), c))
-    group = _unit_maps(cc_b)
-    if not len(group):
-        group = np.arange(rank)[None]
+    group = np.vstack([np.arange(rank), _unit_maps(cc_b)])
     pivot = next((c for c in order if cand[c].sum() > 1), None)
     if pivot is not None:
         # the identity is in H, so an image is least in its orbit when no h lowers it

@@ -15,8 +15,6 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
-
 from . import algebra, circulant, dimension, io, wl
 from .algebra import AlgebraicIso, enumerate_algebraic_isos, extendable_at, find_isomorphism
 from .core import is_translation_invariant, validate
@@ -321,12 +319,11 @@ def _cmd_iso(args, out) -> int:
 def _cmd_multiplier(args, out) -> int:
     X = _load_scheme(args.scheme, args.graph)
     if args.unit is not None:
-        if args.unit % X.n not in circulant.units(X.n):
+        # by Schur's theorem every unit of Z_n permutes the basic sets
+        us, cmaps = algebra.unit_multipliers(X.row, X.row)
+        if args.unit % X.n not in us:
             raise io.FormatError(f"--unit takes a unit of Z_{X.n}, got {args.unit}")
-        # a unit permutes the basic sets, so each color has one image
-        cmap = np.empty(X.rank, dtype=np.int64)
-        cmap[X.row] = X.row[np.arange(X.n) * args.unit % X.n]
-        phi = AlgebraicIso(X.cc, X.cc, tuple(cmap.tolist()))
+        phi = AlgebraicIso(X.cc, X.cc, tuple(cmaps[us == args.unit % X.n][0].tolist()))
     elif args.phi:
         try:
             phi = AlgebraicIso.from_json(X.cc, X.cc, args.phi)

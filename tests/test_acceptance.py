@@ -151,7 +151,7 @@ def test_criterion_6_extension_theorems(schemes_up_to_13, z20_fixture):
 
 
 def test_criterion_7_discreteness(schemes_up_to_16):
-    # a violation is a non-discrete section or a base tuple longer than Omega(n) + 1
+    # a violation is a section of the base-tuple extension that is not discrete
     sections_checked, failures = _merged(
         verify_discreteness(schemes_up_to_16[n]) for n in range(1, 17)
     )

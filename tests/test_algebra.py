@@ -103,17 +103,24 @@ def test_iso_group_structure():
 
 def test_unit_maps_are_the_color_maps_of_unit_multipliers(schemes_up_to_13, rook_and_shrikhande):
     for n in range(1, 14):
-        for X in schemes_up_to_13[n]:
-            expected = set()
+        for a, b in itertools.product(schemes_up_to_13[n], repeat=2):
+            expected = {}
             for u in range(n):
-                # x -> ux keeps the partition exactly when it induces a color map
+                # x -> ux keeps the partitions exactly when it induces a color map
                 f = [u * x % n for x in range(n)]
                 if len(set(f)) == n:
                     try:
-                        expected.add(induced_color_map(X.cc, X.cc, f).color_map)
+                        expected[u] = induced_color_map(a.cc, b.cc, f).color_map
                     except ValueError:
                         pass
-            assert list(map(tuple, algebra._unit_maps(X.cc).tolist())) == sorted(expected)
+            us, cmaps = algebra.unit_multipliers(a.row, b.row)
+            assert us.tolist() == sorted(expected)
+            assert list(map(tuple, cmaps.tolist())) == [expected[u] for u in sorted(expected)]
+            if a is b:
+                unit_maps = algebra._unit_maps(a.cc)
+                assert list(map(tuple, unit_maps.tolist())) == sorted(set(expected.values()))
+    us, cmaps = algebra.unit_multipliers(np.arange(4), np.arange(6))
+    assert us.shape == (0,) and cmaps.shape == (0, 4)
     rook, _ = rook_and_shrikhande
     assert algebra._unit_maps(rook).shape == (0, rook.rank)
 

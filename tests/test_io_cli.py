@@ -416,7 +416,7 @@ def _not_unique(*args):
 # per theorem, a dimension-level name and a stand-in that makes one inner check fail
 _BROKEN = {
     "main": ("omega", lambda n: -3),  # bound omega(n) + 3 = 0 is below every estimate
-    "schur": ("unit_permutes_connection_sets", lambda X, u: False),
+    "schur": ("unit_multipliers", lambda a, b: ((), ())),  # returns no unit
     "reduction": ("_extends_scheme_map", lambda *args: False),
     "discreteness": ("section_discreteness_check", lambda X, x: {"forced": False}),
     "uniqueness": ("extend_algebraic_automorphism", _not_unique),
