@@ -10,6 +10,7 @@ from circulantwl.core import (
     radical,
     is_translation_invariant,
     trivial_config,
+    units,
 )
 from circulantwl.algebra import (
     AlgebraicIso,
@@ -27,6 +28,7 @@ from circulantwl.algebra import (
     tuple_extension,
 )
 from circulantwl import algebra, dimension
+from circulantwl.circulant import CirculantScheme
 from circulantwl.refine import InvariantError
 from circulantwl.wl import wl_closure
 
@@ -175,6 +177,31 @@ def test_units_decide_before_the_point_search(schemes_up_to_13, monkeypatch):
             unit_maps = set(map(tuple, algebra._unit_maps(X.cc).tolist()))
             for phi in enumerate_algebraic_isos(X.cc, X.cc):
                 assert algebra.is_induced(X.cc, X.cc, phi) == (phi.color_map in unit_maps)
+
+
+def test_units_decide_between_two_configurations_before_the_point_search(
+    schemes_up_to_13, monkeypatch
+):
+    # the image Y of X under x -> vx is X again (Schur), built as a second
+    # configuration object; with no point search, a map from X to Y is
+    # induced exactly when some x -> ux induces it
+    monkeypatch.setattr(algebra, "find_isomorphism", lambda *args: None)
+    for n in range(1, 14):
+        for X in schemes_up_to_13[n]:
+            v = units(n)[-1]
+            row = np.empty(n, dtype=np.int64)
+            row[v * np.arange(n) % n] = X.row
+            Y = CirculantScheme(row)
+            assert np.array_equal(Y.row, X.row) and Y.cc is not X.cc
+            expected = set()
+            for u in units(n):
+                f = [u * x % n for x in range(n)]
+                try:
+                    expected.add(induced_color_map(X.cc, Y.cc, f).color_map)
+                except ValueError:
+                    pass
+            for phi in enumerate_algebraic_isos(X.cc, Y.cc):
+                assert algebra.is_induced(X.cc, Y.cc, phi) == (phi.color_map in expected)
 
 
 # -- combinatorial isomorphisms ------------------------------------------------------

@@ -555,18 +555,10 @@ def test_base_tuple_values():
     assert base_tuple(CirculantScheme.regular(5)) == (0, 1)
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 9, 12, 16])
+@pytest.mark.parametrize("n", [1, 2, 4, 6, 9, 12, 16, 30, 1680])
 def test_base_tuple_length_bound(n):
     x = base_tuple(CirculantScheme.regular(n))
-    assert len(x) <= omega(n) + 1
-
-
-def test_base_tuple_is_one_plus_omega_long(monkeypatch):
-    # 0 and one entry n / p^j per prime power p^j dividing n; the witness
-    # check closes every section of X, and the length does not depend on it
-    monkeypatch.setattr(circulant, "_assert_base_tuple", lambda X, x: None)
-    for n in range(1, 2001):
-        assert len(base_tuple(CirculantScheme.trivial(n))) == omega(n) + 1
+    assert len(x) == omega(n) + 1
 
 
 def test_regular_sections_all_discrete_at_base_tuple():
