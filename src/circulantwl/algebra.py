@@ -9,8 +9,9 @@ only its candidate matrix and its pruning step.  One compare,
 label row onto another.  Those of a translation-invariant configuration are
 a symmetry known in advance: the color-map search keeps one image per orbit
 of their color maps and closes its result under them, and ``is_induced``
-tries them before any point search.  Tuple extensions lift an algebraic
-isomorphism to matched point extensions by seeded lockstep refinement.
+tries them before any point search.  A tuple extension individualises x
+and x' as a point extension does (``core._individualise``), over base colors
+aligned by phi, and refines both sides in lockstep into the lifted map.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .core import (
     CoherentConfig,
     Parabolic,
     _covering_colors,
+    _individualise,
     intersection_tensor,
     is_translation_invariant,
     quotient,
@@ -450,18 +452,6 @@ class TupleExtension:
     lifted: AlgebraicIso
 
 
-def _tag_array(n: int, x: tuple[int, ...]) -> np.ndarray:
-    """Encode which tuple indices sit on each point (0 marks untagged points)."""
-    groups: dict[int, tuple[int, ...]] = {}
-    for i, p in enumerate(x):
-        groups[p] = groups.get(p, ()) + (i,)
-    codes: dict[tuple[int, ...], int] = {}
-    tags = np.zeros(n, dtype=np.int64)
-    for p, idx in groups.items():
-        tags[p] = codes.setdefault(idx, len(codes) + 1)
-    return tags
-
-
 def tuple_extension(
     phi: AlgebraicIso, x, x_image
 ) -> TupleExtension | None:
@@ -474,15 +464,11 @@ def tuple_extension(
     for i, j in combinations_with_replacement(range(len(x)), 2):
         if (x[i] == x[j]) != (x_image[i] == x_image[j]):
             return None
-    cc_a, cc_b = phi.source, phi.target
-    n = cc_a.n
-    tags_a = _tag_array(n, x)
-    tags_b = _tag_array(n, x_image)
-    inv = phi.inverse().array
-    k = max(len(x) + 2, 2)
-    init_a = (cc_a.colors * k + tags_a[:, None]) * k + tags_a[None, :]
-    init_b = (inv[cc_b.colors] * k + tags_b[:, None]) * k + tags_b[None, :]
-    res = refine_pairs(init_a, init_b)
+    # equal tags and phi-aligned base colors on both sides, and refinement only
+    # splits: so each lifted class lies over the phi-image of its base class
+    # and the diagonal of x[i] goes to that of x_image[i]
+    init_b = phi.inverse().array[phi.target.colors]
+    res = refine_pairs(_individualise(phi.source.colors, x), _individualise(init_b, x_image))
     if res is None:
         return None
     (mat_a, mat_b), rank = res
@@ -495,21 +481,9 @@ def tuple_extension(
     lifted = AlgebraicIso(ext_a, ext_b, tuple(int(c) for c in cmap))
     if not is_algebraic_isomorphism(ext_a, ext_b, lifted.color_map):
         raise InvariantError("lifted map is not an algebraic isomorphism")
-    _assert_extends(phi, ext_a, ext_b, lifted)
-    for i in range(len(x)):
-        if lifted(ext_a.color_of(x[i], x[i])) != ext_b.color_of(x_image[i], x_image[i]):
-            raise InvariantError("lifted map does not send x onto x'")
     return TupleExtension(
         base=phi, x=x, x_image=x_image, ext_source=ext_a, ext_target=ext_b, lifted=lifted
     )
-
-
-def _assert_extends(phi: AlgebraicIso, ext_a, ext_b, lifted: AlgebraicIso) -> None:
-    """Refined classes must map inside the phi-image of their base class."""
-    (a, b), (a2, b2) = ext_a.representative.T, ext_b.representative.T
-    base_image = phi.array[phi.source.colors[a, b]]
-    if not np.array_equal(base_image, phi.target.colors[a2, b2][lifted.array]):
-        raise InvariantError("lifted map leaves the image of its base class")
 
 
 def extendable_at(phi: AlgebraicIso, x) -> TupleExtension | None:

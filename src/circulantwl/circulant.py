@@ -466,10 +466,7 @@ def singular_classes(X: CirculantScheme) -> list[SingularClassReport]:
         return list(X._cache["singular"])
     out = []
     for cls in proj_equivalence_classes(X):
-        orders = {s.order for s in cls}
-        if len(orders) != 1:
-            raise InvariantError("projectively equivalent sections must share their order")
-        order = orders.pop()
+        order = cls[0].order
         trivial_flags = {s.is_trivial for s in cls}
         if len(trivial_flags) != 1:
             raise InvariantError("triviality is a class property")
@@ -628,28 +625,12 @@ def _section_color_map(
 
 
 def base_tuple(X: CirculantScheme) -> tuple[int, ...]:
-    """The identity plus a minimal generator of every prime-power subgroup.
-
-    For each prime power q | n the element n/q generates the subgroup of
-    order q; the resulting tuple, 1 + Omega(n) long, witnesses every
-    prime-power section.
-    """
+    """The identity and n/p^j for every prime power p^j dividing n: 1 +
+    Omega(n) entries, among them a generator of every prime-power section
+    U/L (for q the p-part of |U|, n/q lies in U and projects to |U|/q, a
+    unit mod |U/L|; see the README)."""
     n = X.n
-    entries = [0] + [n // p**j for p, k in _factorize(n) for j in range(1, k + 1)]
-    _assert_base_tuple(X, tuple(entries))
-    return tuple(entries)
-
-
-def _assert_base_tuple(X: CirculantScheme, x: tuple[int, ...]) -> None:
-    pts = set(x)
-    if 0 not in pts:
-        raise InvariantError("base tuple lacks the identity")
-    for sec in sections(X):
-        if len(_factorize(sec.order)) != 1:
-            continue
-        h = X.n // sec.upper.order
-        if not any(g % h == 0 and math.gcd(sec.project(g), sec.order) == 1 for g in pts):
-            raise InvariantError(f"no generator witness for prime-power section {sec.label()}")
+    return (0, *(n // p**j for p, k in _factorize(n) for j in range(1, k + 1)))
 
 
 def secc0(X: CirculantScheme) -> list[Section]:
@@ -767,7 +748,6 @@ def quasinormal_section_decomposition(X: CirculantScheme, sec: Section) -> list[
     if _is_quasinormal_certified(X, sec):
         return [sec]
     k = sec.order
-    h = X.n // sec.upper.order
     for a in divisors(k):
         b = k // a
         if a <= 1 or b <= 1 or math.gcd(a, b) != 1:

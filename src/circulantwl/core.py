@@ -456,17 +456,21 @@ def tensor_product(cc1: CoherentConfig, cc2: CoherentConfig) -> CoherentConfig:
     return CoherentConfig(mat)
 
 
+def _individualise(colors: np.ndarray, x) -> np.ndarray:
+    """The pair coloring colors refined by the tag of each end: 1 plus the
+    first index at which the point occurs in x, 0 for points not in x."""
+    x = [int(p) for p in x]
+    tag = np.zeros(colors.shape[0], dtype=np.int64)
+    for i, p in reversed(list(enumerate(x))):
+        if not 0 <= p < len(tag):
+            raise ValueError("extension point out of range")
+        tag[p] = i + 1
+    k = len(x) + 1
+    return (colors * k + tag[:, None]) * k + tag[None, :]
+
+
 def point_extension(cc: CoherentConfig, x) -> CoherentConfig:
     """Smallest coherent refinement of cc in which every point of x is a
     singleton fiber.  Depends only on the set of entries of x."""
-    pts = sorted(set(int(p) for p in x))
-    if any(not 0 <= p < cc.n for p in pts):
-        raise ValueError("extension point out of range")
-    tag = np.zeros(cc.n, dtype=np.int64)
-    for i, p in enumerate(pts):
-        tag[p] = i + 1
-    k = len(pts) + 1
-    init = (cc.colors * k + tag[:, None]) * k + tag[None, :]
-    stable, _ = close_pairs(init)
+    stable, _ = close_pairs(_individualise(cc.colors, x))
     return CoherentConfig(stable)
-

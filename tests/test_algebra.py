@@ -28,7 +28,7 @@ from circulantwl.algebra import (
     tuple_extension,
 )
 from circulantwl import algebra, dimension
-from circulantwl.circulant import CirculantScheme
+from circulantwl.circulant import CirculantScheme, base_tuple
 from circulantwl.refine import InvariantError
 from circulantwl.wl import wl_closure
 
@@ -309,6 +309,13 @@ def test_extension_requires_matching_equality_pattern():
     assert tuple_extension(identity_iso(cc), (0, 0), (0, 1)) is None
 
 
+@pytest.mark.parametrize("x", [(-1,), (0, 5)])
+def test_extension_refuses_points_out_of_range(x):
+    # a negative point must not wrap round to n - 1
+    with pytest.raises(ValueError, match="out of range"):
+        tuple_extension(identity_iso(cay(5, {1, 4})), x, x)
+
+
 def test_extension_unique_color_map_over_image_choices():
     # all successful image tuples give the same action on the old colors
     z8 = cay(8, {1})
@@ -347,6 +354,26 @@ def test_section_compatibility_of_extensions():
     x_s = tuple(block[p] for p in (0, 3))
     x_s2 = tuple(block[p] for p in (0, 3))
     assert tuple_extension(phi_s, x_s, x_s2) is not None
+
+
+def test_lift_matches_x_with_x_image_over_phi(schemes_up_to_13):
+    # both sides are tagged alike and start from phi-aligned colors; tagging
+    # each side's points by their sorted rank would match them out of order
+    checked = 0
+    for n in range(2, 11):
+        for X in schemes_up_to_13[n]:
+            for phi in enumerate_algebraic_isos(X.cc, X.cc):
+                for x in {base_tuple(X), (1, 0), (0, 1, 0)}:
+                    ext = extendable_at(phi, x)
+                    if ext is None:
+                        continue
+                    src, tgt, lifted = ext.ext_source, ext.ext_target, ext.lifted
+                    for p, q in zip(ext.x, ext.x_image):
+                        assert lifted(src.color_of(p, p)) == tgt.color_of(q, q), (n, x)
+                    (a, b), (a2, b2) = src.representative.T, tgt.representative[lifted.array].T
+                    assert np.array_equal(phi.array[X.cc.colors[a, b]], X.cc.colors[a2, b2])
+                    checked += 1
+    assert checked == 294  # every map of order <= 10 extends at each of these x
 
 
 # -- extendability ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from circulantwl.circulant import (
     omega,
     proj_equivalence_classes,
     quasinormal_by_definition,
+    quasinormal_section_decomposition,
     scheme_radical,
     secc0,
     section_bridge,
@@ -409,6 +410,21 @@ def test_quasinormality_matches_definition(n):
         assert is_quasinormal(X) == quasinormal_by_definition(X)
 
 
+def test_section_splits_into_a_tensor_product_of_controlled_factors(monkeypatch):
+    # 12/1 is not certified directly, so the decomposition must split it
+    X, _ = from_connection_partition(
+        24,
+        [{0}, {1, 3, 9, 11, 17, 19}, {2, 10, 14, 22}, {4, 20}, {5, 7, 13, 15, 21, 23},
+         {6, 18}, {8, 16}, {12}],
+    )
+    sec = _section(X, XGroup(24, 12), XGroup(24, 1))
+    assert X.rank == 8 and is_quasinormal(X)
+    parts = quasinormal_section_decomposition(X, sec)
+    assert [s.label() for s in parts] == ["3/1", "4/1"]
+    monkeypatch.setattr(circulant, "_tensor_condition", lambda *args: False)
+    assert quasinormal_section_decomposition(X, sec) is None
+
+
 # -- singular classes -----------------------------------------------------------------------
 
 
@@ -559,6 +575,38 @@ def test_base_tuple_values():
 def test_base_tuple_length_bound(n):
     x = base_tuple(CirculantScheme.regular(n))
     assert len(x) == omega(n) + 1
+
+
+def _witnesses_prime_power_sections(n, x):
+    """Whether x holds 0 and, for every pair L <= U of subgroups of Z_n with
+    |U/L| a prime power, an element of U whose coset generates U/L."""
+
+    def primes(k):
+        out, d = set(), 2
+        while k > 1:
+            if k % d:
+                d += 1
+            else:
+                out.add(d)
+                k //= d
+        return out
+
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    pairs = [(u, lo) for u in divisors for lo in divisors if u % lo == 0]
+    return 0 in x and all(
+        any(g % (n // u) == 0 and math.gcd(g // (n // u), u // lo) == 1 for g in x)
+        for u, lo in pairs
+        if len(primes(u // lo)) == 1
+    )
+
+
+@pytest.mark.parametrize("n", [8, 12, 30, 72, 1680])
+def test_base_tuple_witnesses_every_prime_power_section(n):
+    x = base_tuple(CirculantScheme.trivial(n))
+    assert _witnesses_prime_power_sections(n, x)
+    # and no entry can be spared
+    for i in range(len(x)):
+        assert not _witnesses_prime_power_sections(n, x[:i] + x[i + 1 :]), x[i]
 
 
 def test_regular_sections_all_discrete_at_base_tuple():

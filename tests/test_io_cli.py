@@ -449,6 +449,40 @@ def test_verify_subcommands(theorem, orders, monkeypatch, capsys):
     assert "error:" not in capsys.readouterr().err
 
 
+def test_reduction_verb_reports_a_map_that_is_not_extendable(monkeypatch, capsys):
+    # every map still extends to the singular extension; only the
+    # extendability arm fails
+    monkeypatch.setattr(dimension, "is_m_extendable", lambda phi, m: False)
+    code, out = invoke("verify", "--theorem", "reduction", "--orders", "4..6")
+    lines = out.splitlines()
+    assert code == 1 and lines
+    for line in lines:
+        fields = dict(f.split("=") for f in line.split()[:-1])
+        assert line.endswith(" VIOLATION") and fields["extended"] == fields["checked"] != "0"
+    assert "error:" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cap,normal", [(None, "normal=True"), ("4", "normal=unknown (cap exceeded; raise --normality-cap)")]
+)
+def test_analyze_output_is_pinned(cap, normal):
+    # the README example
+    extra = () if cap is None else ("--normality-cap", cap)
+    code, out = invoke("analyze", "--graph", "n=12;S=1,11", *extra)
+    assert code == 0
+    assert out.splitlines() == [
+        "n=12",
+        "rank=7",
+        "homogeneous=True",
+        "xgroups=1,2,3,4,6,12",
+        "radical=1",
+        normal,
+        "quasinormal=True",
+        "singular_classes=0",
+        "base_tuple=0,6,3,4",
+    ]
+
+
 def test_uniqueness_verb_can_fail(monkeypatch, capsys):
     _, passing = invoke("verify", "--theorem", "uniqueness", "--orders", "4..6")
     calls = []
