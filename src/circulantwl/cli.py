@@ -103,9 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_scheme(path, spec) -> circulant.CirculantScheme:
     """The scheme of a scheme file or of an inline graph spec."""
-    if path:
+    if path is not None:
         return io.parse_scheme(_read(path))
-    if spec:
+    if spec is not None:
         n, conn = io.parse_connection_set(spec)
         return dimension.graph_scheme(n, conn)
     raise io.FormatError("need an input: --scheme or --graph (--scheme2 or --graph2 for a second)")
@@ -135,12 +135,14 @@ def _parse_orders(text: str) -> list[int]:
 
 
 def _cmd_close(args, out) -> int:
-    if args.config:
+    if args.config is not None:
         cc = io.parse_config(_read(args.config))
         closed = wl.wl_closure(cc.colors)
         out.write(io.dump_config(closed))
         return 0
-    spec = args.graph or (_read(args.file).strip() if args.file else None)
+    spec = args.graph
+    if spec is None and args.file is not None:
+        spec = _read(args.file).strip()
     if spec is None:
         raise io.FormatError("need --graph, --file or --config")
     n, arcs = io.parse_graph_spec(spec)
@@ -154,9 +156,9 @@ def _cmd_close(args, out) -> int:
 
 
 def _cmd_validate(args, out) -> int:
-    if getattr(args, "config", None):
+    if args.config is not None:
         cc = io.parse_config(_read(args.config))
-    elif args.scheme:
+    elif args.scheme is not None:
         scheme, coherent = io.parse_scheme_lenient(_read(args.scheme))
         if not coherent:
             out.write("not coherent; closure rank %d\n" % scheme.rank)

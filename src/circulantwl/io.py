@@ -112,10 +112,13 @@ def parse_graph_spec(text: str) -> tuple[int, np.ndarray]:
         return n, arcs
     body = parts[1]
     if body.startswith("S="):
+        if parts[2:]:
+            raise FormatError(f"S= takes no parts after it, got {';'.join(parts[2:])!r}")
         items = body[2:].strip()
-        conn = (
-            {int(v) % n for v in items.split(",")} if items else set()
-        )
+        try:
+            conn = {int(v) % n for v in items.split(",")} if items else set()
+        except ValueError as exc:
+            raise FormatError("connection set entries must be integers") from exc
         if 0 in conn:
             raise FormatError("connection set must not contain 0")
         row = np.zeros(n, dtype=np.int64)

@@ -5,6 +5,7 @@ import io as stdio
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -752,6 +753,11 @@ def test_main_past_the_graph_cap_runs_no_order(argv, cap, monkeypatch, capsys):
             "extend --graph n=4;S=1,2,3 --section 4/x",
             "--section takes U/L with integer orders, got '4/x'",
         ),
+        (
+            "extend --graph n=4;S=1,2,3 --section x",
+            "--section takes U/L with integer orders, got 'x'",
+        ),
+        ("extend --graph n=4;S=1,2,3 --section 2/1", "2/1 is not a section of a singular class"),
     ],
 )
 def test_malformed_flag_exits_1_naming_the_flag(argv, message, capsys):
@@ -759,3 +765,76 @@ def test_malformed_flag_exits_1_naming_the_flag(argv, message, capsys):
     err = capsys.readouterr().err
     assert (code, out) == (1, "")
     assert f"error: {message}" in err and "Traceback" not in err
+
+
+# every malformed-input branch of the parsers, with the file it reads as {file}
+@pytest.mark.parametrize(
+    "argv,body,message",
+    [
+        ("analyze --graph n=x", None, "first line must be n=<int>"),
+        ("analyze --graph n=0", None, "point count must be positive"),
+        ("close --config {file}", "\n\n", "empty configuration file"),
+        ("close --config {file}", "n=2\n0 1\n", "expected 2 matrix rows, found 1"),
+        ("validate --config {file}", "n=1\nx\n", "matrix entries must be integers"),
+        ("close --config {file}", "n=2\n0 1\n1\n", "expected 2 entries per row"),
+        ("analyze --scheme {file}", " \n", "empty scheme file"),
+        ("validate --scheme {file}", "n=2\nD: 1\n", "connection set lines must start with 'C:'"),
+        ("validate --scheme {file}", "n=2\nC:\n", "empty connection set line"),
+        ("validate --scheme {file}", "n=2\nC: a\n", "connection set entries must be integers"),
+        (
+            "analyze --scheme {file}",
+            "n=6\nC: 1,2\nC: 3,4,5\n",
+            "connection partition is not coherent",
+        ),
+        ("close --graph ;", None, "empty graph spec"),
+        ("close --graph n=3;arcs=1:0", None, "malformed arc chunk '1:0'"),
+        ("close --graph n=3;T=1", None, "graph spec needs S=... or arcs=..."),
+        ("analyze --graph n=3;arcs=2:0,1", None, "graph is not circulant shorthand"),
+        # the S= shorthand refuses what it cannot read instead of dropping it
+        ("analyze --graph n=4;S=1;2", None, "S= takes no parts after it, got '2'"),
+        (
+            "analyze --graph n=4;S=1;2;arcs=1:0,1",
+            None,
+            "S= takes no parts after it, got '2;arcs=1:0,1'",
+        ),
+        ("close --graph n=4;S=a", None, "connection set entries must be integers"),
+        ("close --graph n=4;S=1,,2", None, "connection set entries must be integers"),
+        # an empty value is a given input, read and refused by its parser or reader
+        ("validate --graph ''", None, "empty graph spec"),
+        ("dim --graph ''", None, "empty graph spec"),
+        ("close --graph ''", None, "empty graph spec"),
+        ("analyze --graph ''", None, "empty graph spec"),
+        ("wlm --graph '' --graph2 n=5;S=1,4", None, "empty graph spec"),
+        ("iso --graph n=5;S=1,4 --graph2 ''", None, "empty graph spec"),
+        ("close --file ''", None, "cannot read "),
+        ("close --config ''", None, "cannot read "),
+        ("validate --scheme ''", None, "cannot read "),
+        ("validate --config ''", None, "cannot read "),
+        ("sections --scheme ''", None, "cannot read "),
+    ],
+)
+def test_malformed_input_exits_1_with_a_message(argv, body, message, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    if body is not None:
+        path.write_text(body)
+    code, out = invoke(*(arg.replace("{file}", str(path)) for arg in shlex.split(argv)))
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,code,expected",
+    [
+        ("validate --scheme {file}", 0, "not coherent; closure rank 6\n"),
+        ("singular --graph n=5;S=1,4", 0, "no trivial classes of order > 2\n"),
+        ("iso --graph n=6;S=1,5 --graph2 n=6;S=2,4", 0, "no algebraic isomorphisms\n"),
+        ("wlm --graph n=6;S=1,5 --graph2 n=6;S=2,4", 0, "no algebraic isomorphisms\n"),
+        ("iso --graph n=5;S=1,4 --graph2 n=5;S=2,3", 0, "phi=[0, 1, 2]\nphi=[0, 2, 1]\n"),
+        ("extend --graph n=4;S=1,2,3 --section 4/1", 0, "n=4\nC: 0\nC: 1\nC: 2\nC: 3\n"),
+    ],
+)
+def test_verb_outputs_are_pinned(argv, code, expected, tmp_path):
+    path = tmp_path / "not_coherent.scheme"
+    path.write_text("n=6\nC: 1,2\nC: 3,4,5\n")
+    assert invoke(*(arg.replace("{file}", str(path)) for arg in argv.split())) == (code, expected)
