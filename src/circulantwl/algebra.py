@@ -509,7 +509,7 @@ def is_m_extendable(phi: AlgebraicIso, m: int) -> bool:
     if m < 0:
         raise ValueError("m must be nonnegative")
     n = phi.source.n
-    invariant = is_translation_invariant(phi.source.colors)
+    invariant = _row(phi.source) is not None
     sets = (
         s
         for size in range(1, min(m, n) + 1)

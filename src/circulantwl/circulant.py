@@ -267,27 +267,26 @@ class Section:
 
 
 def section_labels(X: CirculantScheme, upper: XGroup, lower: XGroup) -> np.ndarray:
-    """The basic sets of the quotient on U/L as a label row of Z_|U/L|: the
-    cosets of L in U, numbered as ``Section.project`` numbers them, keyed
-    by the sorted colors of their elements, read without closing.
+    """The basic sets of the quotient on U/L as a label row of Z_|U/L|,
+    numbered by first occurrence: the cosets of L in U, numbered as
+    ``Section.project`` numbers them, keyed by the sorted colors of their
+    elements.  For X-groups L <= U these keys are the projections of the
+    basic sets inside U, which partition U/L (proof in the README).
 
-    Raises InvariantError where a color lies in cosets of two keys: then the
-    projections of two basic sets overlap without coinciding."""
+    Raises ValueError unless L <= U are X-groups of X."""
+    groups = xgroup_lattice(X)
+    if upper not in groups or lower not in groups or not lower <= upper:
+        raise ValueError("a section needs X-groups L <= U of the scheme")
     k, h, row = upper.order // lower.order, X.n // upper.order, X.row.tolist()
     # coset i holds the differences (i + k * j) * h for j < |L|
     cosets = [tuple(sorted(row[(i + k * j) * h] for j in range(lower.order))) for i in range(k)]
-    owner = {c: coset for coset in cosets for c in coset}
-    if any(owner[c] != coset for coset in cosets for c in coset):
-        raise InvariantError("quotient classes overlap without coinciding")
     return np.array(_partition_key(cosets))
 
 
 def section_scheme(X: CirculantScheme, upper: XGroup, lower: XGroup) -> CirculantScheme:
-    """Quotient scheme on U/L, closed from its label row."""
-    scheme, coherent = close_labels(section_labels(X, upper, lower))
-    if not coherent:
-        raise InvariantError("section scheme of nested relation subgroups must be coherent")
-    return scheme
+    """Quotient scheme on U/L: its label row is a scheme as it stands (the
+    projections of the basic sets span an S-ring; see the README)."""
+    return CirculantScheme(section_labels(X, upper, lower))
 
 
 def sections(X: CirculantScheme) -> list[Section]:

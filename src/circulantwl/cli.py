@@ -101,12 +101,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_scheme(path, spec) -> circulant.CirculantScheme:
-    """The scheme of a scheme file or of an inline graph spec."""
-    if path is not None:
-        return io.parse_scheme(_read(path))
-    if spec is not None:
-        n, conn = io.parse_connection_set(spec)
+def _one_input(args, *options: str) -> str | None:
+    """The one option among ``options`` that is given, or None; two given
+    are refused, since only one of them would be read."""
+    given = [o for o in options if getattr(args, o) is not None]
+    if len(given) > 1:
+        names = " and ".join(f"--{o}" for o in given)
+        raise io.FormatError(f"{names} both give an input; give one")
+    return given[0] if given else None
+
+
+def _load_scheme(args, suffix: str = "") -> circulant.CirculantScheme:
+    """The scheme of --scheme or --graph (of --scheme2 or --graph2 with
+    suffix "2"): a scheme file or an inline graph spec."""
+    which = _one_input(args, "scheme" + suffix, "graph" + suffix)
+    if which == "scheme" + suffix:
+        return io.parse_scheme(_read(getattr(args, which)))
+    if which is not None:
+        n, conn = io.parse_connection_set(getattr(args, which))
         return dimension.graph_scheme(n, conn)
     raise io.FormatError("need an input: --scheme or --graph (--scheme2 or --graph2 for a second)")
 
@@ -135,16 +147,15 @@ def _parse_orders(text: str) -> list[int]:
 
 
 def _cmd_close(args, out) -> int:
-    if args.config is not None:
+    which = _one_input(args, "graph", "file", "config")
+    if which == "config":
         cc = io.parse_config(_read(args.config))
         closed = wl.wl_closure(cc.colors)
         out.write(io.dump_config(closed))
         return 0
-    spec = args.graph
-    if spec is None and args.file is not None:
-        spec = _read(args.file).strip()
-    if spec is None:
+    if which is None:
         raise io.FormatError("need --graph, --file or --config")
+    spec = args.graph if which == "graph" else _read(args.file).strip()
     n, arcs = io.parse_graph_spec(spec)
     # a closure refines its input, so it is translation invariant exactly
     # when the input is
@@ -156,15 +167,16 @@ def _cmd_close(args, out) -> int:
 
 
 def _cmd_validate(args, out) -> int:
-    if args.config is not None:
+    which = _one_input(args, "scheme", "graph", "config")
+    if which == "config":
         cc = io.parse_config(_read(args.config))
-    elif args.scheme is not None:
+    elif which == "scheme":
         scheme, coherent = io.parse_scheme_lenient(_read(args.scheme))
         if not coherent:
             out.write("not coherent; closure rank %d\n" % scheme.rank)
             return 0
         cc = scheme.cc
-    elif args.graph is None:
+    elif which is None:
         raise io.FormatError("validate needs --scheme, --graph or --config")
     else:
         n, arcs = io.parse_graph_spec(args.graph)
@@ -179,7 +191,7 @@ def _cmd_validate(args, out) -> int:
 
 
 def _cmd_analyze(args, out) -> int:
-    X = _load_scheme(args.scheme, args.graph)
+    X = _load_scheme(args)
     out.write(f"n={X.n}\n")
     out.write(f"rank={X.rank}\n")
     out.write(f"homogeneous={X.cc.is_homogeneous}\n")
@@ -201,7 +213,7 @@ def _cmd_analyze(args, out) -> int:
 
 
 def _cmd_sections(args, out) -> int:
-    X = _load_scheme(args.scheme, args.graph)
+    X = _load_scheme(args)
     for i, cls in enumerate(circulant.proj_equivalence_classes(X)):
         for sec in cls:
             out.write(
@@ -212,7 +224,7 @@ def _cmd_sections(args, out) -> int:
 
 
 def _cmd_singular(args, out) -> int:
-    X = _load_scheme(args.scheme, args.graph)
+    X = _load_scheme(args)
     reports = circulant.singular_classes(X)
     if not reports:
         out.write("no trivial classes of order > 2\n")
@@ -227,7 +239,7 @@ def _cmd_singular(args, out) -> int:
 
 
 def _cmd_extend(args, out) -> int:
-    X = _load_scheme(args.scheme, args.graph)
+    X = _load_scheme(args)
     singular = [r for r in circulant.singular_classes(X) if r.is_singular]
     if args.section:
         upper, sep, lower = args.section.partition("/")
@@ -257,8 +269,8 @@ def _cmd_extend(args, out) -> int:
 def _per_map(args, out, line) -> int:
     """Write ``phi=<map>`` and line(a, b, phi) for each algebraic isomorphism
     phi between the two input schemes a and b."""
-    a = _load_scheme(args.scheme, args.graph)
-    b = _load_scheme(args.scheme2, args.graph2)
+    a = _load_scheme(args)
+    b = _load_scheme(args, "2")
     isos = enumerate_algebraic_isos(a.cc, b.cc)
     if not isos:
         out.write("no algebraic isomorphisms\n")
@@ -319,7 +331,7 @@ def _cmd_iso(args, out) -> int:
 
 
 def _cmd_multiplier(args, out) -> int:
-    X = _load_scheme(args.scheme, args.graph)
+    X = _load_scheme(args)
     if args.unit is not None:
         # by Schur's theorem every unit of Z_n permutes the basic sets
         us, cmaps = algebra.unit_multipliers(X.row, X.row)

@@ -168,7 +168,9 @@ def scheme_candidates(n: int, corpora: dict[int, list[CirculantScheme]]):
       U = Z_|U|, in which L is an X-group, and B over Z_n/L = Z_(n/|L|), in
       which U/L is an X-group, that agree on U/L: A's basic sets scaled into
       U, and the preimages of B's basic sets outside U/L.
-    A candidate need not be coherent; the caller closes it to decide.
+    Every candidate is a scheme as it stands, by the textbook argument for
+    its kind (proofs in the README), so none needs closing; one partition
+    may come several times.
     """
     x = np.arange(n)
     yield "trivial", np.minimum(x, 1)
@@ -189,30 +191,26 @@ def scheme_candidates(n: int, corpora: dict[int, list[CirculantScheme]]):
             for B in corpora[n // lo]:
                 if _has_xgroup(B, k):
                     sub = XGroup(n // lo, k)
-                    key = _partition_key(section_labels(B, sub, XGroup(n // lo, 1)))
+                    key = tuple(section_labels(B, sub, XGroup(n // lo, 1)))
                     sections.setdefault(key, []).append(B)
             for A in corpora[u]:
                 if not _has_xgroup(A, lo):
                     continue
-                key = _partition_key(section_labels(A, top, XGroup(u, lo)))
+                key = tuple(section_labels(A, top, XGroup(u, lo)))
                 for B in sections.get(key, []):
                     outside = A.rank + B.row[x % (n // lo)]
                     yield "wreath", np.where(in_u, A.row[x // h], outside)
 
 
 def _corpora(n: int) -> dict[int, list[CirculantScheme]]:
-    """The schemes of every divisor of n, in corpus order: the coherent
-    candidates of each divisor, built from the divisors before it, each
-    partition closed once."""
+    """The schemes of every divisor of n, in corpus order: the candidates of
+    each divisor, built from the divisors before it, one per partition."""
     corpora: dict[int, list[CirculantScheme]] = {}
     for d in divisors(n):
-        closed: dict[tuple[int, ...], CirculantScheme | None] = {}
+        rows: dict[tuple[int, ...], np.ndarray] = {}
         for _, labels in scheme_candidates(d, corpora):
-            key = _partition_key(labels)
-            if key not in closed:
-                scheme, coherent = close_labels(labels)
-                closed[key] = scheme if coherent else None
-        corpora[d] = sorted((X for X in closed.values() if X is not None), key=_scheme_order)
+            rows.setdefault(_partition_key(labels), labels)
+        corpora[d] = sorted(map(CirculantScheme, rows.values()), key=_scheme_order)
     return corpora
 
 
@@ -223,9 +221,9 @@ def enumerate_schemes(n: int, cap: int = DEFAULT_SCHEME_CAP) -> Corpus:
     coprime split of n, or a generalised wreath product over a section U/L
     with 1 < L <= U < Z_n (Leung and Man, J. Algebra 1996 and Israel
     J. Math. 1998).  So the candidates of ``scheme_candidates``, built from
-    the schemes of the proper divisors, include every scheme of order n; a
-    candidate is kept only when its WL closure leaves it unchanged.  The
-    divisor corpora are memoized for this call only.  Results are memoized
+    the schemes of the proper divisors, include every scheme of order n,
+    and each of them is a scheme without closing (see ``scheme_candidates``).
+    The divisor corpora are memoized for this call only.  Results are memoized
     on disk when CIRCULANTWL_CACHE points to a directory.
     """
     if n > cap:

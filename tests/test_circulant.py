@@ -213,6 +213,18 @@ def test_section_schemes_validate():
         assert sec.scheme.n == sec.order
 
 
+def test_section_scheme_refuses_groups_that_are_not_x_groups():
+    regular, trivial = CirculantScheme.regular(12), CirculantScheme.trivial(12)
+    for X, upper, lower in [
+        (regular, 4, 3),  # L is not inside U
+        (trivial, 6, 1),  # U is not an X-group
+        (trivial, 12, 2),  # L is not an X-group
+        (regular, 2, 6),  # L > U
+    ]:
+        with pytest.raises(ValueError, match="X-groups L <= U"):
+            section_scheme(X, XGroup(12, upper), XGroup(12, lower))
+
+
 def test_section_lookup_reads_the_sections_cache():
     X = CirculantScheme.regular(12)
     U, L = XGroup(12, 6), XGroup(12, 2)

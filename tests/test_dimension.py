@@ -1,16 +1,19 @@
 import hashlib
 import io
 from dataclasses import replace
+from itertools import chain
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from circulantwl import cli, core, dimension
+from circulantwl import circulant, cli, core, dimension
 from circulantwl.algebra import CapExceededError, enumerate_algebraic_isos, find_isomorphism
 from circulantwl.circulant import (
     CirculantScheme,
     close_labels,
     is_quasinormal,
+    section_labels,
     sections,
 )
 from circulantwl.dimension import (
@@ -30,6 +33,7 @@ from circulantwl.dimension import (
     verify_muzychuk,
     verify_reduction,
 )
+from circulantwl.refine import refine_circulant
 from circulantwl.wl import wl_m_equivalent
 
 
@@ -137,11 +141,11 @@ def test_cold_enumeration_has_no_process_memo(monkeypatch):
     monkeypatch.delenv("CIRCULANTWL_CACHE", raising=False)
     calls = []
 
-    def counted(labels):
-        calls.append(len(labels))
-        return close_labels(labels)
+    def counted(n, corpora):
+        calls.append(n)
+        return scheme_candidates(n, corpora)
 
-    monkeypatch.setattr(dimension, "close_labels", counted)
+    monkeypatch.setattr(dimension, "scheme_candidates", counted)
     counts = []
     for _ in range(2):
         calls.clear()
@@ -150,8 +154,56 @@ def test_cold_enumeration_has_no_process_memo(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def test_enumeration_and_sections_run_no_closure(monkeypatch):
+    # candidates and sections are schemes by a theorem, so neither is closed
+    monkeypatch.delenv("CIRCULANTWL_CACHE", raising=False)
+    calls = []
+
+    def counted(row):
+        calls.append(len(row))
+        return refine_circulant(row)
+
+    monkeypatch.setattr(circulant, "refine_circulant", counted)
+    schemes = enumerate_schemes(12).schemes
+    assert all(sections(X) for X in schemes) and len(schemes) == 32
+    assert calls == []
+    # the counter sees the closure of a graph, which may not be coherent
+    dimension.graph_scheme(12, frozenset({1, 11}))
+    assert calls == [12]
+
+
+def _not_coherent(candidates):
+    """The (kind, labels) pairs whose label row its WL closure splits."""
+    return [(kind, labels.tolist()) for kind, labels in candidates if not close_labels(labels)[1]]
+
+
+def _forged_wreath_12():
+    """The wreath row of order 12 over U of order 6 and L of order 2 built
+    from A = {0}, {3}, {1, 2, 4, 5} over Z_6 and the regular scheme over
+    Z_6, whose sections on U/L disagree (ranks 2 and 3)."""
+    A, B, x = CirculantScheme([0, 1, 1, 2, 1, 1]), CirculantScheme.regular(6), np.arange(12)
+    return np.where(x % 2 == 0, A.row[x // 2], A.rank + B.row[x % 6])
+
+
+def test_candidates_and_sections_are_coherent_as_built():
+    # every candidate of every order <= 24, before deduplication, and every
+    # section row of every scheme of those orders is its own WL closure
+    corpora = {}
+    for n in range(1, 25):
+        assert _not_coherent(scheme_candidates(n, corpora)) == []
+        corpora[n] = enumerate_schemes(n).schemes
+        for X in corpora[n]:
+            for sec in sections(X):
+                closed, coherent = close_labels(section_labels(X, sec.upper, sec.lower))
+                assert coherent and closed == sec.scheme
+    # the check fails on a wreath row over two sections that disagree
+    forged = _forged_wreath_12()
+    candidates = chain(scheme_candidates(12, corpora), [("wreath", forged)])
+    assert _not_coherent(candidates) == [("wreath", forged.tolist())]
+
+
 def test_enumeration_and_cache_read_build_no_dense_matrix(monkeypatch, tmp_path):
-    # schemes are rows: closing candidates, reading their sections and
+    # schemes are rows: building candidates, reading their sections and
     # reading the cache back never canonicalise an n x n matrix
     def refuse(mat):
         raise AssertionError("dense canonicalisation")

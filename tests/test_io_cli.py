@@ -767,6 +767,9 @@ def test_malformed_flag_exits_1_naming_the_flag(argv, message, capsys):
     assert f"error: {message}" in err and "Traceback" not in err
 
 
+PENTAGON = "n=5\nC: 0\nC: 1,4\nC: 2,3\n"
+
+
 # every malformed-input branch of the parsers, with the file it reads as {file}
 @pytest.mark.parametrize(
     "argv,body,message",
@@ -811,6 +814,15 @@ def test_malformed_flag_exits_1_naming_the_flag(argv, message, capsys):
         ("validate --scheme ''", None, "cannot read "),
         ("validate --config ''", None, "cannot read "),
         ("sections --scheme ''", None, "cannot read "),
+        # a second input is refused before either is read, not dropped
+        ("close --graph n=5;S=1,4 --file {file}", None, "--graph and --file both give an input"),
+        ("analyze --scheme {file} --graph n=5;S=1,4", PENTAGON, "--scheme and --graph both"),
+        ("validate --scheme {file} --graph n=5;S=1,4", PENTAGON, "--scheme and --graph both"),
+        (
+            "iso --graph n=5;S=1,4 --graph2 n=5;S=2,3 --scheme2 {file}",
+            PENTAGON,
+            "--scheme2 and --graph2 both give an input; give one",
+        ),
     ],
 )
 def test_malformed_input_exits_1_with_a_message(argv, body, message, tmp_path, capsys):
@@ -821,6 +833,11 @@ def test_malformed_input_exits_1_with_a_message(argv, body, message, tmp_path, c
     err = capsys.readouterr().err
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+
+def test_tests_import_the_library_of_this_checkout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    assert Path(circulantwl.__file__).resolve().parent == src / "circulantwl"
 
 
 @pytest.mark.parametrize(
