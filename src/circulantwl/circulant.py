@@ -167,22 +167,36 @@ class CirculantScheme:
         return int(self.row[d % self.n])
 
 
+def _close_rows(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed rows 0 of a label row or of a (G, n) stack of them, and
+    whether each label partition was already coherent."""
+    row = labels * 2
+    # difference 0 is split off as in ``wl_closure``; the closure refines
+    # the partition, so it is coherent exactly when closing adds no class
+    row[..., 0] += 1
+    closed, rank = refine_circulant(row)
+    distinct = np.count_nonzero(np.diff(np.sort(labels, axis=-1), axis=-1), axis=-1) + 1
+    return closed, rank == distinct
+
+
 def close_labels(labels) -> tuple[CirculantScheme, bool]:
     """The WL closure of the translation-invariant coloring with row 0
     ``labels``, a circulant scheme, and whether the partition of Z_n into
     classes of equal labels was already coherent."""
-    labels = np.asarray(labels, dtype=np.int64)
-    row = labels * 2
-    # difference 0 is split off as in ``wl_closure``; the closure refines
-    # the partition, so it is coherent exactly when closing adds no class
-    row[0] += 1
-    closed, rank = refine_circulant(row)
-    return CirculantScheme(closed), rank == len(set(labels.tolist()))
+    closed, coherent = _close_rows(np.asarray(labels, dtype=np.int64))
+    return CirculantScheme(closed), bool(coherent)
 
 
-def from_connection_partition(n: int, parts) -> tuple[CirculantScheme, bool]:
-    """Turn a partition of Z_n (or of Z_n minus 0) into a circulant scheme,
-    as ``close_labels`` does for its label row."""
+def _close_stack(labels: np.ndarray) -> list[tuple[CirculantScheme, bool]]:
+    """``close_labels`` of each row of a (G, n) stack, in one closure."""
+    closed, coherent = _close_rows(labels)
+    return [(CirculantScheme(row), flag) for row, flag in zip(closed, coherent.tolist())]
+
+
+def _partition_labels(n: int, parts) -> np.ndarray:
+    """The label row of a partition of Z_n (or of Z_n minus 0): class i is
+    labelled i; raises ValueError unless the classes cover Z_n minus 0
+    without overlap."""
     parts = [[int(x) for x in p] for p in parts if len(p)]
     covered = [x for p in parts for x in p]
     if any(not 0 <= x < n for x in covered):
@@ -196,7 +210,13 @@ def from_connection_partition(n: int, parts) -> tuple[CirculantScheme, bool]:
     labels = np.full(n, len(parts), dtype=np.int64)  # 0 alone when no class holds it
     for i, p in enumerate(parts):
         labels[p] = i
-    return close_labels(labels)
+    return labels
+
+
+def from_connection_partition(n: int, parts) -> tuple[CirculantScheme, bool]:
+    """Turn a partition of Z_n (or of Z_n minus 0) into a circulant scheme,
+    as ``close_labels`` does for its label row."""
+    return close_labels(_partition_labels(n, parts))
 
 
 # -- subgroup lattice and sections ------------------------------------------------

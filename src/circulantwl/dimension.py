@@ -24,8 +24,10 @@ from .circulant import (
     CirculantScheme,
     Section,
     XGroup,
+    _close_stack,
     _extends_scheme_map,
     _partition_key,
+    _partition_labels,
     _section,
     base_tuple,
     close_labels,
@@ -253,11 +255,12 @@ def _read_scheme_cache(n: int) -> Corpus | None:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         partitions = data["schemes"]
-        read = [from_connection_partition(n, [set(c) for c in parts]) for parts in partitions]
+        labels = [_partition_labels(n, [set(c) for c in parts]) for parts in partitions]
     except OSError as exc:
         raise ValueError(f"scheme cache {path} cannot be read: {exc}") from exc
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"scheme cache {path} is malformed: {exc!r}") from exc
+    read = _close_stack(np.array(labels, dtype=np.int64).reshape(len(labels), n))
     for (_, coherent), parts in zip(read, partitions):
         if not coherent:
             raise ValueError(f"scheme cache {path} holds a partition that is not coherent: {parts}")
@@ -332,20 +335,26 @@ class DimensionReport:
         return self.estimate is not None and self.estimate <= self.bound
 
 
+def _graph_labels(n: int, conns) -> np.ndarray:
+    """(len(conns), n) label rows: row i marks the connection set conns[i]."""
+    labels = np.zeros((len(conns), n), dtype=np.int64)
+    for row, conn in zip(labels, conns):
+        row[sorted(conn)] = 1
+    return labels
+
+
 def graph_scheme(n: int, conn: frozenset[int]) -> CirculantScheme:
     """The WL closure of the circulant graph on Z_n with connection set conn."""
-    labels = np.zeros(n, dtype=np.int64)
-    labels[sorted(conn)] = 1
-    return close_labels(labels)[0]
+    return close_labels(_graph_labels(n, [conn])[0])[0]
 
 
 def prepare_analysis(corpus: Corpus) -> tuple[list[CirculantScheme], dict[frozenset[int], int]]:
     """The distinct schemes of the corpus graphs in first-seen order, and
-    each graph's position among them."""
+    each graph's position among them; the graphs are closed in one stack."""
     position: dict[CirculantScheme, int] = {}
+    closed = _close_stack(_graph_labels(corpus.n, corpus.graphs))
     index = {
-        conn: position.setdefault(graph_scheme(corpus.n, conn), len(position))
-        for conn in corpus.graphs
+        conn: position.setdefault(X, len(position)) for conn, (X, _) in zip(corpus.graphs, closed)
     }
     return list(position), index
 

@@ -26,7 +26,6 @@ from .refine import (
     DEFAULT_TUPLE_CAP,
     CapExceededError,
     InvariantError,
-    check_tuple_cap,
     close_pairs,
     initial_tuple_colors,
     origin_tuple_index,
@@ -80,23 +79,41 @@ class MAryConfig:
     rank: int
 
 
-def _refine_m_ary(mats: list[np.ndarray], m: int) -> tuple[list[np.ndarray], int] | None:
+def _check_substitution_table(n: int, m: int, cap: int, origin: bool = False) -> None:
+    """Refuse an m-ary round whose substitution table, the largest array of
+    a round, would hold more than ``cap`` entries per side: n^(m+1) * m on
+    the dense path, n^m * m on the x0 = 0 path."""
+    power = m if origin else m + 1
+    if n**power * m > cap:
+        which = " (tuples with x0 = 0)" if origin else ""
+        raise CapExceededError(
+            f"refusing {m}-tuple substitution table of {n}**{power}*{m} entries{which} > cap {cap}"
+        )
+
+
+def _refine_m_ary(mats: list[np.ndarray], m: int, cap: int) -> tuple[list[np.ndarray], int] | None:
     """m-ary refinement of pair colorings in lockstep.  Translation-invariant
     colorings are refined on their tuples with x0 = 0 (the returned arrays
-    then hold n^(m-1) colors); the ids match the dense round's either way."""
-    if all(is_translation_invariant(mat) for mat in mats):
+    then hold n^(m-1) colors); the ids match the dense round's either way.
+    Refuses a substitution table of more than ``cap`` entries per side.
+    """
+    n = mats[0].shape[0]
+    origin = all(is_translation_invariant(mat) for mat in mats)
+    _check_substitution_table(n, m, cap, origin)
+    if origin:
         return refine_circulant_tuples(*mats, m=m)
-    return refine_tuples(*initial_tuple_colors(*mats, m=m), n=mats[0].shape[0], m=m)
+    return refine_tuples(*initial_tuple_colors(*mats, m=m), n=n, m=m)
 
 
 def wl_m_refine(cc: CoherentConfig, m: int, cap: int = DEFAULT_TUPLE_CAP) -> MAryConfig:
     """Stable m-ary refinement of a coherent configuration, m >= 2."""
     if m < 2:
         raise ValueError("m-ary refinement needs m >= 2")
-    check_tuple_cap(cc.n, m, cap)
-    [colors], rank = _refine_m_ary([cc.colors], m)
+    [colors], rank = _refine_m_ary([cc.colors], m, cap)
     if len(colors) < cc.n**m:  # a translate of x has the color of x
-        colors = colors[origin_tuple_index(tuple_digits(cc.n, m), cc.n)]
+        # entry (a, t) is the tuple (a, x1, ...), for t the index of (0, x1, ...)
+        low = tuple_digits(cc.n, m - 1)[:, None, :]
+        colors = colors[origin_tuple_index([np.arange(cc.n)[:, None], *low], cc.n)].ravel()
     return MAryConfig(m=m, n=cc.n, color_of=colors, rank=rank)
 
 
@@ -131,6 +148,7 @@ def validate_m_ary(mc: MAryConfig) -> bool:
     vectors per class (checked as stability under one refinement round).
     """
     n, m = mc.n, mc.m
+    _check_substitution_table(n, m, DEFAULT_TUPLE_CAP)  # of the dense round below
     digits = tuple_digits(n, m)
     colors = mc.color_of
     # equality pattern constant per class
@@ -183,9 +201,8 @@ def wl_m_equivalent(
     if cc_a.n != cc_b.n or cc_a.rank != cc_b.rank:
         return False
     cmap = _color_permutation(color_map, cc_a.rank)
-    check_tuple_cap(cc_a.n, m, cap)
     inverse = np.argsort(cmap)
-    return _refine_m_ary([cc_a.colors, inverse[cc_b.colors]], m) is not None
+    return _refine_m_ary([cc_a.colors, inverse[cc_b.colors]], m, cap) is not None
 
 
 # -- the bijective pebble game ---------------------------------------------------

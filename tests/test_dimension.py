@@ -172,6 +172,29 @@ def test_enumeration_and_sections_run_no_closure(monkeypatch):
     assert calls == [12]
 
 
+def test_an_order_is_closed_in_one_stack(monkeypatch, tmp_path):
+    # prepare_analysis closes an order's graphs, and a warm read its cached
+    # partitions, in one refine_circulant call
+    calls = []
+
+    def counted(rows):
+        calls.append(np.shape(rows))
+        return refine_circulant(rows)
+
+    monkeypatch.setattr(circulant, "refine_circulant", counted)
+    corpus = enumerate_graphs(16)
+    schemes, index = prepare_analysis(corpus)
+    assert calls == [(len(corpus.graphs), 16)]
+    assert [schemes[index[conn]] for conn in corpus.graphs] == [
+        dimension.graph_scheme(16, conn) for conn in corpus.graphs
+    ]
+    monkeypatch.setenv("CIRCULANTWL_CACHE", str(tmp_path))
+    cold = enumerate_schemes(12).schemes
+    calls.clear()
+    assert enumerate_schemes(12).schemes == cold
+    assert calls == [(len(cold), 12)]
+
+
 def _not_coherent(candidates):
     """The (kind, labels) pairs whose label row its WL closure splits."""
     return [(kind, labels.tolist()) for kind, labels in candidates if not close_labels(labels)[1]]

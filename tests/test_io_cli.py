@@ -566,6 +566,12 @@ def test_poisoned_scheme_cache_is_rejected(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CIRCULANTWL_CACHE", str(tmp_path))
     for text, why in [
         (json.dumps({"schemes": [[[1], [2, 3, 4, 5]]]}), "not coherent"),
+        # the partitions are closed in one stack, which names the first one split
+        (json.dumps({"schemes": [[[1, 2, 3, 4, 5]], [[1], [2, 3, 4, 5]],
+                                 [[1], [2], [3], [4], [5]]]}),
+         "not coherent: [[1], [2, 3, 4, 5]]"),
+        # every partition is checked before any is closed
+        (json.dumps({"schemes": [[[1], [2, 3, 4, 5]], [[1], [2, 3]]]}), "malformed"),
         ("{", "malformed"),  # truncated
         (json.dumps({"schemes": [[[1], [2, 3]]]}), "do not cover the group"),
         (json.dumps({"partitions": []}), "KeyError"),

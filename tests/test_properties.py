@@ -54,6 +54,7 @@ from circulantwl.refine import (
     initial_tuple_colors,
     origin_tuple_index,
     InvariantError,
+    refine_circulant,
     refine_circulant_tuples,
     refine_pairs,
     refine_tuples,
@@ -237,6 +238,21 @@ def test_row0_closure_matches_dense_closure(rows):
         init[np.diag_indices(len(row))] += 1
         [dense], _ = refine_pairs(init)
         assert np.array_equal(wl_closure(arcs).colors, CoherentConfig(dense).colors), row
+
+
+def test_stacked_row0_closure_matches_single_rows():
+    # every undirected graph of orders 1..20 and directed graph of orders
+    # 1..12, closed as one stack per order and row by row: equal ids and ranks
+    for n, directed in [(n, False) for n in range(1, 21)] + [(n, True) for n in range(1, 13)]:
+        conns = enumerate_graphs(n, directed=directed).graphs
+        init = np.zeros((len(conns), n), dtype=np.int64)
+        for row, conn in zip(init, conns):
+            row[list(conn)] = 2
+        init[:, 0] += 1
+        stable, ranks = refine_circulant(init)
+        for row, closed, rank in zip(init, stable, ranks.tolist()):
+            alone, alone_rank = refine_circulant(row)
+            assert rank == alone_rank and np.array_equal(closed, alone), (n, row)
 
 
 def test_scheme_row_is_the_dense_canonical_row(schemes_up_to_16):

@@ -31,6 +31,7 @@ from circulantwl.refine import (
 )
 from circulantwl.wl import (
     GameTable,
+    MAryConfig,
     pebble_game_oracle,
     projection,
     validate_m_ary,
@@ -71,6 +72,37 @@ def test_renumbering_gives_the_ids_of_np_unique():
         ids, count = refine._renumber_rows(rows)
         assert count == len(uniq) and ids.dtype == np.int64
         assert np.array_equal(ids, inv.ravel()), rows.shape
+
+
+def _oracle_tables():
+    """Seeded tables of widths 1..40 and 1..5,000 rows, drawn from a pool
+    of a third as many rows so that rows repeat.  Entries span 0/1, small
+    ranks, the packing's bit boundaries, 2**20, 2**40 and 2**53, shifted
+    negative in every other table.  Short, narrow tables of small entries
+    pack into one key with a small range and are ranked by counting; the
+    others are sorted, by one key or several."""
+    rng = np.random.default_rng(25)
+    tops = (2, 3, 4, 5, 8, 9, 16, 17, 2**20, 2**20 + 1, 2**40, 2**53)
+    for width in range(1, 41):
+        for i, top in enumerate(tops):
+            count = int(np.exp(rng.uniform(0, np.log(5_000)))) if width % 10 else 5_000
+            pool = rng.integers(0, top, size=(max(2, count // 3), width))
+            # pairs of pool rows differ in the last column alone, which holds
+            # the widest entry, so no key may drop or truncate it
+            pool[1::2, :-1] = pool[::2, :-1][: len(pool) // 2]
+            pool[0, -1] = top - 1
+            rows = pool[rng.integers(0, len(pool), size=count)]
+            yield rows - top // 2 if i % 2 else rows
+
+
+def test_renumbering_matches_np_unique_on_every_packing():
+    # np.unique is the pebble game's independent form of the renumbering;
+    # an empty table has no minimum to shift out and ranks to no ids
+    empty = [np.zeros((0, width), dtype=np.int64) for width in (1, 3)]
+    for rows in itertools.chain(_oracle_tables(), empty):
+        uniq, inv = np.unique(rows, axis=0, return_inverse=True)
+        ids, count = refine._renumber_rows(rows)
+        assert count == len(uniq) and np.array_equal(ids, inv.ravel()), (rows.shape, rows.max())
 
 
 def test_rows_are_renumbered_by_one_mechanism():
@@ -209,10 +241,24 @@ def test_memory_cap_refuses():
 
 
 def test_tuple_cap_bounds_the_substitution_table():
-    # a 3-ary round on 10 points builds 10**4 * 3 substitution entries, not 10**3
-    wl_m_refine(trivial_config(10), 3, cap=10**4 * 3)
+    # a dense 3-ary round on 10 points builds 10**4 * 3 substitution
+    # entries, not 10**3; an individualised point keeps it dense
+    dense = point_extension(trivial_config(10), (0,))
+    wl_m_refine(dense, 3, cap=10**4 * 3)
     with pytest.raises(CapExceededError, match=r"10\*\*4\*3 entries"):
-        wl_m_refine(trivial_config(10), 3, cap=10**4 * 3 - 1)
+        wl_m_refine(dense, 3, cap=10**4 * 3 - 1)
+    # a translation-invariant one runs on the tuples with x0 = 0, n times fewer
+    wl_m_refine(trivial_config(10), 3, cap=10**3 * 3)
+    with pytest.raises(CapExceededError, match=r"10\*\*3\*3 entries \(tuples with x0 = 0\)"):
+        wl_m_refine(trivial_config(10), 3, cap=10**3 * 3 - 1)
+
+
+def test_m_ary_validation_refuses_a_dense_round_over_the_cap():
+    # a circulant config refines on its x0 = 0 tuples, but validate_m_ary
+    # checks it with a dense round: 101**4*3 entries, refused before allocating
+    mc = MAryConfig(m=3, n=101, color_of=np.zeros(101**3, dtype=np.int64), rank=1)
+    with pytest.raises(CapExceededError, match=r"101\*\*4\*3 entries > cap"):
+        validate_m_ary(mc)
 
 
 def test_pair_round_cap_refuses_before_allocating():
@@ -374,6 +420,22 @@ def test_row0_round_cap_refuses_before_allocating():
     # 10**4 * (10**4 + 1) just exceeds the cap; only row 0 is ever built
     with pytest.raises(CapExceededError, match=r"10000\*10001 entries"):
         refine_circulant(np.zeros(10**4, dtype=np.int64))
+
+
+def test_row0_stack_closes_alike_across_chunk_boundaries(monkeypatch):
+    # a budget of 1 closes one row per chunk; 3 rows of order 16 split 7 rows
+    # unevenly; either way each row is the row it closes to alone
+    rows = np.array([cay_arcs(16, conn)[0] for conn in
+                     ({1, 15}, {1, 15, 3, 13}, set(), {8}, {2, 14, 5, 11}, {1, 2, 3}, {4, 12})])
+    init = rows * 2
+    init[:, 0] += 1
+    alone = [refine_circulant(row) for row in init]
+    for budget in (1, 3 * 16 * 17, refine.STACK_ENTRIES):
+        monkeypatch.setattr(refine, "STACK_ENTRIES", budget)
+        stable, ranks = refine_circulant(init)
+        assert [(row.tolist(), rank) for row, rank in zip(stable, ranks.tolist())] == [
+            (row.tolist(), rank) for row, rank in alone
+        ]
 
 
 def test_row0_refinement_keeps_the_dense_ids():
