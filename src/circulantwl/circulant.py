@@ -27,12 +27,9 @@ from .algebra import (
     AlgebraicIso,
     TupleExtension,
     enumerate_algebraic_isos,
-    extendable_at,
-    find_isomorphism,
     identity_iso,
     is_algebraic_isomorphism,
     iter_isomorphisms,
-    unit_multipliers,
 )
 from .core import CoherentConfig, circulant_matrix, point_extension, units  # noqa: F401 (re-export)
 from .refine import CapExceededError, InvariantError, refine_circulant
@@ -338,7 +335,7 @@ def scheme_radical(X: CirculantScheme) -> XGroup:
     return XGroup(X.n, X.n // step)
 
 
-# -- multiples, projective equivalence, bridges -------------------------------------
+# -- multiples, projective equivalence ---------------------------------------------
 
 
 def is_multiple(S: Section, T: Section) -> bool:
@@ -369,20 +366,6 @@ def proj_equivalence_classes(X: CirculantScheme) -> list[list[Section]]:
         groups.setdefault((s.order, _lower_split(s)[0]), []).append(s)
     out = [sorted(g, key=lambda s: (s.upper.order, s.lower.order)) for g in groups.values()]
     return sorted(out, key=lambda g: (g[0].upper.order, g[0].lower.order, len(g)))
-
-
-def section_bridge(X: CirculantScheme, T: Section, S: Section) -> int:
-    """Unit u realizing the composed projective-equivalence isomorphism T -> S: c_S / c_T mod k,
-    the product of the units |U_S|/|U_T| along any path of direct multiples.  Verified on return
-    to be among the unit multipliers of the two section rows."""
-    (a_t, c_t), (a_s, c_s) = _lower_split(T), _lower_split(S)
-    secs = sections(X)
-    if T not in secs or S not in secs or (T.order, a_t) != (S.order, a_s):
-        raise ValueError("sections are not projectively equivalent")
-    u = c_s * pow(c_t, -1, S.order) % S.order
-    if u not in unit_multipliers(T.scheme.row, S.scheme.row)[0]:
-        raise InvariantError("bridge is not a Cayley isomorphism of the section schemes")
-    return u
 
 
 # -- the U/L-condition, normality, quasinormality --------------------------------------
@@ -782,19 +765,3 @@ def quasinormal_section_decomposition(X: CirculantScheme, sec: Section) -> list[
         if left is not None and right is not None:
             return left + right
     return None
-
-
-# -- induced-by-isomorphism pathway ------------------------------------------------------------
-
-
-def is_induced_by_isomorphism(
-    X: CirculantScheme, phi: AlgebraicIso
-) -> tuple[int, ...] | None:
-    """Search for a point bijection inducing phi, after checking the
-    quasinormal/extendability hypotheses that predict one exists."""
-    if not is_quasinormal(X):
-        raise ValueError("scheme is not quasinormal")
-    x = base_tuple(X)
-    if extendable_at(phi, x) is None:
-        raise ValueError("color map is not extendable at a base tuple")
-    return find_isomorphism(X.cc, X.cc, phi)

@@ -16,9 +16,11 @@ same distinct rows as their dense forms, so they produce the dense ids.
 Row-0 refinement closes a stack of rows at once, each as if alone.
 
 ``close_pairs`` is the exception: a single-sided 2-dim closure whose rounds
-key each pair by random bilinear hashes of its signature and whose fixpoint
-is confirmed by one exact round.  It returns the same partition as
-``refine_pairs`` with arbitrary ids, for callers that canonicalize.
+rank one int64 key per pair, its color above a mix of two random bilinear
+hashes of its signature, and whose fixpoint is certified exactly by
+``_unstable_pairs`` on composition codes of the narrowest integer type
+that holds them.  It returns the same partition as ``refine_pairs`` with
+arbitrary ids, for callers that canonicalize.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ COUNTING_RANGE = 4
 # entries of one row-0 round table; a stack of rows is closed in chunks of
 # at most this many, since larger tables pack worse and cost more memory
 STACK_ENTRIES = 2**16
+# odd 64-bit multiplier (2**64 over the golden ratio) that mixes the two
+# exact sums of a hashed pair round into the hash bits of one key
+HASH_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 class CapExceededError(Exception):
@@ -158,23 +163,36 @@ def refine_pairs(*inits: np.ndarray) -> tuple[list[np.ndarray], int] | None:
     return [side.reshape(n, n) for side in sides], rank
 
 
+def _code_dtype(rank: int) -> type:
+    """The narrowest signed integer type that holds every composition code
+    c * rank + c' < rank**2: int16 up to rank 181, int32 up to 46,340."""
+    for dtype in (np.int16, np.int32):
+        if rank * rank - 1 <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
 def _unstable_pairs(mat: np.ndarray, rank: int) -> np.ndarray:
     """Flat mask of the pairs whose exact pair-round row differs from that of
     the first pair of their color; no pair is marked exactly when ``mat`` is
     stable.  Compares the sorted codes of a few source rows at a time with
-    those of each color's first pair, never a whole n**3 table."""
+    those of each color's first pair, never a whole n**3 table.  The codes
+    take the narrowest type that holds them and are read from a contiguous
+    copy of the transpose, since sorting is most of the cost."""
     n = mat.shape[0]
     _check_pair_cap(n)
+    dtype = _code_dtype(rank)
+    left = mat.astype(dtype) * dtype(rank)  # left[a, g] = c(a, g) * rank
+    right = np.ascontiguousarray(mat.T, dtype=dtype)  # right[b, g] = c(g, b)
     a0, b0 = np.divmod(np.unique(mat.ravel(), return_index=True)[1], n)
-    ref = mat[a0] * np.int64(rank) + mat.T[b0]
+    ref = left[a0] + right[b0]
     ref.sort(axis=1)
     out = np.empty((n, n), dtype=bool)
     step = max(1, 2**16 // n**2)
     for a in range(0, n, step):
-        rows = mat[a : a + step]
-        block = rows[:, None, :] * np.int64(rank) + mat.T[None, :, :]
+        block = left[a : a + step, None, :] + right[None, :, :]
         block.sort(axis=2)
-        np.any(block != ref[rows], axis=2, out=out[a : a + step])
+        np.any(block != ref[mat[a : a + step]], axis=2, out=out[a : a + step])
     return out.ravel()
 
 
@@ -184,27 +202,44 @@ def _hash_weights(rng: np.random.Generator, rank: int, n: int) -> np.ndarray:
     return rng.integers(1, math.isqrt((2**53 - 1) // n), size=(4, rank)).astype(np.float64)
 
 
+def _hash_bits(rank: int) -> int:
+    """Bits of a 63-bit round key left below a color id under ``rank``."""
+    bits = 63 - (rank - 1).bit_length()
+    if bits < 1:
+        raise InvariantError(f"rank {rank} leaves no hash bits in a 63-bit key")
+    return bits
+
+
+def _round_keys(mat: np.ndarray, s1: np.ndarray, s2: np.ndarray, bits: int) -> np.ndarray:
+    """Flat int64 keys of a hashed round: each pair's color, shifted up by
+    ``bits``, over the top ``bits`` bits of (s1 * HASH_MIX + s2) mod 2**64."""
+    mix = (s1.astype(np.uint64) * HASH_MIX + s2.astype(np.uint64)) >> np.uint64(64 - bits)
+    return ((mat.ravel().astype(np.uint64) << np.uint64(bits)) | mix.ravel()).view(np.int64)
+
+
 def close_pairs(init: np.ndarray) -> tuple[np.ndarray, int]:
     """Stable 2-dim WL partition of one (n, n) pair coloring, and its rank.
 
-    A hashed round keys pair (a, b) by its color and two sums
-    sum_g u[c(a,g)] * v[c(g,b)], one n x n matmul each.  A sum depends only
-    on the pair's exact row, so every split is genuine and the partition
-    never gets finer than the closure.  When a hashed round does not split,
-    the exact check confirms stability, or one exact round runs and hashing
-    resumes.  The ids are arbitrary, not those of ``refine_pairs``.
+    A hashed round keys pair (a, b) by one int64: its color, above a mix of
+    two exact sums sum_g u[c(a,g)] * v[c(g,b)], one n x n matmul each.  The
+    key depends only on the pair's exact row, so every split is genuine and
+    the partition never gets finer than the closure.  When a hashed round
+    does not split, the exact check confirms stability, or one exact
+    round runs and hashing resumes, so a collision of sums or keys only
+    costs a round.  The ids are arbitrary, not those of ``refine_pairs``.
     """
     mat, rank = normalize_colors(init)
     n = mat.shape[0]
     _check_pair_cap(n)
     rng = np.random.default_rng(0)
     while True:
+        bits = _hash_bits(rank)
         u1, v1, u2, v2 = weights = _hash_weights(rng, rank, n)
         top = int(np.abs(weights).max())
         if n * top * top >= 2**53:
             raise InvariantError(f"hash weight {top} makes sums of {n} products inexact")
-        sums = [(u[mat] @ v[mat]).astype(np.int64).ravel() for u, v in ((u1, v1), (u2, v2))]
-        ids, new_rank = _renumber_rows(np.stack([mat.ravel()] + sums, axis=1))
+        s1, s2 = (u[mat] @ v[mat] for u, v in ((u1, v1), (u2, v2)))
+        ids, new_rank = _renumber_rows(_round_keys(mat, s1, s2, bits)[:, None])
         # an unchanged rank leaves the partition and, leading with the
         # color, the ids unchanged
         if new_rank == rank:

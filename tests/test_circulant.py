@@ -15,6 +15,7 @@ from circulantwl.algebra import (
     AlgebraicIso,
     enumerate_algebraic_isos,
     extendable_at,
+    find_isomorphism,
     identity_iso,
     tuple_extension,
     unit_multipliers,
@@ -28,7 +29,6 @@ from circulantwl.circulant import (
     base_tuple,
     extract_multiplier,
     from_connection_partition,
-    is_induced_by_isomorphism,
     is_multiple,
     is_normal,
     is_quasinormal,
@@ -38,7 +38,6 @@ from circulantwl.circulant import (
     quasinormal_section_decomposition,
     scheme_radical,
     secc0,
-    section_bridge,
     section_discreteness_check,
     section_scheme,
     sections,
@@ -49,6 +48,7 @@ from circulantwl.circulant import (
     xgroup_lattice,
 )
 from circulantwl.core import validate
+from circulantwl.dimension import graph_scheme
 from circulantwl.io import dump_scheme
 from circulantwl.refine import InvariantError
 
@@ -151,7 +151,6 @@ def test_the_dense_configuration_is_read_only_where_points_are():
     assert sorted(readers) == [
         "_extension_candidates",
         "_section_color_map",
-        "is_induced_by_isomorphism",
         "is_normal",
         "section_discreteness_check",
     ]
@@ -280,12 +279,28 @@ def test_multiple_is_reflexive_and_preserves_order():
                 assert s.order == t.order
 
 
+def _bridges(X):
+    """The bridge T -> S of every pair of projectively equivalent sections of
+    X, keyed by the (upper, lower) groups of T and S."""
+    secs = sections(X)
+    _, bridges = _classes_and_bridges_by_definition(X)
+    return {
+        ((secs[p].upper, secs[p].lower), (secs[q].upper, secs[q].lower)): u
+        for (p, q), u in bridges.items()
+    }
+
+
+def _is_bridge_of(T, S, u):
+    """Whether x -> ux carries the section scheme of T onto that of S."""
+    return u in unit_multipliers(T.scheme.row, S.scheme.row)[0]
+
+
 def test_bridge_maps_elements_into_their_cosets():
     z12 = CirculantScheme.regular(12)
     secs = sections(z12)
     T = next(s for s in secs if (s.upper.order, s.lower.order) == (3, 1))
     S = next(s for s in secs if (s.upper.order, s.lower.order) == (12, 4))
-    u = section_bridge(z12, T, S)
+    u = _bridges(z12)[(T.upper, T.lower), (S.upper, S.lower)]
     for i in range(T.order):
         j = (u * i) % S.order
         # containment characterization of the bridge
@@ -293,22 +308,28 @@ def test_bridge_maps_elements_into_their_cosets():
         for j2 in range(S.order):
             if j2 != j:
                 assert not (T.subset(i) <= S.subset(j2))
+    # negative control: every other unit sends some coset astray
+    for w in units(S.order):
+        if w != u:
+            assert any(not T.subset(i) <= S.subset(w * i % S.order) for i in range(T.order))
 
 
 def test_bridge_identity_on_same_section():
     z12 = CirculantScheme.regular(12)
     sec = sections(z12)[3]
-    assert section_bridge(z12, sec, sec) in (0, 1)
+    u = _bridges(z12)[(sec.upper, sec.lower), (sec.upper, sec.lower)]
+    assert u in (0, 1) and _is_bridge_of(sec, sec, u)
 
 
 def test_projectively_equivalent_sections_share_order_and_scheme(z20_fixture):
     X = z20_fixture
+    bridges = _bridges(X)
     for cls in proj_equivalence_classes(X):
         orders = {s.order for s in cls}
         assert len(orders) == 1
         for s in cls:
             for t in cls:
-                u = section_bridge(X, s, t)
+                u = bridges[(s.upper, s.lower), (t.upper, t.lower)]
                 mapped = {
                     frozenset((u * d) % t.order for d in conn)
                     for conn in s.scheme.connection_sets
@@ -347,6 +368,8 @@ def _classes_and_bridges_by_definition(X):
 
 
 def test_projective_classes_and_bridges_match_the_definition(schemes_up_to_16, z20_fixture):
+    # every bridge composed along multiples is c_S / c_T mod k, from the
+    # lower splits that key the classes, and a unit multiplier of the rows
     schemes = [X for n in sorted(schemes_up_to_16) for X in schemes_up_to_16[n]]
     schemes += [z20_fixture] + [CirculantScheme.regular(n) for n in (24, 30, 36, 48, 60, 72)]
     assert len(schemes) == 168
@@ -357,22 +380,27 @@ def test_projective_classes_and_bridges_match_the_definition(schemes_up_to_16, z
         position = {(s.upper, s.lower): i for i, s in enumerate(sections(X))}
         for cls in classes:
             for T in cls:
+                a_t, c_t = circulant._lower_split(T)
                 for S in cls:
-                    pos = position[T.upper, T.lower], position[S.upper, S.lower]
-                    assert section_bridge(X, T, S) == bridges[pos]
+                    a_s, c_s = circulant._lower_split(S)
+                    u = bridges[position[T.upper, T.lower], position[S.upper, S.lower]]
+                    assert a_t == a_s and u == c_s * pow(c_t, -1, S.order) % S.order
+                    assert _is_bridge_of(T, S, u)
                     pairs += 1
         if len(classes) > 1:
-            with pytest.raises(ValueError):
-                section_bridge(X, classes[0][0], classes[1][0])
+            first, second = ({position[s.upper, s.lower] for s in c} for c in classes[:2])
+            assert not any((p, q) in bridges for p in first for q in second)
     assert pairs == 4420
 
 
 def test_bridge_refuses_a_section_of_another_scheme():
+    # negative control of the bridge check: no unit carries the regular
+    # section Z_12/1 onto the trivial one of the same order
     X, Y = CirculantScheme.trivial(12), CirculantScheme.regular(12)
     T = next(s for s in sections(X) if (s.upper.order, s.lower.order) == (12, 1))
     S = next(s for s in sections(Y) if (s.upper.order, s.lower.order) == (12, 1))
-    with pytest.raises(ValueError):
-        section_bridge(Y, T, S)
+    assert not any(_is_bridge_of(T, S, u) for u in units(12))
+    assert all(_is_bridge_of(S, S, u) for u in units(12))
 
 
 # -- U/L-condition ---------------------------------------------------------------------
@@ -765,25 +793,32 @@ def test_multipliers_of_every_scheme_to_16_are_pinned(schemes_up_to_16):
 
 def test_identity_is_induced():
     X = CirculantScheme.regular(9)
-    assert is_induced_by_isomorphism(X, identity_iso(X.cc)) == tuple(range(9))
+    phi = identity_iso(X.cc)
+    assert extendable_at(phi, base_tuple(X)) is not None
+    assert find_isomorphism(X.cc, X.cc, phi) == tuple(range(9))
 
 
 @pytest.mark.parametrize("u", [5, 7, 11])
 def test_unit_maps_are_induced_on_regular_scheme(u):
     X = CirculantScheme.regular(12)
-    f = is_induced_by_isomorphism(X, unit_color_map(X, u))
-    assert f is not None
+    phi = unit_color_map(X, u)
+    assert extendable_at(phi, base_tuple(X)) is not None
+    assert find_isomorphism(X.cc, X.cc, phi) is not None
 
 
-def test_induced_requires_quasinormal(z20_fixture):
-    X = z20_fixture
-    with pytest.raises(ValueError):
-        is_induced_by_isomorphism(X, identity_iso(X.cc))
+def test_a_color_map_that_is_not_induced_is_not_extendable():
+    # negative control of the chain: swapping the colors of differences 1
+    # and 6 on the 12-cycle's scheme breaks an intersection number
+    X = graph_scheme(12, frozenset({1, 11}))
+    swap = list(range(X.rank))
+    a, b = X.color_of_difference(1), X.color_of_difference(6)
+    swap[a], swap[b] = b, a
+    phi = AlgebraicIso(X.cc, X.cc, tuple(swap))
+    assert extendable_at(phi, base_tuple(X)) is None
+    assert find_isomorphism(X.cc, X.cc, phi) is None
 
 
 def test_extendable_maps_on_quasinormal_corpus_are_induced(schemes_up_to_13):
-    from circulantwl.algebra import enumerate_algebraic_isos, extendable_at
-
     checked = 0
     for n in range(2, 11):
         for X in schemes_up_to_13[n]:
@@ -793,7 +828,7 @@ def test_extendable_maps_on_quasinormal_corpus_are_induced(schemes_up_to_13):
             for phi in enumerate_algebraic_isos(X.cc, X.cc):
                 if extendable_at(phi, x) is None:
                     continue
-                assert is_induced_by_isomorphism(X, phi) is not None
+                assert find_isomorphism(X.cc, X.cc, phi) is not None
                 checked += 1
     assert checked >= 80
 

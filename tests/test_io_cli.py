@@ -134,6 +134,10 @@ def test_main_table_is_pinned(args, digest):
             "19c36a81110468d5e4afeaa0ea76c86ea297f09d400a42833cc19f1adfb18c0c",
         ),
         (
+            "verify --theorem discreteness --orders 1..20",
+            "ea8cd7e6c15711c69bba1ed4e14d31985c6f6059ac39a0bf6106ed55db2da5ec",
+        ),
+        (
             "verify --theorem uniqueness --orders 4..10",
             "d80a300edb6e02034f99ebf8f7ebec250b76fd67c30a11c6efa6fa130a70edc4",
         ),

@@ -26,6 +26,7 @@ from circulantwl.refine import (
     CapExceededError,
     InvariantError,
     close_pairs,
+    normalize_colors,
     refine_circulant,
     refine_pairs,
 )
@@ -414,6 +415,142 @@ def test_hash_bound_fires_under_python_O():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert res.stdout == "False hash weight 67108864 makes sums of 4 products inexact\n", res.stderr
+
+
+def test_key_collisions_still_reach_the_closure(monkeypatch):
+    # with its mix bits cleared a round key is its color alone, so no
+    # hashed round splits and only the exact check and exact rounds refine
+    round_keys, pair_round_codes, exact = refine._round_keys, refine._pair_round_codes, []
+
+    def color_only(mat, s1, s2, bits):
+        keys = round_keys(mat, s1, s2, bits) >> bits << bits
+        assert np.array_equal(keys, mat.ravel() << bits)
+        return keys
+
+    def counted(mat, rank):
+        exact.append(rank)
+        return pair_round_codes(mat, rank)
+
+    monkeypatch.setattr(refine, "_round_keys", color_only)
+    monkeypatch.setattr(refine, "_pair_round_codes", counted)
+    for init in _collision_inputs():
+        stable, rank = close_pairs(init)
+        [oracle], oracle_rank = refine_pairs(init)
+        assert rank == oracle_rank > len(np.unique(init))
+        assert CoherentConfig(stable) == CoherentConfig(oracle)
+    assert len(exact) >= len(_collision_inputs())
+
+
+def test_code_width_is_the_narrowest_that_holds_rank_squared():
+    ranks = (1, 181, 182, 46_340, 46_341, 464**2)
+    widths = [np.int16, np.int16, np.int32, np.int32, np.int64, np.int64]
+    assert [refine._code_dtype(rank) for rank in ranks] == widths
+    for rank, width in zip(ranks, widths):
+        assert rank * rank - 1 <= np.iinfo(width).max
+
+
+def _width_inputs():
+    """A stable and an unstable coloring at a rank of at most 181, then at
+    a rank above it: the closure of a random 40-point coloring, that
+    closure with two colors merged, and a rank-512 coloring whose unstable
+    rows differ by one code that 16 bits would wrap away."""
+    rng = np.random.default_rng(5)
+    small = wl_closure(relabelled(rng, cay_arcs(12, {1, 11})))
+    cycles = np.zeros((7, 7), dtype=np.int64)
+    for a, b in ((0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)):
+        cycles[a, b] = cycles[b, a] = 1
+    wide, _ = close_pairs(rng.integers(0, 4, size=(40, 40)))
+    merged = np.where(wide == wide[0, 1], wide[0, 2], wide)
+    wrapping = (np.arange(24 * 24) % 512).reshape(24, 24)  # every color 0..511
+    wrapping[1] = wrapping[0]
+    wrapping[1, 7] += 128  # (1, b) differs from (0, b) by 128 * 512 = 2**16 at g = 7
+    return [
+        (small.colors, small.rank),
+        normalize_colors(cycles * 2 + np.eye(7, dtype=np.int64)),
+        normalize_colors(wide),
+        normalize_colors(merged),
+        (wrapping, 512),
+    ]
+
+
+@pytest.mark.parametrize("forced", [None, np.int64])
+def test_certificate_matches_whole_table_on_every_code_width(monkeypatch, forced):
+    # each width the rank selects, and the int64 one forced at small ranks
+    code_dtype, widths, verdicts = refine._code_dtype, [], []
+
+    def recorded(rank):
+        widths.append(forced or code_dtype(rank))
+        return widths[-1]
+
+    inputs = _width_inputs()
+    monkeypatch.setattr(refine, "_code_dtype", recorded)
+    assert [rank > 181 for _, rank in inputs] == [False, False, True, True, True]
+    for mat, rank in inputs:
+        mask = refine._unstable_pairs(mat, rank)
+        assert np.array_equal(mask, _whole_table_unstable_pairs(mat, rank))
+        verdicts.append(bool(mask.any()))
+    assert verdicts == [False, True, False, True, True]
+    assert widths == ([np.int16] * 2 + [np.int32] * 3 if forced is None else [np.int64] * 5)
+
+
+def _dense_bench_digest(n):
+    """Relabelled Cay(Z_n, {1, 3, -3, -1}) at seeds 0..2: the closure, its
+    CC3 verdict, the verdict on the unclosed coloring and a point extension."""
+    digest = hashlib.sha256()
+    for seed in (0, 1, 2):
+        arcs = relabelled(np.random.default_rng(seed), cay_arcs(n, {1, 3, n - 3, n - 1}))
+        cc = wl_closure(arcs)
+        raw = validate(CoherentConfig(arcs * 2 + np.eye(n, dtype=np.int64)))
+        ext = point_extension(cc, (seed,))
+        digest.update(repr((
+            seed, cc.rank, cc.colors.tolist(), validate(cc).valid,
+            raw.valid, raw.violations, ext.rank, ext.colors.tolist(),
+        )).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "n,digest",
+    [
+        (64, "44465b1f5527738787944a6574ab6af37da66d9aaa4c45a0a38e6228987b2f6e"),
+        (128, "e53786d07b75e19446108cff53972628022fc1ec57b96eb0f92e391422190596"),
+    ],
+)
+def test_dense_closures_at_the_bench_sizes_are_pinned(n, digest):
+    # refine_pairs is too slow to be the oracle at these orders; the closures
+    # (int16 codes), extensions (int32) and CC3 verdicts are pinned instead
+    assert _dense_bench_digest(n) == digest
+
+
+def test_round_keys_keep_40_hash_bits_up_to_the_pair_cap(monkeypatch):
+    n = 464  # the largest order whose pair round fits the cap
+    bits = refine._hash_bits(n * n)  # a rank never exceeds the n**2 pairs
+    assert bits >= 40
+    top = np.full((1, 1), 2.0**53 - 1)
+    [key] = refine._round_keys(np.full((1, 1), n * n - 1), top, top, bits)
+    assert key >= 0 and key >> bits == n * n - 1
+    # a rank whose colors leave no room below them is refused, not truncated
+    monkeypatch.setattr(refine, "normalize_colors", lambda init: (np.asarray(init), 2**63))
+    with pytest.raises(InvariantError, match="no hash bits"):
+        close_pairs(np.eye(4, k=1, dtype=np.int64))
+
+
+def test_key_budget_fires_under_python_O():
+    script = (
+        "import numpy as np\n"
+        "from circulantwl import refine\n"
+        "refine.normalize_colors = lambda init: (np.asarray(init), 2**63)\n"
+        "try:\n"
+        "    refine.close_pairs(np.eye(4, k=1, dtype=np.int64))\n"
+        "except refine.InvariantError as exc:\n"
+        "    print(__debug__, exc)\n"
+    )
+    src = str(Path(circulantwl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert res.stdout == f"False rank {2**63} leaves no hash bits in a 63-bit key\n", res.stderr
 
 
 def test_row0_round_cap_refuses_before_allocating():
