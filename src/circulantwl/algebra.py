@@ -25,7 +25,6 @@ import numpy as np
 from .core import (
     CoherentConfig,
     Parabolic,
-    _covering_colors,
     _individualise,
     intersection_tensor,
     is_translation_invariant,
@@ -159,9 +158,9 @@ def _color_invariants(cc: CoherentConfig) -> np.ndarray:
         t, r, width = intersection_tensor(cc), cc.rank, cc.n + 1
         diagonal = np.isin(np.arange(r), list(cc.diagonal_colors))
         counts = []
-        for k in (0, 1, 2):
-            # the values of slice k at color c, shifted into c * width .. (c + 1) * width - 1
-            shifted = np.moveaxis(t, k, 0) + width * np.arange(r)[:, None, None]
+        for axes in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+            # slice axes[0] at color c, its values shifted into c * width .. (c + 1) * width - 1
+            shifted = t.transpose(axes) + width * np.arange(r)[:, None, None]
             counts.append(np.bincount(shifted.ravel("K"), minlength=r * width).reshape(r, width))
         cc._cache["invariants"] = np.concatenate(
             [diagonal[:, None], cc.valencies[:, None], *counts], axis=1, dtype=np.int64
@@ -206,8 +205,9 @@ def _search_color_maps(cc_a: CoherentConfig, cc_b: CoherentConfig) -> list[tuple
         # the identity is in H, so an image is least in its orbit when no h lowers it
         cand[pivot] &= (group >= np.arange(rank)).all(axis=0)
     ta, tb = intersection_tensor(cc_a), intersection_tensor(cc_b)
-    # each tensor's three views with one slot moved last, stacked
-    va, vb = (np.stack([np.moveaxis(t, k, 2) for k in (0, 1, 2)], axis=-1) for t in (ta, tb))
+    # each tensor's three views with slot 0, 1 or 2 moved last, stacked
+    views = ((1, 2, 0), (0, 2, 1), (0, 1, 2))
+    va, vb = (np.stack([t.transpose(axes) for axes in views], axis=-1) for t in (ta, tb))
     search = np.asarray(order)
 
     def narrow(i: int, images: np.ndarray, js: np.ndarray) -> np.ndarray:
@@ -338,7 +338,7 @@ def induced_color_map(
     return AlgebraicIso(cc_a, cc_b, tuple(int(c) for c in cmap))
 
 
-# -- induced maps on quotients, restrictions, sections -------------------------------
+# -- induced maps on quotients and restrictions -----------------------------------
 
 
 def image_parabolic(phi: AlgebraicIso, e: Parabolic) -> Parabolic:
@@ -407,34 +407,6 @@ def induced_on_restriction(
     if not is_algebraic_isomorphism(r_a, r_b, out.color_map):
         raise ValueError("induced restriction map is not an algebraic isomorphism")
     return out
-
-
-def induced_on_section(
-    phi: AlgebraicIso, delta, e_blocks, delta2, e_blocks2
-) -> AlgebraicIso:
-    """Restriction followed by quotient: the induced map between sections.
-
-    Blocks are given in original point labels; the image equivalence must
-    agree with ``e_blocks2`` (checked).
-    """
-    rest = induced_on_restriction(phi, delta, delta2)
-    relabel = {p: i for i, p in enumerate(sorted(int(p) for p in delta))}
-    blocks = tuple(tuple(sorted(relabel[p] for p in blk)) for blk in e_blocks)
-    e = Parabolic(blocks, _covering(rest.source, blocks))
-    relabel2 = {p: i for i, p in enumerate(sorted(int(p) for p in delta2))}
-    blocks2 = frozenset(
-        tuple(sorted(relabel2[p] for p in blk)) for blk in e_blocks2
-    )
-    if frozenset(image_parabolic(rest, e).blocks) != blocks2:
-        raise ValueError("map does not send the first section equivalence to the second")
-    return induced_on_quotient(rest, e)
-
-
-def _covering(cc: CoherentConfig, blocks) -> frozenset[int]:
-    cols = _covering_colors(cc, blocks)
-    if cols is None:
-        raise ValueError("equivalence is not a relation of the restriction")
-    return cols
 
 
 # -- tuple extensions ------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .algebra import (
     is_algebraic_isomorphism,
     iter_isomorphisms,
 )
-from .core import CoherentConfig, circulant_matrix, point_extension, units  # noqa: F401 (re-export)
+from .core import CoherentConfig, point_extension, units  # noqa: F401 (re-export)
 from .refine import CapExceededError, InvariantError, refine_circulant
 
 DEFAULT_NORMALITY_CAP = 20
@@ -124,7 +124,9 @@ class CirculantScheme:
 
     @cached_property
     def cc(self) -> CoherentConfig:
-        return CoherentConfig(circulant_matrix(self.row))
+        """The dense configuration, built from the row as it stands: the row
+        is already in the numbering ``canonical_color_matrix`` would give."""
+        return CoherentConfig.from_canonical_row(self.row)
 
     @cached_property
     def connection_sets(self) -> tuple[frozenset[int], ...]:
@@ -407,18 +409,6 @@ def is_normal(X: CirculantScheme, cap: int = DEFAULT_NORMALITY_CAP) -> bool:
 def is_quasinormal(X: CirculantScheme) -> bool:
     """Quasinormality decided through the orders of the singular classes."""
     return all(rep.order == 3 for rep in singular_classes(X) if rep.is_singular)
-
-
-def quasinormal_by_definition(X: CirculantScheme) -> bool:
-    """Slow cross-validation path: every trivial section must be projectively
-    equivalent to a subsection of a normal section."""
-    classes = proj_equivalence_classes(X)
-    normal_secs = [s for s in sections(X) if is_normal(s.scheme)]
-    return all(
-        any(t <= big for t in cls for big in normal_secs)
-        for cls in classes
-        if cls[0].is_trivial and cls[0].order > 1
-    )
 
 
 # -- singular classes ---------------------------------------------------------------------

@@ -81,6 +81,24 @@ class CoherentConfig:
         self.rank = int(self.colors.max()) + 1
         self._cache: dict = {}
 
+    @classmethod
+    def from_canonical_row(cls, row: np.ndarray) -> "CoherentConfig":
+        """The translation-invariant configuration with row 0 ``row``, whose
+        colors are numbered by least difference.  Every color's least pair
+        is (0, its least difference), so that is the numbering
+        ``canonical_color_matrix`` gives, and nothing is renumbered.  Row 0,
+        the representatives and the valencies are read off the row."""
+        row = np.asarray(row, dtype=np.int64)
+        least = np.unique(row, return_index=True)[1]
+        cc = cls.__new__(cls)
+        cc.colors = circulant_matrix(row)
+        cc.colors.flags.writeable = False
+        cc.n, cc.rank = len(row), len(least)
+        cc._cache = {"row": cc.colors[0]}
+        cc.representative = np.stack([np.zeros_like(least), least], axis=1)
+        cc.valencies = np.bincount(row)
+        return cc
+
     # -- identity ----------------------------------------------------------
     def __eq__(self, other) -> bool:
         return (

@@ -15,11 +15,16 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
-from .algebra import enumerate_algebraic_isos, is_induced, is_m_extendable, unit_multipliers
+from .algebra import (
+    AlgebraicIso,
+    enumerate_algebraic_isos,
+    is_induced,
+    is_m_extendable,
+    unit_multipliers,
+)
 from .circulant import (
     CirculantScheme,
     Section,
@@ -33,7 +38,6 @@ from .circulant import (
     close_labels,
     divisors,
     extend_algebraic_automorphism,
-    from_connection_partition,
     is_quasinormal,
     omega,
     section_discreteness_check,
@@ -61,56 +65,38 @@ class Corpus:
     schemes: list[CirculantScheme] = field(default_factory=list)
 
 
-def _unit_canonical(n: int, conn: frozenset[int]) -> frozenset[int]:
-    """The representative of the unit class of conn: its least image as a sorted tuple."""
-    return frozenset(min(tuple(sorted(u * d % n for d in conn)) for u in units(n)))
-
-
 def enumerate_graphs(n: int, directed: bool = False, cap: int | None = None) -> Corpus:
-    """All circulant connection sets of one order up to unit multipliers:
-    unions of generator orbits, (d,) when directed and {d, -d} when not."""
+    """All circulant connection sets of one order up to unit multipliers.
+
+    A connection set is a union of generator orbits, (d,) when directed and
+    {d, -d} when not, so it is a bitmask over the orbits, and each unit
+    permutes the orbits.  The masks are walked in order.  A mask not yet
+    seen starts a new unit class: its images under every unit are that
+    whole class, so they are marked seen, and the least of them as a sorted
+    tuple represents the class.  That is the least sorted image over the
+    units of any one member, the representative a brute force over every
+    union of orbits would pick.  The result is sorted the same way."""
     if cap is None:
         cap = DEFAULT_DIRECTED_CAP if directed else DEFAULT_UNDIRECTED_CAP
     if n > cap:
         raise CapExceededError(f"graph enumeration capped at n <= {cap}")
     orbits = sorted({frozenset({d} if directed else {d, -d % n}) for d in range(1, n)}, key=min)
-    reps = {
-        _unit_canonical(n, frozenset().union(*combo))
-        for size in range(len(orbits) + 1)
-        for combo in combinations(orbits, size)
-    }
-    return Corpus(n=n, graphs=sorted(reps, key=sorted))
-
-
-def burnside_graph_count(n: int, directed: bool = False) -> int:
-    """Independent orbit count of connection sets under the unit action."""
-    if n == 1:
-        return 1
-    us = units(n)
-    total = 0
-    for u in us:
-        gens = [u] if directed else [u, n - 1]
-        orbits = _orbit_count(n, gens)
-        total += 2**orbits
-    return total // len(us)
-
-
-def _orbit_count(n: int, gens: list[int]) -> int:
-    seen = set()
-    count = 0
-    for x in range(1, n):
-        if x in seen:
+    orbit_of = {d: i for i, orbit in enumerate(orbits) for d in orbit}
+    # perm[i] is the mask of the orbit that one unit sends orbit i to
+    perms = [[1 << orbit_of[u * min(orbit) % n] for orbit in orbits] for u in units(n)]
+    seen, reps = set(), []
+    for mask in range(2 ** len(orbits)):
+        if mask in seen:
             continue
-        count += 1
-        stack = [x]
-        while stack:
-            y = stack.pop()
-            if y in seen:
-                continue
-            seen.add(y)
-            for g in gens:
-                stack.append((g * y) % n)
-    return count
+        bits = [i for i in range(len(orbits)) if mask >> i & 1]
+        images = {sum(perm[i] for i in bits) for perm in perms}
+        seen |= images
+        members = (
+            sorted(d for i, orbit in enumerate(orbits) if image >> i & 1 for d in orbit)
+            for image in images
+        )
+        reps.append(min(members))
+    return Corpus(n=n, graphs=[frozenset(rep) for rep in sorted(reps)])
 
 
 # -- scheme enumeration -----------------------------------------------------------
@@ -298,23 +284,6 @@ def _write_scheme_cache(corpus: Corpus) -> None:
         raise ValueError(f"scheme cache {path} cannot be written: {exc}") from exc
 
 
-def brute_force_schemes(n: int) -> list[CirculantScheme]:
-    """Oracle path: filter every partition of Z_n minus 0 through validation."""
-
-    def partitions(rest):
-        if not rest:
-            yield []
-            return
-        head, tail = rest[0], rest[1:]
-        for sub in partitions(tail):
-            for i in range(len(sub)):
-                yield sub[:i] + [sub[i] | {head}] + sub[i + 1 :]
-            yield sub + [{head}]
-
-    closed = (from_connection_partition(n, part) for part in partitions(list(range(1, n))))
-    return sorted({X for X, coherent in closed if coherent}, key=_scheme_order)
-
-
 # -- dimension estimation ------------------------------------------------------------
 
 
@@ -360,16 +329,15 @@ def prepare_analysis(corpus: Corpus) -> tuple[list[CirculantScheme], dict[frozen
 
 
 def _estimate(
-    X: CirculantScheme, schemes: list[CirculantScheme], max_m: int
+    X: CirculantScheme, candidates: list[tuple[CirculantScheme, AlgebraicIso]], max_m: int
 ) -> tuple[int | None, list[tuple[frozenset[frozenset[int]], tuple[int, ...], int]]]:
-    """Smallest m <= max_m at which no algebraic isomorphism from X to one
-    of the schemes survives m-dim WL refinement without being induced by a
-    point isomorphism (None when max_m is too small), and one witness per
-    survivor and level, labelled by the target scheme's partition key.
+    """Smallest m <= max_m at which none of the candidates, the algebraic
+    isomorphisms phi from X to a scheme b that no point isomorphism
+    induces, survives m-dim WL refinement (None when max_m is too small),
+    and one witness per survivor and level, labelled by b's partition key.
 
     A map that fails at level m is not rechecked at m+1 (equivalence is
     monotone down in m, and being induced does not depend on m)."""
-    candidates = [(b, phi) for _, b, phi, induced in _induced_walk([X], schemes) if not induced]
     witnesses = []
     for m in range(2, max_m + 1):
         candidates = [
@@ -399,25 +367,30 @@ def estimate_dimension(conn: frozenset[int], corpus: Corpus, max_m: int = 4) -> 
     scheme to a corpus scheme is induced by an isomorphism; None when max_m
     is too small.  The estimate depends only on the graph's scheme."""
     schemes, index = prepare_analysis(corpus)
-    # a unit multiplier permutes the basis sets of every circulant scheme,
-    # so conn closes to the scheme of its unit-canonical representative
-    i = index.get(_unit_canonical(corpus.n, conn))
+    # a unit multiplier permutes the basis sets of every circulant scheme, so
+    # conn closes to the scheme of the one corpus graph among its unit images
+    n = corpus.n
+    images = (frozenset(u * d % n for d in conn) for u in units(n))
+    i = next((index[image] for image in images if image in index), None)
     if i is None:
-        raise ValueError(f"connection set {sorted(conn)} is not in the corpus of order {corpus.n}")
-    return _report(conn, schemes[i], max_m, *_estimate(schemes[i], schemes, max_m))
+        raise ValueError(f"connection set {sorted(conn)} is not in the corpus of order {n}")
+    X = schemes[i]
+    return _report(conn, X, max_m, *_estimate(X, _not_induced([X], schemes)[0], max_m))
 
 
 def verify_main_theorem(
     orders, max_m: int = 4, directed: bool = False
 ) -> list[DimensionReport]:
     """One ``DimensionReport`` per graph of the given orders, estimated once
-    per distinct scheme of each order; the bound holds where every report
-    is ``within_bound``."""
+    per distinct scheme of each order from one walk over the algebraic
+    isomorphisms among its schemes; the bound holds where every report is
+    ``within_bound``."""
     reports = []
     for n in orders:
         corpus = enumerate_graphs(n, directed=directed)
         schemes, index = prepare_analysis(corpus)
-        estimates = [_estimate(X, schemes, max_m) for X in schemes]
+        candidates = _not_induced(schemes, schemes)
+        estimates = [_estimate(X, maps, max_m) for X, maps in zip(schemes, candidates)]
         reports += [_report(conn, schemes[i], max_m, *estimates[i]) for conn, i in index.items()]
     return reports
 
@@ -493,6 +466,17 @@ def _induced_walk(sources: list[CirculantScheme], targets: list[CirculantScheme]
     induces phi (``is_induced``, the one place this module decides it)."""
     for a, b, phi in _algebraic_isos(sources, targets):
         yield a, b, phi, is_induced(a.cc, b.cc, phi)
+
+
+def _not_induced(sources: list[CirculantScheme], targets: list[CirculantScheme]):
+    """For each source a, in order, the (b, phi) of every algebraic
+    isomorphism phi from a to a target b that no point isomorphism induces,
+    from one ``_induced_walk``."""
+    found: dict[int, list[tuple[CirculantScheme, AlgebraicIso]]] = {id(a): [] for a in sources}
+    for a, b, phi, induced in _induced_walk(sources, targets):
+        if not induced:
+            found[id(a)].append((b, phi))
+    return list(found.values())
 
 
 def verify_muzychuk(schemes: list[CirculantScheme]) -> CheckReport:

@@ -1,0 +1,133 @@
+"""Independent oracles that only the tests read.
+
+Each recomputes by definition, or by brute force, what the library computes
+by a faster route: the unit classes of connection sets and their Burnside
+count, the schemes of an order, quasinormality and the map induced on a
+section.  None of them is called by the library.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+from circulantwl.algebra import (
+    AlgebraicIso,
+    image_parabolic,
+    induced_on_quotient,
+    induced_on_restriction,
+)
+from circulantwl.circulant import (
+    CirculantScheme,
+    from_connection_partition,
+    is_normal,
+    proj_equivalence_classes,
+    sections,
+)
+from circulantwl.core import CoherentConfig, Parabolic, _covering_colors, units
+from circulantwl.dimension import _scheme_order
+
+
+# -- graph corpora -------------------------------------------------------------------
+
+
+def brute_force_graphs(n: int, directed: bool = False) -> list[frozenset[int]]:
+    """Every union of generator orbits, (d,) or {d, -d}, reduced to its
+    least image under the units of Z_n as a sorted tuple, in increasing
+    order."""
+    orbits = sorted({frozenset({d} if directed else {d, -d % n}) for d in range(1, n)}, key=min)
+    reps = set()
+    for size in range(len(orbits) + 1):
+        for combo in combinations(orbits, size):
+            conn = frozenset().union(*combo)
+            reps.add(frozenset(min(tuple(sorted(u * d % n for d in conn)) for u in units(n))))
+    return sorted(reps, key=sorted)
+
+
+def burnside_graph_count(n: int, directed: bool = False) -> int:
+    """The number of unit classes of connection sets, by Burnside's lemma."""
+    if n == 1:
+        return 1
+    us = units(n)
+    total = 0
+    for u in us:
+        gens = [u] if directed else [u, n - 1]
+        total += 2 ** _orbit_count(n, gens)
+    return total // len(us)
+
+
+def _orbit_count(n: int, gens: list[int]) -> int:
+    seen = set()
+    count = 0
+    for x in range(1, n):
+        if x in seen:
+            continue
+        count += 1
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            if y in seen:
+                continue
+            seen.add(y)
+            for g in gens:
+                stack.append((g * y) % n)
+    return count
+
+
+# -- schemes -------------------------------------------------------------------------
+
+
+def brute_force_schemes(n: int) -> list[CirculantScheme]:
+    """Filter every partition of Z_n minus 0 through validation."""
+
+    def partitions(rest):
+        if not rest:
+            yield []
+            return
+        head, tail = rest[0], rest[1:]
+        for sub in partitions(tail):
+            for i in range(len(sub)):
+                yield sub[:i] + [sub[i] | {head}] + sub[i + 1 :]
+            yield sub + [{head}]
+
+    closed = (from_connection_partition(n, part) for part in partitions(list(range(1, n))))
+    return sorted({X for X, coherent in closed if coherent}, key=_scheme_order)
+
+
+def quasinormal_by_definition(X: CirculantScheme) -> bool:
+    """Every trivial section must be projectively equivalent to a
+    subsection of a normal section."""
+    classes = proj_equivalence_classes(X)
+    normal_secs = [s for s in sections(X) if is_normal(s.scheme)]
+    return all(
+        any(t <= big for t in cls for big in normal_secs)
+        for cls in classes
+        if cls[0].is_trivial and cls[0].order > 1
+    )
+
+
+# -- section maps --------------------------------------------------------------------
+
+
+def induced_on_section(phi: AlgebraicIso, delta, e_blocks, delta2, e_blocks2) -> AlgebraicIso:
+    """Restriction followed by quotient: the induced map between sections of
+    any configuration.
+
+    Blocks are given in original point labels; the image equivalence must
+    agree with ``e_blocks2`` (checked).
+    """
+    rest = induced_on_restriction(phi, delta, delta2)
+    relabel = {p: i for i, p in enumerate(sorted(int(p) for p in delta))}
+    blocks = tuple(tuple(sorted(relabel[p] for p in blk)) for blk in e_blocks)
+    e = Parabolic(blocks, _covering(rest.source, blocks))
+    relabel2 = {p: i for i, p in enumerate(sorted(int(p) for p in delta2))}
+    blocks2 = frozenset(tuple(sorted(relabel2[p] for p in blk)) for blk in e_blocks2)
+    if frozenset(image_parabolic(rest, e).blocks) != blocks2:
+        raise ValueError("map does not send the first section equivalence to the second")
+    return induced_on_quotient(rest, e)
+
+
+def _covering(cc: CoherentConfig, blocks) -> frozenset[int]:
+    cols = _covering_colors(cc, blocks)
+    if cols is None:
+        raise ValueError("equivalence is not a relation of the restriction")
+    return cols

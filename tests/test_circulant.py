@@ -7,10 +7,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import circulantwl
-from circulantwl import circulant, dimension
+from circulantwl import algebra, circulant, dimension
 from circulantwl.algebra import (
     AlgebraicIso,
     enumerate_algebraic_isos,
@@ -34,7 +35,6 @@ from circulantwl.circulant import (
     is_quasinormal,
     omega,
     proj_equivalence_classes,
-    quasinormal_by_definition,
     quasinormal_section_decomposition,
     scheme_radical,
     secc0,
@@ -47,10 +47,11 @@ from circulantwl.circulant import (
     units,
     xgroup_lattice,
 )
-from circulantwl.core import validate
+from circulantwl.core import CoherentConfig, circulant_matrix, intersection_tensor, validate
 from circulantwl.dimension import graph_scheme
 from circulantwl.io import dump_scheme
 from circulantwl.refine import InvariantError
+from oracles import quasinormal_by_definition
 
 
 def unit_color_map(X, u):
@@ -113,7 +114,8 @@ def test_translation_invariance_enforced():
 
 def test_the_dense_configuration_is_built_only_by_cc():
     # a scheme is its row 0: nothing in the circulant layer closes through
-    # wl or expands a row to an n x n matrix except the on-demand cc
+    # wl or expands a row to an n x n matrix except the on-demand cc, which
+    # takes the row as already canonical
     tree = ast.parse(Path(circulant.__file__).read_text(encoding="utf-8"))
     found = []
     for top in tree.body:
@@ -125,16 +127,36 @@ def test_the_dense_configuration_is_built_only_by_cc():
             for node in ast.walk(unit):
                 if isinstance(node, ast.Call):
                     name = ast.unparse(node.func).split(".")[-1]
-                    if name in ("circulant_matrix", "CoherentConfig"):
+                    if name in ("circulant_matrix", "CoherentConfig", "from_canonical_row"):
                         found.append((owner, name))
                 elif isinstance(node, (ast.Import, ast.ImportFrom)):
                     names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
                     if any(name.split(".")[-1] == "wl" for name in names):
                         found.append((owner, "import wl"))
-    assert sorted(found) == [
-        ("CirculantScheme.cc", "CoherentConfig"),
-        ("CirculantScheme.cc", "circulant_matrix"),
-    ]
+    assert sorted(found) == [("CirculantScheme.cc", "from_canonical_row")]
+
+
+@pytest.mark.parametrize(
+    "orders,count",
+    [(range(1, 13), 84), (range(13, 25), 393), ([36], 284)],
+    ids=["1..12", "13..24", "36"],
+)
+def test_the_dense_view_of_a_canonical_row_equals_the_canonicalised_one(orders, count):
+    # cc is built from the row as it stands, with row 0, representatives and
+    # valencies read off it; canonicalising the expanded row gives the same
+    checked = 0
+    for n in orders:
+        for X in dimension.enumerate_schemes(n).schemes:
+            seeded, built = X.cc, CoherentConfig(circulant_matrix(X.row))
+            assert seeded.colors.dtype == built.colors.dtype
+            assert np.array_equal(seeded.colors, built.colors) and seeded.rank == built.rank
+            assert np.array_equal(seeded.representative, built.representative)
+            assert np.array_equal(seeded.valencies, built.valencies)
+            assert np.array_equal(intersection_tensor(seeded), intersection_tensor(built))
+            assert np.array_equal(algebra._row(seeded), algebra._row(built))
+            assert not seeded.colors.flags.writeable
+            checked += 1
+    assert checked == count
 
 
 def test_the_dense_configuration_is_read_only_where_points_are():
@@ -449,6 +471,12 @@ def test_z20_fixture_not_quasinormal(z20_fixture):
 def test_quasinormality_matches_definition(n):
     for X in (CirculantScheme.trivial(n), CirculantScheme.regular(n)):
         assert is_quasinormal(X) == quasinormal_by_definition(X)
+
+
+def test_quasinormality_definition_refuses_a_non_quasinormal_scheme(z20_fixture):
+    # negative control of the definition: it does not hold everywhere
+    assert not quasinormal_by_definition(z20_fixture)
+    assert not is_quasinormal(z20_fixture)
 
 
 def test_section_splits_into_a_tensor_product_of_controlled_factors(monkeypatch):
@@ -856,7 +884,6 @@ def test_extension_search_lists_the_automorphisms_once(z20_fixture, monkeypatch)
     # every (phi, psi) pair of the Z_20 fixture searches the singular
     # extension for its unique extension; the extension's automorphisms are
     # enumerated by the first pair only
-    from circulantwl import algebra
     from circulantwl.algebra import enumerate_algebraic_isos
     from circulantwl.circulant import extend_algebraic_automorphism
 

@@ -20,8 +20,6 @@ from circulantwl.dimension import (
     DEFAULT_SCHEME_CAP,
     SCHEME_KINDS,
     DimensionReport,
-    brute_force_schemes,
-    burnside_graph_count,
     enumerate_graphs,
     enumerate_schemes,
     estimate_dimension,
@@ -35,6 +33,7 @@ from circulantwl.dimension import (
 )
 from circulantwl.refine import refine_circulant
 from circulantwl.wl import wl_m_equivalent
+from oracles import brute_force_graphs, brute_force_schemes, burnside_graph_count
 
 
 # -- graph enumeration -------------------------------------------------------------
@@ -54,16 +53,28 @@ def test_order_one_graph():
     assert enumerate_graphs(1).graphs == [frozenset()]
 
 
-@pytest.mark.parametrize("n", [4, 6, 8, 9, 10, 12, 15, 16])
+@pytest.mark.parametrize("n", range(1, 21))
 def test_graph_counts_match_burnside(n):
-    assert len(enumerate_graphs(n).graphs) == burnside_graph_count(n)
+    graphs = enumerate_graphs(n).graphs
+    assert graphs == brute_force_graphs(n)
+    assert len(graphs) == burnside_graph_count(n)
 
 
-@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("n", range(1, 13))
 def test_directed_counts_match_burnside(n):
-    assert len(enumerate_graphs(n, directed=True).graphs) == burnside_graph_count(
-        n, directed=True
-    )
+    graphs = enumerate_graphs(n, directed=True).graphs
+    assert graphs == brute_force_graphs(n, directed=True)
+    assert len(graphs) == burnside_graph_count(n, directed=True)
+
+
+def test_graph_oracles_fail_a_walk_over_too_few_units(monkeypatch):
+    # negative control: with the units cut to {1, n - 1} the orbit walk
+    # keeps sets that a unit identifies, so it fails both oracles
+    monkeypatch.setattr(dimension, "units", lambda n: [1, n - 1])
+    for n, directed in ((5, False), (12, False), (7, True)):
+        graphs = enumerate_graphs(n, directed=directed).graphs
+        assert graphs != brute_force_graphs(n, directed=directed)
+        assert len(graphs) != burnside_graph_count(n, directed=directed)
 
 
 def test_graph_cap():
@@ -351,7 +362,8 @@ def test_muzychuk_and_estimate_walk_the_same_maps(n, monkeypatch):
     _no_map_induced(monkeypatch)
     schemes = enumerate_schemes(n).schemes
     report = verify_muzychuk(schemes)
-    witnesses = sum(len(dimension._estimate(X, schemes, max_m=2)[1]) for X in schemes)
+    candidates = dimension._not_induced(schemes, schemes)
+    witnesses = sum(len(dimension._estimate(X, c, max_m=2)[1]) for X, c in zip(schemes, candidates))
     assert report.checked == len(report.violations) == witnesses > 0
 
 
@@ -362,7 +374,7 @@ def test_witnesses_name_their_target_scheme(monkeypatch):
     _no_map_induced(monkeypatch)
     X = CirculantScheme.regular(8)
     target = SimpleNamespace(cc=X.cc, partition_key="target")
-    estimate, witnesses = dimension._estimate(X, [target], max_m=2)
+    estimate, witnesses = dimension._estimate(X, dimension._not_induced([X], [target])[0], max_m=2)
     assert estimate is None and len(witnesses) == 4
     assert {label for label, _, _ in witnesses} == {"target"}
 
@@ -376,8 +388,9 @@ def test_estimate_bites_on_rook_and_shrikhande(rook_and_shrikhande):
         for cc, name in zip(rook_and_shrikhande, ("rook", "shrikhande"))
     )
     witness = [("shrikhande", (0, 1, 2), 2)]
-    assert dimension._estimate(rook, [rook, shrikhande], max_m=3) == (3, witness)
-    assert dimension._estimate(rook, [rook, shrikhande], max_m=2) == (None, witness)
+    candidates = dimension._not_induced([rook], [rook, shrikhande])[0]
+    assert dimension._estimate(rook, candidates, max_m=3) == (3, witness)
+    assert dimension._estimate(rook, candidates, max_m=2) == (None, witness)
     report = DimensionReport(
         frozenset(), order=16, rank=3, estimate=3, bound=3, searched_up_to=3, witnesses=witness
     )

@@ -117,6 +117,14 @@ def test_verify_main_csv():
             ("--orders", "4..10", "--directed"),
             "91ae26dfb7d711bcabf354793591959902d305aae57bbd5531c004d64831b5d0",
         ),
+        (
+            ("--orders", "13..20"),
+            "be00e9298aea87bc3a36f3b8324ab7d331e306cdebc6635bb68772cc2af6c988",
+        ),
+        (
+            ("--orders", "11..12", "--directed"),
+            "92ebd347cad728555105018e9970c0cd8e98d9c6a54cc8dbbd9ef3c0b42be818",
+        ),
     ],
 )
 def test_main_table_is_pinned(args, digest):

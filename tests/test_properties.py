@@ -14,7 +14,6 @@ from circulantwl import algebra
 from circulantwl.algebra import (
     enumerate_algebraic_isos,
     extendable_at,
-    induced_on_section,
     is_algebraic_isomorphism,
 )
 from circulantwl.circulant import (
@@ -67,6 +66,7 @@ from circulantwl.wl import (
     wl_closure,
     wl_m_refine,
 )
+from oracles import induced_on_section
 
 
 def random_partition(rng, n):
