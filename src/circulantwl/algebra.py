@@ -113,12 +113,14 @@ def unit_multipliers(row_a, row_b) -> tuple[np.ndarray, np.ndarray]:
     """The units u of Z_n, increasing, for which row_b[u * x] over x relabels
     label row a (labels 0..k-1) bijectively, and the color map c ->
     row_b[u * least_a(c)] of each, one row per u; none for unequal lengths."""
-    n, least = len(row_a), np.unique(row_a, return_index=True)[1]
+    n, k = len(row_a), int(row_a.max()) + 1
+    # each label's least x, and row b's label count, read without sorting
+    least = (row_a == np.arange(k)[:, None]).argmax(axis=1)
     us = np.asarray(units(n) if len(row_b) == n else [], dtype=np.int64)
     images = row_b[np.outer(us, np.arange(n)) % n]
     # each color goes where its least x goes; u is kept when all agree
     cmaps = images[:, least]
-    kept = (cmaps[:, row_a] == images).all(axis=1) & (len(least) == len(np.unique(row_b)))
+    kept = (cmaps[:, row_a] == images).all(axis=1) & (np.count_nonzero(np.bincount(row_b)) == k)
     return us[kept], cmaps[kept]
 
 
@@ -136,9 +138,12 @@ def _unit_maps(cc: CoherentConfig) -> np.ndarray:
 
 
 def is_induced(cc_a: CoherentConfig, cc_b: CoherentConfig, phi: AlgebraicIso) -> bool:
-    """Whether a point isomorphism induces phi: first whether phi is the color
-    map of a unit multiplier (cached for a self pair), when both sides are
-    translation invariant, then by ``find_isomorphism``."""
+    """Whether a point isomorphism induces phi: at once for the identity of a
+    self pair, then whether phi is the color map of a unit multiplier
+    (cached for a self pair), when both sides are translation invariant,
+    then by ``find_isomorphism``."""
+    if cc_a is cc_b and phi.color_map == tuple(range(cc_a.rank)):
+        return True
     row_a, row_b = _row(cc_a), _row(cc_b)
     if row_a is not None and row_b is not None:
         maps = _unit_maps(cc_a) if cc_a is cc_b else unit_multipliers(row_a, row_b)[1]
@@ -150,20 +155,29 @@ def is_induced(cc_a: CoherentConfig, cc_b: CoherentConfig, phi: AlgebraicIso) ->
 # -- enumeration of algebraic isomorphisms --------------------------------------
 
 
+def _color_keys(cc: CoherentConfig) -> np.ndarray:
+    """One int64 per color, 2 * valency + whether it is diagonal: read off
+    the diagonal and the valencies, both algebraic invariants; cached."""
+    if "keys" not in cc._cache:
+        diagonal = np.zeros(cc.rank, dtype=np.int64)
+        diagonal[cc.colors.diagonal()] = 1
+        cc._cache["keys"] = 2 * cc.valencies + diagonal
+    return cc._cache["keys"]
+
+
 def _color_invariants(cc: CoherentConfig) -> np.ndarray:
     """One int64 row per color: whether it is diagonal, its valency and the
     multisets of its three tensor slices (c, ., .), (., c, .) and (., ., c),
     each as the count of every value 0..n it holds; cached."""
     if "invariants" not in cc._cache:
         t, r, width = intersection_tensor(cc), cc.rank, cc.n + 1
-        diagonal = np.isin(np.arange(r), list(cc.diagonal_colors))
         counts = []
         for axes in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
             # slice axes[0] at color c, its values shifted into c * width .. (c + 1) * width - 1
             shifted = t.transpose(axes) + width * np.arange(r)[:, None, None]
             counts.append(np.bincount(shifted.ravel("K"), minlength=r * width).reshape(r, width))
         cc._cache["invariants"] = np.concatenate(
-            [diagonal[:, None], cc.valencies[:, None], *counts], axis=1, dtype=np.int64
+            [_color_keys(cc)[:, None] % 2, cc.valencies[:, None], *counts], axis=1, dtype=np.int64
         )
     return cc._cache["invariants"]
 
@@ -181,21 +195,40 @@ def enumerate_algebraic_isos(
 
 
 def _search_color_maps(cc_a: CoherentConfig, cc_b: CoherentConfig) -> list[tuple[int, ...]]:
-    """Backtracking over colors ordered by invariant rarity: a color may go
-    to an image only where every intersection number among it and the colors
-    already mapped is preserved.
+    """The color maps of every algebraic isomorphism, sorted, in two stages.
 
-    The unit maps H of cc_b (``_unit_maps``) send every map found to another
-    one, h o f.  So the first color with a choice of images, the pivot, is
-    sent only to images least in their H-orbit: any map f equals h o g for
-    the h taking f(pivot) to the least of its orbit and g = h^-1 o f.  The
-    maps found are then closed under H."""
+    First each color may go only to the colors of equal diagonal flag and
+    valency (``_color_keys``), algebraic invariants both.  When that leaves
+    every color one image, no map but that one, f, can be an algebraic
+    isomorphism, so f is checked and returned, or nothing is: no tensor is
+    built and nothing is searched, and closing under the unit maps below
+    would add nothing, since each h o f would again be f.
+
+    Otherwise the candidates are cut to equal ``_color_invariants``, which
+    refine the keys, and searched by backtracking over colors ordered by
+    invariant rarity: a color may go to an image only where every
+    intersection number among it and the colors already mapped is
+    preserved.  The unit maps H of cc_b (``_unit_maps``) send every map
+    found to another one, h o f.  So the first color with a choice of
+    images, the pivot, is sent only to images least in their H-orbit: any
+    map f equals h o g for the h taking f(pivot) to the least of its orbit
+    and g = h^-1 o f.  The maps found are then closed under H."""
     if cc_a.n != cc_b.n or cc_a.rank != cc_b.rank:
         return []
     rank = cc_a.rank
-    # equal invariants get equal ids in one renumbering of both sides' rows
-    ids, _ = _renumber_rows(np.concatenate([_color_invariants(cc_a), _color_invariants(cc_b)]))
-    cand = ids[:rank, None] == ids[None, rank:]
+    cand = _color_keys(cc_a)[:, None] == _color_keys(cc_b)[None, :]
+    choices = cand.sum(axis=1)
+    if not choices.all():
+        return []
+    if (choices == 1).all():
+        f = tuple(cand.argmax(axis=1).tolist())
+        # one image per color is a bijection when no image is left over
+        return [f] if cand.any(axis=0).all() and is_algebraic_isomorphism(cc_a, cc_b, f) else []
+    # equal invariants get equal ids in one renumbering of both sides' rows,
+    # and of one side's for a self pair
+    sides = [cc_a] if cc_a is cc_b else [cc_a, cc_b]
+    ids = _renumber_rows(np.concatenate([_color_invariants(cc) for cc in sides]))[0]
+    cand = ids[:rank, None] == ids[None, -rank:]
     if not cand.any(axis=1).all():
         return []
     order = sorted(range(rank), key=lambda c: (int(cand[c].sum()), c))
@@ -204,10 +237,14 @@ def _search_color_maps(cc_a: CoherentConfig, cc_b: CoherentConfig) -> list[tuple
     if pivot is not None:
         # the identity is in H, so an image is least in its orbit when no h lowers it
         cand[pivot] &= (group >= np.arange(rank)).all(axis=0)
-    ta, tb = intersection_tensor(cc_a), intersection_tensor(cc_b)
-    # each tensor's three views with slot 0, 1 or 2 moved last, stacked
-    views = ((1, 2, 0), (0, 2, 1), (0, 1, 2))
-    va, vb = (np.stack([t.transpose(axes) for axes in views], axis=-1) for t in (ta, tb))
+
+    def views(cc: CoherentConfig) -> np.ndarray:
+        # the tensor's three views with slot 0, 1 or 2 moved last, stacked
+        t = intersection_tensor(cc)
+        return np.stack([t.transpose(axes) for axes in ((1, 2, 0), (0, 2, 1), (0, 1, 2))], -1)
+
+    va = views(cc_a)
+    vb = va if cc_a is cc_b else views(cc_b)
     search = np.asarray(order)
 
     def narrow(i: int, images: np.ndarray, js: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ from .circulant import (
     CirculantScheme,
     Section,
     XGroup,
+    _close_rows,
     _close_stack,
     _extends_scheme_map,
     _partition_key,
@@ -47,7 +48,7 @@ from .circulant import (
     xgroup_lattice,
 )
 from .core import CoherentConfig, units
-from .refine import CapExceededError
+from .refine import CapExceededError, _renumber_rows
 from .wl import pebble_game_oracle, wl_m_equivalent
 
 DEFAULT_UNDIRECTED_CAP = 20
@@ -319,13 +320,28 @@ def graph_scheme(n: int, conn: frozenset[int]) -> CirculantScheme:
 
 def prepare_analysis(corpus: Corpus) -> tuple[list[CirculantScheme], dict[frozenset[int], int]]:
     """The distinct schemes of the corpus graphs in first-seen order, and
-    each graph's position among them; the graphs are closed in one stack."""
-    position: dict[CirculantScheme, int] = {}
-    closed = _close_stack(_graph_labels(corpus.n, corpus.graphs))
-    index = {
-        conn: position.setdefault(X, len(position)) for conn, (X, _) in zip(corpus.graphs, closed)
-    }
-    return list(position), index
+    each graph's position among them.  The graphs are closed in one stack,
+    whose rows are ranked by least difference in one pass and deduplicated
+    by ``_renumber_rows``; one scheme is built per distinct row."""
+    n, closed = corpus.n, _close_rows(_graph_labels(corpus.n, corpus.graphs))[0]
+    # color c of row g is the global color g * n + c; np.unique lists them row
+    # by row, each row's from c = 0, so the k-th has k - c colors of earlier
+    # rows before it, and taking those off its rank by least difference
+    # ranks each row alone
+    colors, least, ids = np.unique(
+        (closed + n * np.arange(len(closed))[:, None]).ravel(),
+        return_index=True,
+        return_inverse=True,
+    )
+    before = np.arange(len(colors)) - colors % n
+    ranked = (np.argsort(np.argsort(least)) - before)[ids].reshape(closed.shape)
+    keys = _renumber_rows(ranked)[0].tolist()
+    first: dict[int, int] = {}
+    for g, key in enumerate(keys):
+        first.setdefault(key, g)
+    position = {key: i for i, key in enumerate(first)}
+    index = {conn: position[key] for conn, key in zip(corpus.graphs, keys)}
+    return [CirculantScheme(ranked[g]) for g in first.values()], index
 
 
 def _estimate(

@@ -21,7 +21,8 @@ from itertools import product
 
 import numpy as np
 
-from .core import CoherentConfig, circulant_matrix, is_translation_invariant
+from .circulant import CirculantScheme
+from .core import CoherentConfig, is_translation_invariant
 from .refine import (
     DEFAULT_TUPLE_CAP,
     CapExceededError,
@@ -48,10 +49,11 @@ def wl_closure(arc_colors: np.ndarray) -> CoherentConfig:
 
     ``arc_colors`` is any square integer matrix (e.g. 0/1 adjacency); loops
     are permitted.  The diagonal is split off before refinement.  A
-    translation-invariant coloring is refined on its row 0 alone; any other
-    is closed by the Las Vegas pair closure ``close_pairs``, exact but with
-    arbitrary ids, which the canonical numbering of ``CoherentConfig``
-    makes immaterial.
+    translation-invariant coloring is refined on its row 0 alone, and that
+    row, ranked by least difference (``CirculantScheme``), is already in the
+    canonical numbering; any other is closed by the Las Vegas pair closure
+    ``close_pairs``, exact but with arbitrary ids, which the canonical
+    numbering of ``CoherentConfig`` makes immaterial.
     """
     arcs = np.asarray(arc_colors, dtype=np.int64)
     if arcs.ndim != 2 or arcs.shape[0] != arcs.shape[1]:
@@ -60,8 +62,7 @@ def wl_closure(arc_colors: np.ndarray) -> CoherentConfig:
     init = arcs * 2
     init[np.diag_indices(n)] += 1
     if is_translation_invariant(init):
-        row, _ = refine_circulant(init[0])
-        return CoherentConfig(circulant_matrix(row))
+        return CirculantScheme(refine_circulant(init[0])[0]).cc
     stable, _ = close_pairs(init)
     return CoherentConfig(stable)
 

@@ -2,19 +2,23 @@
 
 Each recomputes by definition, or by brute force, what the library computes
 by a faster route: the unit classes of connection sets and their Burnside
-count, the schemes of an order, quasinormality and the map induced on a
-section.  None of them is called by the library.
+count, the schemes of an order, the algebraic isomorphisms between two
+configurations, quasinormality and the map induced on a section.  None of
+them is called by the library.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
+
+import numpy as np
 
 from circulantwl.algebra import (
     AlgebraicIso,
     image_parabolic,
     induced_on_quotient,
     induced_on_restriction,
+    is_algebraic_isomorphism,
 )
 from circulantwl.circulant import (
     CirculantScheme,
@@ -103,6 +107,59 @@ def quasinormal_by_definition(X: CirculantScheme) -> bool:
         for cls in classes
         if cls[0].is_trivial and cls[0].order > 1
     )
+
+
+# -- algebraic isomorphisms ----------------------------------------------------------
+
+
+def _numbers_by_definition(cc: CoherentConfig) -> tuple[list[tuple[bool, int]], np.ndarray]:
+    """Each color's diagonal flag and valency, and p[i, j, k]: at the first
+    pair (a, b) of color k, the points g with color(a, g) = i and
+    color(g, b) = j, counted one point at a time."""
+    colors, r = cc.colors, cc.rank
+    diagonal = set(colors.diagonal().tolist())
+    keys = [(c in diagonal, int((colors == c).sum(axis=1).max())) for c in range(r)]
+    p = np.zeros((r, r, r), dtype=np.int64)
+    for k in range(r):
+        a, b = np.argwhere(colors == k)[0]
+        for g in range(cc.n):
+            p[colors[a, g], colors[g, b], k] += 1
+    return keys, p
+
+
+def brute_force_algebraic_isos(cc_a: CoherentConfig, cc_b: CoherentConfig) -> list[tuple[int, ...]]:
+    """Every color permutation that keeps each color's diagonal flag and
+    valency and that ``is_algebraic_isomorphism`` accepts, in increasing
+    order.
+
+    The permutations are walked color by color; a branch is cut as soon as
+    an intersection number among the colors placed so far, counted by
+    definition, is not kept, since no permutation below it keeps them all.
+    Without that cut the regular scheme of Z_12 alone would take 11! leaves."""
+    if cc_a.n != cc_b.n or cc_a.rank != cc_b.rank:
+        return []
+    (keys_a, p_a), (keys_b, p_b) = _numbers_by_definition(cc_a), _numbers_by_definition(cc_b)
+    rank, found = cc_a.rank, []
+
+    def walk(f: list[int]) -> None:
+        c = len(f)
+        if c == rank:
+            if is_algebraic_isomorphism(cc_a, cc_b, f):
+                found.append(tuple(f))
+            return
+        for j in range(rank):
+            if j in f or keys_b[j] != keys_a[c]:
+                continue
+            g = f + [j]
+            if all(
+                p_a[x, y, z] == p_b[g[x], g[y], g[z]]
+                for x, y, z in product(range(c + 1), repeat=3)
+                if c in (x, y, z)
+            ):
+                walk(g)
+
+    walk([])
+    return found
 
 
 # -- section maps --------------------------------------------------------------------

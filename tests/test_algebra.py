@@ -31,6 +31,7 @@ from circulantwl import algebra, dimension
 from circulantwl.circulant import CirculantScheme, base_tuple
 from circulantwl.refine import InvariantError
 from circulantwl.wl import wl_closure
+from oracles import brute_force_algebraic_isos
 
 
 def cay(n, conn):
@@ -87,6 +88,34 @@ def test_color_search_keeps_exactly_the_permutations_that_pass(schemes_up_to_13)
                 ]
                 assert [phi.color_map for phi in enumerate_algebraic_isos(a.cc, b.cc)] == brute
     assert pairs == 225
+
+
+def test_color_search_equals_the_brute_force_oracle(schemes_up_to_13):
+    # every self pair and every cross pair of equal _iso_key of orders
+    # 1..12, through both stages of the search: pairs whose diagonal flags
+    # and valencies force one map, and pairs that reach the backtracking
+    pairs, forced = 0, {True: 0, False: 0}
+    for n in range(1, 13):
+        schemes = schemes_up_to_13[n]
+        for a, b in itertools.product(schemes, repeat=2):
+            if dimension._iso_key(a.cc) != dimension._iso_key(b.cc):
+                continue
+            pairs += 1
+            keys_a, keys_b = algebra._color_keys(a.cc), algebra._color_keys(b.cc)
+            forced[bool(((keys_a[:, None] == keys_b).sum(axis=1) == 1).all())] += 1
+            found = [phi.color_map for phi in enumerate_algebraic_isos(a.cc, b.cc)]
+            assert sorted(found) == brute_force_algebraic_isos(a.cc, b.cc)
+    assert pairs == 110 and forced == {True: 31, False: 79}
+    # a cross pair whose keys force a bijection that is not algebraic
+    a, b = (
+        next(X for X in schemes_up_to_13[12] if X.partition_key == frozenset(map(frozenset, parts)))
+        for parts in (
+            [{0}, {1, 2, 5, 7, 10, 11}, {3, 6, 9}, {4, 8}],
+            [{0}, {1, 3, 5, 7, 9, 11}, {2, 6, 10}, {4, 8}],
+        )
+    )
+    assert (algebra._color_keys(a.cc) == algebra._color_keys(b.cc)).all()
+    assert enumerate_algebraic_isos(a.cc, b.cc) == brute_force_algebraic_isos(a.cc, b.cc) == []
 
 
 def test_iso_group_structure():

@@ -893,12 +893,12 @@ def test_extension_search_lists_the_automorphisms_once(z20_fixture, monkeypatch)
     sec = _section(star, rep.smallest.upper, rep.smallest.lower)
     searched = []
 
-    def counted(cc):
-        searched.append(cc)
-        return color_invariants(cc)
+    def counted(cc_a, cc_b):
+        searched.append((cc_a, cc_b))
+        return search_color_maps(cc_a, cc_b)
 
-    color_invariants = algebra._color_invariants
-    monkeypatch.setattr(algebra, "_color_invariants", counted)
+    search_color_maps = algebra._search_color_maps
+    monkeypatch.setattr(algebra, "_search_color_maps", counted)
     pairs = [
         (phi, psi)
         for phi in enumerate_algebraic_isos(X.cc, X.cc)
@@ -906,11 +906,11 @@ def test_extension_search_lists_the_automorphisms_once(z20_fixture, monkeypatch)
     ]
     extensions = [extend_algebraic_automorphism(X, star, phi, psi, sec) for phi, psi in pairs]
     assert len(pairs) == len(set(extensions)) > 1
-    # one search, which reads the invariants of its source and its target
-    assert sum(cc is star.cc for cc in searched) == 2
+    # one search of the extension against itself, then its cached maps
+    assert [a is b for a, b in searched if star.cc is a or star.cc is b] == [True]
     # the kept maps are not the caller's to change
     autos = enumerate_algebraic_isos(star.cc, star.cc)
     expected = [iso.color_map for iso in autos]
     autos.clear()
     assert [iso.color_map for iso in enumerate_algebraic_isos(star.cc, star.cc)] == expected
-    assert sum(cc is star.cc for cc in searched) == 2
+    assert sum(a is star.cc for a, _ in searched) == 1

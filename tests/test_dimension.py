@@ -206,6 +206,23 @@ def test_an_order_is_closed_in_one_stack(monkeypatch, tmp_path):
     assert calls == [(len(cold), 12)]
 
 
+def test_an_order_builds_one_scheme_per_distinct_closed_row(monkeypatch):
+    # prepare_analysis builds a CirculantScheme only for each distinct
+    # scheme, not for every graph, and keeps the graphs' first-seen order
+    built = []
+
+    def counted(row):
+        built.append(np.asarray(row).tolist())
+        return CirculantScheme(row)
+
+    monkeypatch.setattr(dimension, "CirculantScheme", counted)
+    corpus = enumerate_graphs(16)
+    schemes, index = prepare_analysis(corpus)
+    assert len(built) == len(schemes) == len(set(schemes)) < len(corpus.graphs)
+    assert built == [X.row.tolist() for X in schemes]
+    assert list(dict.fromkeys(index.values())) == list(range(len(schemes)))
+
+
 def _not_coherent(candidates):
     """The (kind, labels) pairs whose label row its WL closure splits."""
     return [(kind, labels.tolist()) for kind, labels in candidates if not close_labels(labels)[1]]
@@ -395,6 +412,25 @@ def test_estimate_bites_on_rook_and_shrikhande(rook_and_shrikhande):
         frozenset(), order=16, rank=3, estimate=3, bound=3, searched_up_to=3, witnesses=witness
     )
     assert report.within_bound and not replace(report, bound=2).within_bound
+
+
+def test_estimate_bites_on_the_order_72_witness(monkeypatch):
+    # the first circulant input on which the headline check has something to
+    # refute: the rank-15 scheme of this graph has 8 algebraic automorphisms,
+    # 4 of them induced by no point isomorphism; each of those 4 survives
+    # 2-dim WL and fails 3-dim WL, so the estimate is 3, against a bound of
+    # Omega(72) + 3 = 8
+    S = frozenset({1, 3, 5, 6, 7, 11, 25, 29, 31, 33, 35, 39, 49, 53, 55, 59, 66, 69})
+    X = dimension.graph_scheme(72, S)
+    assert X.rank == 15 and len(enumerate_algebraic_isos(X.cc, X.cc)) == 8
+    candidates = dimension._not_induced([X], [X])[0]
+    assert len(candidates) == 4 and all(Y is X for Y, _ in candidates)
+    estimate, witnesses = dimension._estimate(X, candidates, 4)
+    assert estimate == 3 and estimate <= circulant.omega(72) + 3 == 8
+    assert witnesses == [(X.partition_key, phi.color_map, 2) for _, phi in candidates]
+    # a walk that calls every map induced finds nothing to refute
+    monkeypatch.setattr(dimension, "is_induced", lambda *args: True)
+    assert dimension._estimate(X, dimension._not_induced([X], [X])[0], 4) == (2, [])
 
 
 def test_format_outputs_are_deterministic():

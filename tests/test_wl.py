@@ -20,7 +20,7 @@ from circulantwl.core import (
     validate,
 )
 from circulantwl.circulant import base_tuple
-from circulantwl.dimension import enumerate_schemes, graph_scheme
+from circulantwl.dimension import enumerate_graphs, enumerate_schemes, graph_scheme
 from circulantwl.refine import (
     DEFAULT_TUPLE_CAP,
     CapExceededError,
@@ -188,6 +188,22 @@ def test_closure_is_idempotent():
     cc = cay_closure(6, {1, 5})
     again = wl_closure(cc.colors)
     assert again == cc
+
+
+def test_a_translation_invariant_closure_is_built_canonical():
+    # the row-0 path reads the closed row, ranked by least difference, as the
+    # canonical one; canonicalising its n x n matrix changes nothing
+    checked = 0
+    for n in range(1, 17):
+        for conn in enumerate_graphs(n).graphs:
+            closed = cay_closure(n, conn)
+            built = CoherentConfig(closed.colors)
+            assert closed.colors.dtype == built.colors.dtype and not closed.colors.flags.writeable
+            assert np.array_equal(closed.colors, built.colors) and closed.rank == built.rank
+            assert np.array_equal(closed.representative, built.representative)
+            assert np.array_equal(closed.valencies, built.valencies)
+            checked += 1
+    assert checked == 314
 
 
 # -- m-ary refinement --------------------------------------------------------------
