@@ -99,27 +99,28 @@ def label_classes(labels: np.ndarray) -> list[frozenset[int]]:
 def _partition_key(labels) -> tuple[int, ...]:
     """The partition of a sequence of labels, as its labels renumbered by
     first occurrence: two sequences get equal keys exactly when their
-    classes agree.  A canonical row is its own key."""
+    classes agree.  A canonical row is its own key, and on a row 0 first
+    occurrence is least difference, so this is the one ranking of a row.
+    It builds a list first: tuple() of a generator grows by reallocation."""
     seen: dict = {}
     labels = labels.tolist() if isinstance(labels, np.ndarray) else labels
-    return tuple(seen.setdefault(v, len(seen)) for v in labels)
+    return tuple([seen.setdefault(v, len(seen)) for v in labels])
 
 
 class CirculantScheme:
     """A coherent configuration over Z_n whose colors are difference classes,
     held as its row 0 (the color of (a, b) is ``row[(b - a) mod n]``) with
-    colors numbered by least difference: the numbering that
-    ``canonical_color_matrix`` gives the dense ``cc``, built on first use."""
+    colors numbered by least difference (``_partition_key``): the numbering
+    that ``canonical_color_matrix`` gives the dense ``cc``, built on first use."""
 
     def __init__(self, row):
         row = np.asarray(row, dtype=np.int64)
         if row.ndim != 1 or not len(row):
             raise ValueError("a circulant scheme takes its row 0, a nonempty 1-D array")
-        _, first, ids = np.unique(row, return_index=True, return_inverse=True)
-        self.row = np.argsort(np.argsort(first))[ids]  # ranked by least difference
+        self.row = np.array(_partition_key(row), dtype=np.int64)
         self.row.flags.writeable = False
         self.n = len(row)
-        self.rank = len(first)
+        self.rank = int(self.row.max()) + 1
         self._cache: dict = {}
 
     @cached_property
@@ -184,12 +185,6 @@ def close_labels(labels) -> tuple[CirculantScheme, bool]:
     classes of equal labels was already coherent."""
     closed, coherent = _close_rows(np.asarray(labels, dtype=np.int64))
     return CirculantScheme(closed), bool(coherent)
-
-
-def _close_stack(labels: np.ndarray) -> list[tuple[CirculantScheme, bool]]:
-    """``close_labels`` of each row of a (G, n) stack, in one closure."""
-    closed, coherent = _close_rows(labels)
-    return [(CirculantScheme(row), flag) for row, flag in zip(closed, coherent.tolist())]
 
 
 def _partition_labels(n: int, parts) -> np.ndarray:

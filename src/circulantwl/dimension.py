@@ -30,7 +30,6 @@ from .circulant import (
     Section,
     XGroup,
     _close_rows,
-    _close_stack,
     _extends_scheme_map,
     _partition_key,
     _partition_labels,
@@ -48,7 +47,7 @@ from .circulant import (
     xgroup_lattice,
 )
 from .core import CoherentConfig, units
-from .refine import CapExceededError, _renumber_rows
+from .refine import CapExceededError
 from .wl import pebble_game_oracle, wl_m_equivalent
 
 DEFAULT_UNDIRECTED_CAP = 20
@@ -196,10 +195,8 @@ def _corpora(n: int) -> dict[int, list[CirculantScheme]]:
     each divisor, built from the divisors before it, one per partition."""
     corpora: dict[int, list[CirculantScheme]] = {}
     for d in divisors(n):
-        rows: dict[tuple[int, ...], np.ndarray] = {}
-        for _, labels in scheme_candidates(d, corpora):
-            rows.setdefault(_partition_key(labels), labels)
-        corpora[d] = sorted(map(CirculantScheme, rows.values()), key=_scheme_order)
+        keys = dict.fromkeys(_partition_key(labels) for _, labels in scheme_candidates(d, corpora))
+        corpora[d] = sorted(map(CirculantScheme, keys), key=_scheme_order)
     return corpora
 
 
@@ -242,16 +239,20 @@ def _read_scheme_cache(n: int) -> Corpus | None:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         partitions = data["schemes"]
-        labels = [_partition_labels(n, [set(c) for c in parts]) for parts in partitions]
+        for parts in partitions:
+            for c in parts:  # JSON integers: not a string's digits, a float or a bool
+                if not isinstance(c, list) or any(type(x) is not int for x in c):
+                    raise TypeError(f"a class must be a list of integers, not {c!r}")
+        labels = [_partition_labels(n, parts) for parts in partitions]
     except OSError as exc:
         raise ValueError(f"scheme cache {path} cannot be read: {exc}") from exc
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"scheme cache {path} is malformed: {exc!r}") from exc
-    read = _close_stack(np.array(labels, dtype=np.int64).reshape(len(labels), n))
-    for (_, coherent), parts in zip(read, partitions):
-        if not coherent:
+    closed, coherent = _close_rows(np.array(labels, dtype=np.int64).reshape(len(labels), n))
+    for flag, parts in zip(coherent.tolist(), partitions):
+        if not flag:
             raise ValueError(f"scheme cache {path} holds a partition that is not coherent: {parts}")
-    schemes = [scheme for scheme, _ in read]
+    schemes = [CirculantScheme(row) for row in closed]
     if any(_scheme_order(a) >= _scheme_order(b) for a, b in zip(schemes, schemes[1:])):
         raise ValueError(f"scheme cache {path} is not strictly increasing in corpus order")
     # checked last, so a file that is also malformed is named as malformed
@@ -320,28 +321,16 @@ def graph_scheme(n: int, conn: frozenset[int]) -> CirculantScheme:
 
 def prepare_analysis(corpus: Corpus) -> tuple[list[CirculantScheme], dict[frozenset[int], int]]:
     """The distinct schemes of the corpus graphs in first-seen order, and
-    each graph's position among them.  The graphs are closed in one stack,
-    whose rows are ranked by least difference in one pass and deduplicated
-    by ``_renumber_rows``; one scheme is built per distinct row."""
-    n, closed = corpus.n, _close_rows(_graph_labels(corpus.n, corpus.graphs))[0]
-    # color c of row g is the global color g * n + c; np.unique lists them row
-    # by row, each row's from c = 0, so the k-th has k - c colors of earlier
-    # rows before it, and taking those off its rank by least difference
-    # ranks each row alone
-    colors, least, ids = np.unique(
-        (closed + n * np.arange(len(closed))[:, None]).ravel(),
-        return_index=True,
-        return_inverse=True,
-    )
-    before = np.arange(len(colors)) - colors % n
-    ranked = (np.argsort(np.argsort(least)) - before)[ids].reshape(closed.shape)
-    keys = _renumber_rows(ranked)[0].tolist()
-    first: dict[int, int] = {}
-    for g, key in enumerate(keys):
-        first.setdefault(key, g)
-    position = {key: i for i, key in enumerate(first)}
-    index = {conn: position[key] for conn, key in zip(corpus.graphs, keys)}
-    return [CirculantScheme(ranked[g]) for g in first.values()], index
+    each graph's position among them.  The graphs are closed in one stack;
+    each closed row is keyed by ``_partition_key``, its ranking by least
+    difference, and one scheme is built per distinct key."""
+    closed = _close_rows(_graph_labels(corpus.n, corpus.graphs))[0]
+    position: dict[tuple[int, ...], int] = {}
+    index = {
+        conn: position.setdefault(_partition_key(row), len(position))
+        for conn, row in zip(corpus.graphs, closed)
+    }
+    return [CirculantScheme(key) for key in position], index
 
 
 def _estimate(

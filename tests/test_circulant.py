@@ -205,6 +205,25 @@ def test_connection_sets_are_read_only_where_partitions_leave_the_library():
     ]
 
 
+def test_a_label_row_is_ranked_only_by_its_partition_key():
+    # _partition_key is the one ranking of a label row in the circulant and
+    # dimension layers: no np.unique inverse and no double argsort besides it
+    found = []
+    for module in (circulant, dimension):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = ast.unparse(node.func).split(".")[-1]
+            if name == "unique" and any(k.arg == "return_inverse" for k in node.keywords):
+                found.append((module.__name__, node.lineno, "unique inverse"))
+            inner = node.args[0] if node.args else None
+            if name == "argsort" and isinstance(inner, ast.Call):
+                if ast.unparse(inner.func).split(".")[-1] == "argsort":
+                    found.append((module.__name__, node.lineno, "argsort of argsort"))
+    assert found == []
+
+
 # -- subgroup lattice and sections ------------------------------------------------
 
 

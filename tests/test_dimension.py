@@ -8,9 +8,15 @@ import numpy as np
 import pytest
 
 from circulantwl import circulant, cli, core, dimension
-from circulantwl.algebra import CapExceededError, enumerate_algebraic_isos, find_isomorphism
+from circulantwl.algebra import (
+    CapExceededError,
+    enumerate_algebraic_isos,
+    extendable_at,
+    find_isomorphism,
+)
 from circulantwl.circulant import (
     CirculantScheme,
+    base_tuple,
     close_labels,
     is_quasinormal,
     section_labels,
@@ -185,7 +191,8 @@ def test_enumeration_and_sections_run_no_closure(monkeypatch):
 
 def test_an_order_is_closed_in_one_stack(monkeypatch, tmp_path):
     # prepare_analysis closes an order's graphs, and a warm read its cached
-    # partitions, in one refine_circulant call
+    # partitions, in one refine_circulant call; each graph's scheme is the
+    # one it closes to alone, on every order the walk covers
     calls = []
 
     def counted(rows):
@@ -193,12 +200,14 @@ def test_an_order_is_closed_in_one_stack(monkeypatch, tmp_path):
         return refine_circulant(rows)
 
     monkeypatch.setattr(circulant, "refine_circulant", counted)
-    corpus = enumerate_graphs(16)
-    schemes, index = prepare_analysis(corpus)
-    assert calls == [(len(corpus.graphs), 16)]
-    assert [schemes[index[conn]] for conn in corpus.graphs] == [
-        dimension.graph_scheme(16, conn) for conn in corpus.graphs
-    ]
+    for n, directed in [(n, False) for n in range(1, 21)] + [(n, True) for n in range(1, 13)]:
+        corpus = enumerate_graphs(n, directed=directed)
+        calls.clear()
+        schemes, index = prepare_analysis(corpus)
+        assert calls == [(len(corpus.graphs), n)], (n, directed)
+        assert [schemes[index[conn]] for conn in corpus.graphs] == [
+            dimension.graph_scheme(n, conn) for conn in corpus.graphs
+        ], (n, directed)
     monkeypatch.setenv("CIRCULANTWL_CACHE", str(tmp_path))
     cold = enumerate_schemes(12).schemes
     calls.clear()
@@ -428,6 +437,13 @@ def test_estimate_bites_on_the_order_72_witness(monkeypatch):
     estimate, witnesses = dimension._estimate(X, candidates, 4)
     assert estimate == 3 and estimate <= circulant.omega(72) + 3 == 8
     assert witnesses == [(X.partition_key, phi.color_map, 2) for _, phi in candidates]
+    # the paper's chain starts where each induced map is extendable at the
+    # base tuple (refusing each of the other 4 takes about 30 s, too slow for
+    # this suite)
+    maps = {phi.color_map for _, phi in candidates}
+    induced = [phi for phi in enumerate_algebraic_isos(X.cc, X.cc) if phi.color_map not in maps]
+    assert len(induced) == 4
+    assert all(extendable_at(phi, base_tuple(X)) is not None for phi in induced)
     # a walk that calls every map induced finds nothing to refute
     monkeypatch.setattr(dimension, "is_induced", lambda *args: True)
     assert dimension._estimate(X, dimension._not_induced([X], [X])[0], 4) == (2, [])

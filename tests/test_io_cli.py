@@ -626,8 +626,23 @@ def test_unusable_scheme_cache_fails_cleanly(make, why, tmp_path, monkeypatch, c
         ([[[7, 2, 3, 4, 5]]], "outside 0..5"),
         ([[[1, 2, 3, 4, 5]], [[1, 2, 3, 4, 5]]], "not strictly increasing in corpus order"),
         ([[[1], [2], [3], [4], [5]], [[1, 2, 3, 4, 5]]], "not strictly increasing in corpus order"),
+        # read as a set, the string's digits would give the trivial scheme
+        ([["12345"]], "malformed: TypeError(\"a class must be a list of integers, not '12345'\")"),
+        # int() would read 5.0 and true as the integers 5 and 1
+        ([[[1, 2, 3, 4, 5.0]]], "a class must be a list of integers, not [1, 2, 3, 4, 5.0]"),
+        ([[[True, 2, 3, 4, 5]]], "a class must be a list of integers, not [True, 2, 3, 4, 5]"),
+        # a set would drop the repeat and read the trivial scheme
+        ([[[1, 1, 2, 3, 4, 5]]], "connection classes overlap: 1 appears more than once"),
     ],
-    ids=["entry-past-n", "duplicate", "out-of-order"],
+    ids=[
+        "entry-past-n",
+        "duplicate",
+        "out-of-order",
+        "string-class",
+        "float-entry",
+        "bool-entry",
+        "repeat-in-class",
+    ],
 )
 def test_scheme_cache_outside_the_corpus_is_rejected(schemes, why, tmp_path, monkeypatch, capsys):
     (tmp_path / "schemes_6.json").write_text(json.dumps({"version": 1, "schemes": schemes}))

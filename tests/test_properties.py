@@ -256,11 +256,16 @@ def test_stacked_row0_closure_matches_single_rows():
 
 
 def test_scheme_row_is_the_dense_canonical_row(schemes_up_to_16):
-    # the canonical numbering of the dense matrix is the oracle of the row's
+    # the canonical numbering of the dense matrix is the oracle of the row's;
+    # a row given in any other labels, negative and sparse ones too, ranks
+    # back to the same scheme
+    rng = np.random.default_rng(29)
     for n, schemes in schemes_up_to_16.items():
         for X in schemes:
             dense = CoherentConfig(circulant_matrix(X.row))
             assert np.array_equal(dense.colors[0], X.row), (n, sorted(map(sorted, X.partition_key)))
+            perm = rng.permutation(X.rank)
+            assert CirculantScheme(perm[X.row] * 7 - 50) == X, (n, perm.tolist())
 
 
 def test_partition_closure_matches_dense_closure():
