@@ -32,7 +32,7 @@ from .core import (
     restriction,
     units,
 )
-from .refine import CapExceededError, InvariantError, _renumber_rows, refine_pairs
+from .refine import CapExceededError, InvariantError, _renumber_rows, close_pairs
 
 
 @dataclass(frozen=True)
@@ -477,7 +477,7 @@ def tuple_extension(
     # splits: so each lifted class lies over the phi-image of its base class
     # and the diagonal of x[i] goes to that of x_image[i]
     init_b = phi.inverse().array[phi.target.colors]
-    res = refine_pairs(_individualise(phi.source.colors, x), _individualise(init_b, x_image))
+    res = close_pairs(_individualise(phi.source.colors, x), _individualise(init_b, x_image))
     if res is None:
         return None
     (mat_a, mat_b), rank = res

@@ -171,8 +171,9 @@ def _close_rows(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed rows 0 of a label row or of a (G, n) stack of them, and
     whether each label partition was already coherent."""
     row = labels * 2
-    # difference 0 is split off as in ``wl_closure``; the closure refines
-    # the partition, so it is coherent exactly when closing adds no class
+    # difference 0 is split off, here for every closure of a translation-
+    # invariant coloring; the closure refines the partition, so it is
+    # coherent exactly when closing adds no class
     row[..., 0] += 1
     closed, rank = refine_circulant(row)
     distinct = np.count_nonzero(np.diff(np.sort(labels, axis=-1), axis=-1), axis=-1) + 1
@@ -267,10 +268,6 @@ class Section:
     def lift(self, i: int) -> int:
         h = self.upper.n // self.upper.order
         return (i % self.order) * h
-
-    def subset(self, i: int) -> frozenset[int]:
-        """The lower-coset (as a set of group elements) of section element i."""
-        return frozenset((self.lift(i) + l) % self.upper.n for l in self.lower.elements)
 
     def __le__(self, other: "Section") -> bool:
         """Subsection order: contained upper group, containing lower group."""

@@ -490,5 +490,5 @@ def _individualise(colors: np.ndarray, x) -> np.ndarray:
 def point_extension(cc: CoherentConfig, x) -> CoherentConfig:
     """Smallest coherent refinement of cc in which every point of x is a
     singleton fiber.  Depends only on the set of entries of x."""
-    stable, _ = close_pairs(_individualise(cc.colors, x))
+    [stable], _ = close_pairs(_individualise(cc.colors, x))
     return CoherentConfig(stable)

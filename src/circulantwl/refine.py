@@ -1,31 +1,32 @@
-"""Vectorized Weisfeiler-Leman refinement: one lockstep engine and one
-Las Vegas pair closure.
+"""Vectorized Weisfeiler-Leman refinement: one lockstep engine.
 
 Everything here works on integer color arrays and knows nothing about
 coherent configurations; the wrapping modules interpret the results.
 ``_refine`` refines k >= 1 colorings in lockstep through one shared color
-dictionary (k = 1 is plain refinement); pair (2-dim), row-0 (2-dim on a
-translation-invariant coloring), m-tuple and x0 = 0 m-tuple (m-ary on a
-translation-invariant coloring) refinement differ only in the round
-function that builds each round's signature rows.  The color ids of these
-rounds are assigned by sorted signature order (``_renumber_rows``, which
-packs each row into as few int64 keys as its entries allow and ranks the
-keys by counting or by one sort), so their output is deterministic and
-independent of the input numbering; the row-0 and x0 = 0 rounds see the
-same distinct rows as their dense forms, so they produce the dense ids.
-Row-0 refinement closes a stack of rows at once, each as if alone.
+dictionary (k = 1 is plain refinement); hashed pair (2-dim), row-0 (2-dim
+on a translation-invariant coloring), m-tuple and x0 = 0 m-tuple (m-ary on
+a translation-invariant coloring) refinement differ only in the round
+function that builds each round's signature rows.  Each round's ids are
+assigned by sorted row order (``_renumber_rows``, which packs each row
+into as few int64 keys as its entries allow and ranks the keys by counting
+or by one sort).  The row-0, m-tuple and x0 = 0 rows are exact signatures,
+so those ids are deterministic and independent of the input numbering;
+the row-0 and x0 = 0 rounds see the same distinct rows as their dense
+forms, so they produce the dense ids.  Row-0 refinement closes a stack of
+rows at once, each as if alone.
 
-``close_pairs`` is the exception: a single-sided 2-dim closure whose rounds
-rank one int64 key per pair, its color above a mix of two random bilinear
-hashes of its signature, and whose fixpoint is certified exactly by
-``_unstable_pairs`` on composition codes of the narrowest integer type
-that holds them.  It returns the same partition as ``refine_pairs`` with
-arbitrary ids, for callers that canonicalize.
+The dense pair closure ``close_pairs`` keys each pair by its color above a
+hash of its signature, so its ids are arbitrary, for callers that
+canonicalize.  Where ``_refine`` stops, ``_unstable_pairs`` certifies every
+side exactly against the signatures of side 0's first pairs, on
+composition codes of the narrowest integer type that holds them; a
+partition that fails takes one joint exact round and refining resumes.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections.abc import Callable
 
 import numpy as np
@@ -143,26 +144,6 @@ def _pair_round_codes(mat: np.ndarray, rank: int) -> np.ndarray:
     return np.concatenate([mat.reshape(n * n, 1), codes.reshape(n * n, n)], axis=1)
 
 
-def refine_pairs(*inits: np.ndarray) -> tuple[list[np.ndarray], int] | None:
-    """2-dim WL refinement of (n, n) pair colorings, in lockstep.
-
-    Returns the stable matrices with shared canonical ids and their rank,
-    or None when the sides differ in n or diverge.
-    """
-    n = inits[0].shape[0]
-    if any(init.shape[0] != n for init in inits):
-        return None
-
-    def round_rows(sides, rank):
-        return _join([_pair_round_codes(side.reshape(n, n), rank) for side in sides])
-
-    res = _refine([np.asarray(init, np.int64).ravel() for init in inits], round_rows)
-    if res is None:
-        return None
-    sides, rank = res
-    return [side.reshape(n, n) for side in sides], rank
-
-
 def _code_dtype(rank: int) -> type:
     """The narrowest signed integer type that holds every composition code
     c * rank + c' < rank**2: int16 up to rank 181, int32 up to 46,340."""
@@ -172,34 +153,41 @@ def _code_dtype(rank: int) -> type:
     return np.int64
 
 
-def _unstable_pairs(mat: np.ndarray, rank: int) -> np.ndarray:
+def _unstable_pairs(mat: np.ndarray, rank: int, ref: np.ndarray | None = None) -> np.ndarray:
     """Flat mask of the pairs whose exact pair-round row differs from that of
-    the first pair of their color; no pair is marked exactly when ``mat`` is
-    stable.  Compares the sorted codes of a few source rows at a time with
-    those of each color's first pair, never a whole n**3 table.  The codes
-    take the narrowest type that holds them and are read from a contiguous
-    copy of the transpose, since sorting is most of the cost."""
+    the first pair of their color in ``ref``, a matrix with the same ids in
+    which every color occurs (by default ``mat`` itself: then no pair is
+    marked exactly when ``mat`` is stable).  Compares the sorted codes of a
+    few source rows at a time with those of each color's first pair, never
+    a whole n**3 table.  The codes take the narrowest type that holds them
+    and are read from a contiguous copy of the transpose, since sorting is
+    most of the cost."""
     n = mat.shape[0]
     _check_pair_cap(n)
     dtype = _code_dtype(rank)
+    ref = mat if ref is None else ref
+    a0, b0 = np.divmod(np.unique(ref.ravel(), return_index=True)[1], n)
+    first = ref[a0].astype(dtype) * dtype(rank) + ref[:, b0].T.astype(dtype)
+    first.sort(axis=1)
     left = mat.astype(dtype) * dtype(rank)  # left[a, g] = c(a, g) * rank
     right = np.ascontiguousarray(mat.T, dtype=dtype)  # right[b, g] = c(g, b)
-    a0, b0 = np.divmod(np.unique(mat.ravel(), return_index=True)[1], n)
-    ref = left[a0] + right[b0]
-    ref.sort(axis=1)
     out = np.empty((n, n), dtype=bool)
     step = max(1, 2**16 // n**2)
     for a in range(0, n, step):
         block = left[a : a + step, None, :] + right[None, :, :]
         block.sort(axis=2)
-        np.any(block != ref[mat[a : a + step]], axis=2, out=out[a : a + step])
+        np.any(block != first[mat[a : a + step]], axis=2, out=out[a : a + step])
     return out.ravel()
 
 
-def _hash_weights(rng: np.random.Generator, rank: int, n: int) -> np.ndarray:
-    """(4, rank) float64 color weights u1, v1, u2, v2, each below
-    sqrt(2**53 / n), so that a sum of n products of two is exact."""
-    return rng.integers(1, math.isqrt((2**53 - 1) // n), size=(4, rank)).astype(np.float64)
+def _hash_weights(rng: random.Random, rank: int, n: int) -> np.ndarray:
+    """(4, rank) float64 color weights u1, v1, u2, v2, each from 1 to below
+    sqrt(2**53 / n), so that a sum of n products of two is exact.  The bytes
+    come from the standard library, as importing ``numpy.random`` costs a
+    process about 6 MB."""
+    raw = np.frombuffer(rng.randbytes(32 * rank), dtype=np.uint64).reshape(4, rank)
+    top = np.uint64(math.isqrt((2**53 - 1) // n) - 1)
+    return (raw % top + np.uint64(1)).astype(np.float64)
 
 
 def _hash_bits(rank: int) -> int:
@@ -217,36 +205,43 @@ def _round_keys(mat: np.ndarray, s1: np.ndarray, s2: np.ndarray, bits: int) -> n
     return ((mat.ravel().astype(np.uint64) << np.uint64(bits)) | mix.ravel()).view(np.int64)
 
 
-def close_pairs(init: np.ndarray) -> tuple[np.ndarray, int]:
-    """Stable 2-dim WL partition of one (n, n) pair coloring, and its rank.
+def close_pairs(*inits: np.ndarray) -> tuple[list[np.ndarray], int] | None:
+    """2-dim WL closure of (n, n) pair colorings, in lockstep: the stable
+    matrices with shared, arbitrary ids and their rank, or None when the
+    sides differ in n or their color histograms diverge.
 
-    A hashed round keys pair (a, b) by one int64: its color, above a mix of
-    two exact sums sum_g u[c(a,g)] * v[c(g,b)], one n x n matmul each.  The
-    key depends only on the pair's exact row, so every split is genuine and
-    the partition never gets finer than the closure.  When a hashed round
-    does not split, the exact check confirms stability, or one exact
-    round runs and hashing resumes, so a collision of sums or keys only
-    costs a round.  The ids are arbitrary, not those of ``refine_pairs``.
+    Each round is hashed: pair (a, b) gets one int64 key, its color above a
+    mix of two exact sums sum_g u[c(a,g)] * v[c(g,b)], one n x n matmul
+    each, with the same weights on every side.  A key depends only on the
+    color and the exact row in the shared ids, so every split is a true WL
+    split.  Where ``_refine`` stops, every side is checked against the
+    exact rows of side 0's first pairs (each color occurs there, as the
+    histograms agree), which certifies the joint closure; a failed check
+    costs one joint exact round, and refining resumes.
     """
-    mat, rank = normalize_colors(init)
-    n = mat.shape[0]
+    n = inits[0].shape[0]
+    if any(init.shape[0] != n for init in inits):
+        return None
     _check_pair_cap(n)
-    rng = np.random.default_rng(0)
-    while True:
+    rng = random.Random(0)
+
+    def round_rows(sides, rank):
         bits = _hash_bits(rank)
         u1, v1, u2, v2 = weights = _hash_weights(rng, rank, n)
         top = int(np.abs(weights).max())
         if n * top * top >= 2**53:
             raise InvariantError(f"hash weight {top} makes sums of {n} products inexact")
-        s1, s2 = (u[mat] @ v[mat] for u, v in ((u1, v1), (u2, v2)))
-        ids, new_rank = _renumber_rows(_round_keys(mat, s1, s2, bits)[:, None])
-        # an unchanged rank leaves the partition and, leading with the
-        # color, the ids unchanged
-        if new_rank == rank:
-            if not _unstable_pairs(mat, rank).any():
-                return mat, rank
-            ids, new_rank = _renumber_rows(_pair_round_codes(mat, rank))
-        mat, rank = ids.reshape(n, n), new_rank
+        mats = [side.reshape(n, n) for side in sides]
+        return _join([_round_keys(m, u1[m] @ v1[m], u2[m] @ v2[m], bits) for m in mats])[:, None]
+
+    flats = [np.asarray(init, np.int64).ravel() for init in inits]
+    while (res := _refine(flats, round_rows)) is not None:
+        mats, rank = [side.reshape(n, n) for side in res[0]], res[1]
+        if not any(_unstable_pairs(mat, rank, mats[0]).any() for mat in mats):
+            return mats, rank
+        ids, _ = _renumber_rows(_join([_pair_round_codes(mat, rank) for mat in mats]))
+        flats = np.split(ids, len(mats))
+    return None
 
 
 def refine_circulant(init_row: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
@@ -257,9 +252,9 @@ def refine_circulant(init_row: np.ndarray) -> tuple[np.ndarray, int | np.ndarray
     Every round stays translation invariant, and the dense row of (a, b) is
     row d = b - a of the n rows [r(d), sorted {(r(h), r(d - h)) : h}], so
     the renumbering sees the same rows in the same order: the stable row and
-    rank equal row 0 and rank of ``refine_pairs`` on the full matrix.  A
-    stack returns its stable rows and their ranks; ``STACK_ENTRIES`` bounds
-    the round table of each chunk it is refined in.
+    rank equal row 0 and rank of exact dense pair rounds on the full matrix.
+    A stack returns its stable rows and their ranks; ``STACK_ENTRIES``
+    bounds the round table of each chunk it is refined in.
     """
     rows = np.asarray(init_row, dtype=np.int64)
     stack = rows.reshape(-1, rows.shape[-1])

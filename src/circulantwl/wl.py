@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .circulant import CirculantScheme
+from .circulant import close_labels
 from .core import CoherentConfig, is_translation_invariant
 from .refine import (
     DEFAULT_TUPLE_CAP,
@@ -30,7 +30,6 @@ from .refine import (
     close_pairs,
     initial_tuple_colors,
     origin_tuple_index,
-    refine_circulant,
     refine_circulant_tuples,
     refine_tuples,
     tuple_digits,
@@ -49,21 +48,20 @@ def wl_closure(arc_colors: np.ndarray) -> CoherentConfig:
 
     ``arc_colors`` is any square integer matrix (e.g. 0/1 adjacency); loops
     are permitted.  The diagonal is split off before refinement.  A
-    translation-invariant coloring is refined on its row 0 alone, and that
-    row, ranked by least difference (``CirculantScheme``), is already in the
-    canonical numbering; any other is closed by the Las Vegas pair closure
-    ``close_pairs``, exact but with arbitrary ids, which the canonical
-    numbering of ``CoherentConfig`` makes immaterial.
+    translation-invariant coloring is closed on its row 0 alone
+    (``close_labels``), and that row, ranked by least difference, is
+    already in the canonical numbering; any other is closed by the pair
+    closure ``close_pairs``, exact but with arbitrary ids, which the
+    canonical numbering of ``CoherentConfig`` makes immaterial.
     """
     arcs = np.asarray(arc_colors, dtype=np.int64)
     if arcs.ndim != 2 or arcs.shape[0] != arcs.shape[1]:
         raise ValueError("arc color matrix must be square")
-    n = arcs.shape[0]
+    if is_translation_invariant(arcs):
+        return close_labels(arcs[0])[0].cc
     init = arcs * 2
-    init[np.diag_indices(n)] += 1
-    if is_translation_invariant(init):
-        return CirculantScheme(refine_circulant(init[0])[0]).cc
-    stable, _ = close_pairs(init)
+    init[np.diag_indices(arcs.shape[0])] += 1
+    [stable], _ = close_pairs(init)
     return CoherentConfig(stable)
 
 

@@ -3,8 +3,8 @@
 Each recomputes by definition, or by brute force, what the library computes
 by a faster route: the unit classes of connection sets and their Burnside
 count, the schemes of an order, the algebraic isomorphisms between two
-configurations, quasinormality and the map induced on a section.  None of
-them is called by the library.
+configurations, quasinormality, the cosets of a section and the map
+induced on it, and exact lockstep 2-dim WL.  None of them is called by the library.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from circulantwl.algebra import (
 )
 from circulantwl.circulant import (
     CirculantScheme,
+    Section,
     from_connection_partition,
     is_normal,
     proj_equivalence_classes,
@@ -29,6 +30,7 @@ from circulantwl.circulant import (
 )
 from circulantwl.core import CoherentConfig, Parabolic, _covering_colors, units
 from circulantwl.dimension import _scheme_order
+from circulantwl.refine import _join, _pair_round_codes, _refine
 
 
 # -- graph corpora -------------------------------------------------------------------
@@ -162,7 +164,37 @@ def brute_force_algebraic_isos(cc_a: CoherentConfig, cc_b: CoherentConfig) -> li
     return found
 
 
+# -- pair refinement -----------------------------------------------------------------
+
+
+def refine_pairs(*inits: np.ndarray) -> tuple[list[np.ndarray], int] | None:
+    """Exact 2-dim WL refinement of (n, n) pair colorings, in lockstep:
+    every round renumbers the whole n**3 table of sorted composition rows.
+
+    Returns the stable matrices with shared ids, ascending in signature
+    order, and their rank, or None when the sides differ in n or diverge.
+    """
+    n = inits[0].shape[0]
+    if any(init.shape[0] != n for init in inits):
+        return None
+
+    def round_rows(sides, rank):
+        return _join([_pair_round_codes(side.reshape(n, n), rank) for side in sides])
+
+    res = _refine([np.asarray(init, np.int64).ravel() for init in inits], round_rows)
+    if res is None:
+        return None
+    sides, rank = res
+    return [side.reshape(n, n) for side in sides], rank
+
+
 # -- section maps --------------------------------------------------------------------
+
+
+def section_coset(sec: Section, i: int) -> frozenset[int]:
+    """The coset of the lower group, as a set of group elements, that is
+    element i of the section."""
+    return frozenset((sec.lift(i) + g) % sec.upper.n for g in sec.lower.elements)
 
 
 def induced_on_section(phi: AlgebraicIso, delta, e_blocks, delta2, e_blocks2) -> AlgebraicIso:

@@ -51,7 +51,7 @@ from circulantwl.core import CoherentConfig, circulant_matrix, intersection_tens
 from circulantwl.dimension import graph_scheme
 from circulantwl.io import dump_scheme
 from circulantwl.refine import InvariantError
-from oracles import quasinormal_by_definition
+from oracles import quasinormal_by_definition, section_coset
 
 
 def unit_color_map(X, u):
@@ -345,14 +345,17 @@ def test_bridge_maps_elements_into_their_cosets():
     for i in range(T.order):
         j = (u * i) % S.order
         # containment characterization of the bridge
-        assert T.subset(i) <= S.subset(j)
+        assert section_coset(T, i) <= section_coset(S, j)
         for j2 in range(S.order):
             if j2 != j:
-                assert not (T.subset(i) <= S.subset(j2))
+                assert not (section_coset(T, i) <= section_coset(S, j2))
     # negative control: every other unit sends some coset astray
     for w in units(S.order):
         if w != u:
-            assert any(not T.subset(i) <= S.subset(w * i % S.order) for i in range(T.order))
+            assert any(
+                not section_coset(T, i) <= section_coset(S, w * i % S.order)
+                for i in range(T.order)
+            )
 
 
 def test_bridge_identity_on_same_section():

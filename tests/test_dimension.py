@@ -438,12 +438,12 @@ def test_estimate_bites_on_the_order_72_witness(monkeypatch):
     assert estimate == 3 and estimate <= circulant.omega(72) + 3 == 8
     assert witnesses == [(X.partition_key, phi.color_map, 2) for _, phi in candidates]
     # the paper's chain starts where each induced map is extendable at the
-    # base tuple (refusing each of the other 4 takes about 30 s, too slow for
-    # this suite)
+    # base tuple, and each of the other 4 is extendable there at no image
     maps = {phi.color_map for _, phi in candidates}
     induced = [phi for phi in enumerate_algebraic_isos(X.cc, X.cc) if phi.color_map not in maps]
     assert len(induced) == 4
     assert all(extendable_at(phi, base_tuple(X)) is not None for phi in induced)
+    assert all(extendable_at(phi, base_tuple(X)) is None for _, phi in candidates)
     # a walk that calls every map induced finds nothing to refute
     monkeypatch.setattr(dimension, "is_induced", lambda *args: True)
     assert dimension._estimate(X, dimension._not_induced([X], [X])[0], 4) == (2, [])

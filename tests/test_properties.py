@@ -50,12 +50,12 @@ from circulantwl.core import (
 )
 from circulantwl.dimension import enumerate_graphs, enumerate_schemes
 from circulantwl.refine import (
+    close_pairs,
     initial_tuple_colors,
     origin_tuple_index,
     InvariantError,
     refine_circulant,
     refine_circulant_tuples,
-    refine_pairs,
     refine_tuples,
     tuple_digits,
 )
@@ -66,7 +66,7 @@ from circulantwl.wl import (
     wl_closure,
     wl_m_refine,
 )
-from oracles import induced_on_section
+from oracles import induced_on_section, refine_pairs, section_coset
 
 
 def random_partition(rng, n):
@@ -186,10 +186,11 @@ def test_lockstep_refinement_symmetric():
         _cycle_arcs(9),
         np.random.default_rng(7).integers(0, 3, size=(7, 7)),
     ):
-        (ma, mb), rank = refine_pairs(init, init)
-        [single], single_rank = refine_pairs(init)
-        assert rank == single_rank
-        assert np.array_equal(ma, mb) and np.array_equal(ma, single)
+        for closure in (close_pairs, refine_pairs):
+            (ma, mb), rank = closure(init, init)
+            [single], single_rank = closure(init)
+            assert rank == single_rank
+            assert np.array_equal(ma, mb) and np.array_equal(ma, single)
         n = len(init)
         (ta, tb), rank = refine_tuples(*initial_tuple_colors(init, init, m=3), n=n, m=3)
         [single], single_rank = refine_tuples(*initial_tuple_colors(init, m=3), n=n, m=3)
@@ -340,10 +341,11 @@ def test_x0_lockstep_diverges_exactly_when_dense_does():
 
 
 def test_lockstep_refinement_diverges():
-    assert refine_pairs(np.zeros((3, 3)), np.zeros((4, 4))) is None
-    # the 6-cycle and two triangles: equal degrees, so the sides diverge
-    # only after a round
-    assert refine_pairs(_cycle_arcs(6), _cycle_arcs(6, 2)) is None
+    for closure in (close_pairs, refine_pairs):
+        assert closure(np.zeros((3, 3)), np.zeros((4, 4))) is None
+        # the 6-cycle and two triangles: equal degrees, so the sides diverge
+        # only after a round
+        assert closure(_cycle_arcs(6), _cycle_arcs(6, 2)) is None
 
 
 def test_lockstep_refinement_separates_rook_from_shrikhande(rook_and_shrikhande):
@@ -405,7 +407,7 @@ def test_scheme_radical_independent_of_generator(n):
 
 
 def _coset_blocks(sec):
-    return tuple(tuple(sorted(sec.subset(i))) for i in range(sec.order))
+    return tuple(tuple(sorted(section_coset(sec, i))) for i in range(sec.order))
 
 
 def _generic_section_map(phi, sec):
@@ -537,11 +539,11 @@ def _lifted_by_shared_color(ext, mat_a, mat_b, rank):
 def test_tensor_iso_test_and_lifted_map_match_per_color_loops(monkeypatch, schemes_up_to_13):
     refined = []
 
-    def recording_refine_pairs(*inits):
-        refined.append(refine_pairs(*inits))
+    def recording_close_pairs(*inits):
+        refined.append(close_pairs(*inits))
         return refined[-1]
 
-    monkeypatch.setattr(algebra, "refine_pairs", recording_refine_pairs)
+    monkeypatch.setattr(algebra, "close_pairs", recording_close_pairs)
     rng = np.random.default_rng(11)
     verdicts = Counter()
     for n in range(2, 9):

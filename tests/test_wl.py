@@ -2,6 +2,7 @@ import ast
 import hashlib
 import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,14 @@ import pytest
 
 import circulantwl
 from circulantwl import algebra, core, refine, wl
-from circulantwl.algebra import identity_iso, tuple_extension
+from circulantwl.algebra import (
+    AlgebraicIso,
+    enumerate_algebraic_isos,
+    extendable_at,
+    identity_iso,
+    iter_isomorphisms,
+    tuple_extension,
+)
 from circulantwl.core import (
     CoherentConfig,
     circulant_matrix,
@@ -19,7 +27,7 @@ from circulantwl.core import (
     trivial_config,
     validate,
 )
-from circulantwl.circulant import base_tuple
+from circulantwl.circulant import base_tuple, from_connection_partition
 from circulantwl.dimension import enumerate_graphs, enumerate_schemes, graph_scheme
 from circulantwl.refine import (
     DEFAULT_TUPLE_CAP,
@@ -28,7 +36,6 @@ from circulantwl.refine import (
     close_pairs,
     normalize_colors,
     refine_circulant,
-    refine_pairs,
 )
 from circulantwl.wl import (
     GameTable,
@@ -40,6 +47,7 @@ from circulantwl.wl import (
     wl_m_equivalent,
     wl_m_refine,
 )
+from oracles import refine_pairs
 
 
 def cay_arcs(n, conn):
@@ -296,12 +304,13 @@ def test_hashed_closure_matches_lockstep_closure(monkeypatch, rook_and_shrikhand
     # wl_closure and point_extension hand it
     checked = []
 
-    def checked_close_pairs(init):
-        stable, rank = close_pairs(init)
-        [oracle], oracle_rank = refine_pairs(init)
+    def checked_close_pairs(*inits):
+        res = close_pairs(*inits)
+        [stable], rank = res
+        [oracle], oracle_rank = refine_pairs(*inits)
         assert rank == oracle_rank and CoherentConfig(stable) == CoherentConfig(oracle)
-        checked.append(len(init))
-        return stable, rank
+        checked.append(len(stable))
+        return res
 
     monkeypatch.setattr(wl, "close_pairs", checked_close_pairs)
     monkeypatch.setattr(core, "close_pairs", checked_close_pairs)
@@ -332,23 +341,26 @@ def _extend_small_schemes():
             point_extension(X.cc, base_tuple(X))
 
 
-def _whole_table_unstable_pairs(mat, rank):
-    """The stability mask from the whole n**3 table of exact pair rows."""
-    flat = mat.ravel()
-    codes = refine._pair_round_codes(mat, rank)
-    return (codes != codes[np.unique(flat, return_index=True)[1][flat]]).any(axis=1)
+def _whole_table_unstable_pairs(mat, rank, ref=None):
+    """The stability mask from the whole n**3 table of exact pair rows,
+    against the rows of the first pairs of ref (by default mat)."""
+    ref = mat if ref is None else ref
+    first = refine._pair_round_codes(ref, rank)[np.unique(ref, return_index=True)[1]]
+    return (refine._pair_round_codes(mat, rank) != first[mat.ravel()]).any(axis=1)
 
 
 def test_blockwise_stability_check_matches_whole_table(monkeypatch, rook_and_shrikhande_arcs):
     # every check close_pairs makes on the hashed-closure inputs and, where
     # forced hash collisions leave partitions unstable, on the collision
-    # inputs; then the CC3 mask of a configuration that is not coherent
+    # inputs and on both sides of the tuple extensions at (0,) of the
+    # schemes of order at most 8; then the CC3 mask of a configuration that
+    # is not coherent
     seen = []
 
-    def checked_unstable_pairs(mat, rank):
-        mask = unstable_pairs(mat, rank)
-        assert np.array_equal(mask, _whole_table_unstable_pairs(mat, rank))
-        seen.append(bool(mask.any()))
+    def checked_unstable_pairs(mat, rank, ref=None):
+        mask = unstable_pairs(mat, rank, ref)
+        assert np.array_equal(mask, _whole_table_unstable_pairs(mat, rank, ref))
+        seen.append((ref is None or ref is mat, bool(mask.any())))
         return mask
 
     unstable_pairs = refine._unstable_pairs
@@ -359,7 +371,13 @@ def test_blockwise_stability_check_matches_whole_table(monkeypatch, rook_and_shr
     monkeypatch.setattr(refine, "_hash_weights", lambda rng, rank, n: np.ones((4, rank)))
     for init in _collision_inputs():
         close_pairs(init)
-    assert any(seen)
+    for n in range(1, 9):
+        for X in enumerate_schemes(n).schemes:
+            for phi in enumerate_algebraic_isos(X.cc, X.cc):
+                extendable_at(phi, (0,))
+    assert tuple_extension(_forced_map(), (), ()) is None
+    # unstable pairs found on side 0, and on a later side alone
+    assert (True, True) in seen and (False, True) in seen
     mat = np.zeros((7, 7), dtype=np.int64)
     for a, b in ((0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)):
         mat[a, b] = mat[b, a] = 1
@@ -374,10 +392,81 @@ def test_forced_hash_collisions_still_reach_the_closure(monkeypatch):
     # splits and only the exact check and exact rounds refine
     monkeypatch.setattr(refine, "_hash_weights", lambda rng, rank, n: np.ones((4, rank)))
     for init in _collision_inputs():
-        stable, rank = close_pairs(init)
+        [stable], rank = close_pairs(init)
         [oracle], oracle_rank = refine_pairs(init)
         assert rank == oracle_rank > len(np.unique(init))
         assert CoherentConfig(stable) == CoherentConfig(oracle)
+
+
+def _forced_map():
+    """A color map between two schemes of order 12, each color's image
+    forced by diagonal flag and valency, that is not algebraic: each side
+    is coherent alone, and only a joint check tells them apart."""
+    a, b = (
+        from_connection_partition(12, parts)[0].cc
+        for parts in (
+            [{1, 2, 5, 7, 10, 11}, {3, 6, 9}, {4, 8}],
+            [{1, 3, 5, 7, 9, 11}, {2, 6, 10}, {4, 8}],
+        )
+    )
+    keys_a, keys_b = algebra._color_keys(a), algebra._color_keys(b)
+    phi = AlgebraicIso(a, b, tuple(int(np.flatnonzero(keys_b == key)[0]) for key in keys_a))
+    assert (keys_a[:, None] == keys_b).sum(axis=1).tolist() == [1] * a.rank
+    assert not algebra.is_algebraic_isomorphism(a, b, phi.color_map)
+    return phi
+
+
+def _extension_inputs(phi, x, x_image):
+    """The two seeded colorings that ``tuple_extension`` closes in lockstep."""
+    init_b = phi.inverse().array[phi.target.colors]
+    return core._individualise(phi.source.colors, x), core._individualise(init_b, x_image)
+
+
+def _same_result(res, expected):
+    """Whether two lockstep results agree on None, on the rank and on the
+    joint partition, which fixes each side's extension and the lifted map:
+    the shared ids of the two results must pair up one to one."""
+    if res is None or expected is None:
+        return res is expected
+    (mats, rank), (oracle, oracle_rank) = res, expected
+    pairs = np.unique(np.concatenate(mats) * rank + np.concatenate(oracle))
+    return rank == oracle_rank == len(pairs)
+
+
+def test_lockstep_closure_matches_the_exact_lockstep_oracle(monkeypatch, rook_and_shrikhande):
+    # every algebraic automorphism of every scheme of order at most 10, at
+    # (0,) and at the base tuple, against every candidate image tuple, and
+    # the one algebraic map from rook to Shrikhande at (0,): the same
+    # verdict, rank and joint partition as exact lockstep rounds, with
+    # hashed weights and with constant ones, which leave every split to the
+    # exact check and rounds
+    hashed, constant = refine._hash_weights, lambda rng, rank, n: np.ones((4, rank))
+    rook, shrikhande = rook_and_shrikhande
+    cases = [
+        (phi, x)
+        for n in range(1, 11)
+        for X in enumerate_schemes(n).schemes
+        for phi in enumerate_algebraic_isos(X.cc, X.cc)
+        for x in {(0,), base_tuple(X)}
+    ]
+    cases += [(phi, (0,)) for phi in enumerate_algebraic_isos(rook, shrikhande)]
+    verdicts = {True: 0, False: 0}
+    for phi, x in cases:
+        for x_image in iter_isomorphisms(phi.source, phi.target, phi, x):
+            inits = _extension_inputs(phi, x, x_image)
+            expected = refine_pairs(*inits)
+            for weights in (hashed, constant):
+                monkeypatch.setattr(refine, "_hash_weights", weights)
+                assert _same_result(close_pairs(*inits), expected), (phi, x, x_image)
+            verdicts[expected is None] += 1
+    assert verdicts == {True: 16, False: 6444}
+    # each side of the forced map is coherent alone, so under constant
+    # weights only the joint check can refuse it
+    inits = _extension_inputs(_forced_map(), (), ())
+    assert refine_pairs(*inits) is None
+    for weights in (hashed, constant):
+        monkeypatch.setattr(refine, "_hash_weights", weights)
+        assert close_pairs(*inits) is None
 
 
 def _collision_inputs():
@@ -390,23 +479,37 @@ def _collision_inputs():
     ]
 
 
-def test_closures_take_the_hashed_round_and_extensions_the_lockstep_one(monkeypatch):
-    def lockstep(*inits):
-        raise RuntimeError("lockstep pair round")
-
-    for module in (refine, core, wl, algebra):
-        monkeypatch.setattr(module, "refine_pairs", lockstep, raising=False)
-    assert validate(wl_closure(relabelled(np.random.default_rng(2), cay_arcs(10, {1, 9})))).valid
+def test_every_pair_closure_runs_the_hashed_round(monkeypatch):
+    # the one-sided closures and the two-sided tuple extension each hand
+    # _refine the hashed round of close_pairs, and no other dense pair
+    # closure is left in the library
     cc = graph_scheme(10, frozenset({1, 9})).cc
-    assert validate(point_extension(cc, (0,))).valid
-    with pytest.raises(RuntimeError, match="lockstep pair round"):
-        tuple_extension(identity_iso(cc), (0,), (0,))
+    arcs = relabelled(np.random.default_rng(2), cay_arcs(10, {1, 9}))
+    rounds, refine_loop = [], refine._refine
+
+    def recorded(inits, round_rows):
+        rounds.append(round_rows.__qualname__)
+        return refine_loop(inits, round_rows)
+
+    monkeypatch.setattr(refine, "_refine", recorded)
+    for closure in (
+        lambda: wl_closure(arcs),
+        lambda: point_extension(cc, (0,)),
+        lambda: tuple_extension(identity_iso(cc), (0,), (0,)).ext_source,
+    ):
+        rounds.clear()
+        assert validate(closure()).valid
+        assert rounds and set(rounds) == {"close_pairs.<locals>.round_rows"}
+    for path in Path(circulantwl.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert "refine_pairs" not in defined, path.name
 
 
 def test_hash_sums_stay_exact_up_to_the_pair_cap(monkeypatch):
     n = 464  # the largest order whose pair round fits the cap
     assert n**3 <= DEFAULT_TUPLE_CAP < (n + 1) ** 3
-    weights = refine._hash_weights(np.random.default_rng(0), 10**4, n)
+    weights = refine._hash_weights(random.Random(0), 10**4, n)
     top = int(weights.max())
     assert weights.min() >= 1 and n * top**2 < 2**53 and top > 4 * 10**6
     # weights past the bound are refused, not summed inexactly
@@ -450,7 +553,7 @@ def test_key_collisions_still_reach_the_closure(monkeypatch):
     monkeypatch.setattr(refine, "_round_keys", color_only)
     monkeypatch.setattr(refine, "_pair_round_codes", counted)
     for init in _collision_inputs():
-        stable, rank = close_pairs(init)
+        [stable], rank = close_pairs(init)
         [oracle], oracle_rank = refine_pairs(init)
         assert rank == oracle_rank > len(np.unique(init))
         assert CoherentConfig(stable) == CoherentConfig(oracle)
@@ -475,7 +578,7 @@ def _width_inputs():
     cycles = np.zeros((7, 7), dtype=np.int64)
     for a, b in ((0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)):
         cycles[a, b] = cycles[b, a] = 1
-    wide, _ = close_pairs(rng.integers(0, 4, size=(40, 40)))
+    [wide], _ = close_pairs(rng.integers(0, 4, size=(40, 40)))
     merged = np.where(wide == wide[0, 1], wide[0, 2], wide)
     wrapping = (np.arange(24 * 24) % 512).reshape(24, 24)  # every color 0..511
     wrapping[1] = wrapping[0]
@@ -546,7 +649,7 @@ def test_round_keys_keep_40_hash_bits_up_to_the_pair_cap(monkeypatch):
     [key] = refine._round_keys(np.full((1, 1), n * n - 1), top, top, bits)
     assert key >= 0 and key >> bits == n * n - 1
     # a rank whose colors leave no room below them is refused, not truncated
-    monkeypatch.setattr(refine, "normalize_colors", lambda init: (np.asarray(init), 2**63))
+    monkeypatch.setattr(refine, "_renumber_rows", lambda rows: (rows[:, 0], 2**63))
     with pytest.raises(InvariantError, match="no hash bits"):
         close_pairs(np.eye(4, k=1, dtype=np.int64))
 
@@ -555,7 +658,7 @@ def test_key_budget_fires_under_python_O():
     script = (
         "import numpy as np\n"
         "from circulantwl import refine\n"
-        "refine.normalize_colors = lambda init: (np.asarray(init), 2**63)\n"
+        "refine._renumber_rows = lambda rows: (rows[:, 0], 2**63)\n"
         "try:\n"
         "    refine.close_pairs(np.eye(4, k=1, dtype=np.int64))\n"
         "except refine.InvariantError as exc:\n"
