@@ -8,10 +8,13 @@ only its candidate matrix and its pruning step.  One compare,
 ``unit_multipliers``, finds the units u of Z_n whose x -> ux carries one
 label row onto another.  Those of a translation-invariant configuration are
 a symmetry known in advance: the color-map search keeps one image per orbit
-of their color maps and closes its result under them, and ``is_induced``
-tries them before any point search.  A tuple extension individualises x
-and x' as a point extension does (``core._individualise``), over base colors
-aligned by phi, and refines both sides in lockstep into the lifted map.
+of their color maps and closes its result under them, and
+``_induced_by_known_map`` (they or the identity of a self pair) answers
+before the point search of ``is_induced`` and the m-ary lockstep of
+``wl.wl_m_equivalent``.  A tuple extension individualises x and x' as a
+point extension does (``core._individualise``), over base colors aligned by
+phi, and refines both sides in lockstep into the lifted map; on a
+translation-invariant target only image tuples x' with x'_0 = 0 are tried.
 """
 
 from __future__ import annotations
@@ -137,19 +140,26 @@ def _unit_maps(cc: CoherentConfig) -> np.ndarray:
     return cc._cache["unit_maps"]
 
 
-def is_induced(cc_a: CoherentConfig, cc_b: CoherentConfig, phi: AlgebraicIso) -> bool:
-    """Whether a point isomorphism induces phi: at once for the identity of a
-    self pair, then whether phi is the color map of a unit multiplier
-    (cached for a self pair), when both sides are translation invariant,
-    then by ``find_isomorphism``."""
-    if cc_a is cc_b and phi.color_map == tuple(range(cc_a.rank)):
+def _induced_by_known_map(cc_a: CoherentConfig, cc_b: CoherentConfig, color_map) -> bool:
+    """Whether a point map known in advance induces color_map: the identity
+    of a self pair, or x -> ux for a unit multiplier u when both sides are
+    translation invariant (its maps cached for a self pair)."""
+    cmap = np.asarray(color_map, dtype=np.int64)
+    if cc_a is cc_b and np.array_equal(cmap, np.arange(cc_a.rank)):
         return True
     row_a, row_b = _row(cc_a), _row(cc_b)
-    if row_a is not None and row_b is not None:
-        maps = _unit_maps(cc_a) if cc_a is cc_b else unit_multipliers(row_a, row_b)[1]
-        if (maps == phi.array).all(axis=1).any():
-            return True
-    return find_isomorphism(cc_a, cc_b, phi) is not None
+    if row_a is None or row_b is None:
+        return False
+    maps = _unit_maps(cc_a) if cc_a is cc_b else unit_multipliers(row_a, row_b)[1]
+    return bool((maps == cmap).all(axis=1).any())
+
+
+def is_induced(cc_a: CoherentConfig, cc_b: CoherentConfig, phi: AlgebraicIso) -> bool:
+    """Whether a point isomorphism induces phi: a known one
+    (``_induced_by_known_map``), else one found by ``find_isomorphism``."""
+    return _induced_by_known_map(cc_a, cc_b, phi.color_map) or (
+        find_isomorphism(cc_a, cc_b, phi) is not None
+    )
 
 
 # -- enumeration of algebraic isomorphisms --------------------------------------
@@ -497,9 +507,13 @@ def tuple_extension(
 
 def extendable_at(phi: AlgebraicIso, x) -> TupleExtension | None:
     """The (x, x')-extension of phi for the least candidate image tuple x'
-    that has one, or None."""
+    that has one, or None.  On a translation-invariant target that x' starts
+    with 0 (proof in the README), so the search stops at the first that does not."""
     x = tuple(int(p) for p in x)
+    pinned = bool(x) and _row(phi.target) is not None
     for x_image in iter_isomorphisms(phi.source, phi.target, phi, x):
+        if pinned and x_image[0]:
+            return None
         ext = tuple_extension(phi, x, x_image)
         if ext is not None:
             return ext

@@ -492,14 +492,17 @@ def singular_extension(X: CirculantScheme, S: Section) -> CirculantScheme:
 
     Built as the WL closure of X's partition refined by the cosets of L(S)
     inside U(S); the added relations are Cayley relations, so the closure
-    stays circulant.
+    stays circulant.  Cached per section once the ledger holds.
     """
-    rep = _class_of_section(X, S)
-    if not rep.is_singular:
-        raise ValueError("section does not belong to a singular class")
-    star = _coset_split_closure(X, S)
-    _assert_extension_ledger(X, star, rep)
-    return star
+    stars = X._cache.setdefault("stars", {})
+    if S not in stars:
+        rep = _class_of_section(X, S)
+        if not rep.is_singular:
+            raise ValueError("section does not belong to a singular class")
+        star = _coset_split_closure(X, S)
+        _assert_extension_ledger(X, star, rep)
+        stars[S] = star
+    return stars[S]
 
 
 def _coset_split_closure(X: CirculantScheme, S: Section) -> CirculantScheme:

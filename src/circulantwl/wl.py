@@ -5,7 +5,8 @@ types (the matrix of pairwise colors, which also encodes the equality
 pattern) and refining by the multiset of colors of one-point substitutions.
 Equivalence of two configurations with respect to a color bijection is
 decided by running both refinements in lockstep through a shared color
-dictionary and comparing histograms each round.
+dictionary and comparing histograms each round, except for a bijection
+that a point map known in advance induces (``algebra._induced_by_known_map``).
 
 The pebble-game oracle is an independent implementation of the same
 equivalence for tiny instances: an exact greatest-fixpoint computation of
@@ -21,6 +22,7 @@ from itertools import product
 
 import numpy as np
 
+from .algebra import _induced_by_known_map, _row
 from .circulant import close_labels
 from .core import CoherentConfig, is_translation_invariant
 from .refine import (
@@ -90,26 +92,25 @@ def _check_substitution_table(n: int, m: int, cap: int, origin: bool = False) ->
         )
 
 
-def _refine_m_ary(mats: list[np.ndarray], m: int, cap: int) -> tuple[list[np.ndarray], int] | None:
-    """m-ary refinement of pair colorings in lockstep.  Translation-invariant
-    colorings are refined on their tuples with x0 = 0 (the returned arrays
-    then hold n^(m-1) colors); the ids match the dense round's either way.
-    Refuses a substitution table of more than ``cap`` entries per side.
-    """
-    n = mats[0].shape[0]
-    origin = all(is_translation_invariant(mat) for mat in mats)
-    _check_substitution_table(n, m, cap, origin)
+def _refine_m_ary(mats: list[np.ndarray], m: int, origin: bool) -> tuple[list[np.ndarray], int] | None:
+    """m-ary refinement of pair colorings in lockstep.  When ``origin`` says
+    every coloring is translation invariant, they are refined on their
+    tuples with x0 = 0 (the returned arrays then hold n^(m-1) colors); the
+    ids match the dense round's either way.  The caller has held the
+    substitution table to its cap (``_check_substitution_table``)."""
     if origin:
         return refine_circulant_tuples(*mats, m=m)
-    return refine_tuples(*initial_tuple_colors(*mats, m=m), n=n, m=m)
+    return refine_tuples(*initial_tuple_colors(*mats, m=m), n=mats[0].shape[0], m=m)
 
 
 def wl_m_refine(cc: CoherentConfig, m: int, cap: int = DEFAULT_TUPLE_CAP) -> MAryConfig:
     """Stable m-ary refinement of a coherent configuration, m >= 2."""
     if m < 2:
         raise ValueError("m-ary refinement needs m >= 2")
-    [colors], rank = _refine_m_ary([cc.colors], m, cap)
-    if len(colors) < cc.n**m:  # a translate of x has the color of x
+    origin = _row(cc) is not None
+    _check_substitution_table(cc.n, m, cap, origin)
+    [colors], rank = _refine_m_ary([cc.colors], m, origin)
+    if origin:  # a translate of x has the color of x
         # entry (a, t) is the tuple (a, x1, ...), for t the index of (0, x1, ...)
         low = tuple_digits(cc.n, m - 1)[:, None, :]
         colors = colors[origin_tuple_index([np.arange(cc.n)[:, None], *low], cc.n)].ravel()
@@ -193,15 +194,20 @@ def wl_m_equivalent(
 
     ``color_map`` sends color ids of ``cc_a`` to color ids of ``cc_b``.  It
     must be a permutation (ValueError otherwise) and an algebraic
-    isomorphism (this is not re-checked here).
+    isomorphism (this is not re-checked here).  Past the cap check, a map
+    that a known point map induces is equivalent at once (proof in the README).
     """
     if m < 2:
         raise ValueError("WL_m equivalence needs m >= 2")
     if cc_a.n != cc_b.n or cc_a.rank != cc_b.rank:
         return False
     cmap = _color_permutation(color_map, cc_a.rank)
+    origin = _row(cc_a) is not None and _row(cc_b) is not None
+    _check_substitution_table(cc_a.n, m, cap, origin)
+    if _induced_by_known_map(cc_a, cc_b, cmap):
+        return True
     inverse = np.argsort(cmap)
-    return _refine_m_ary([cc_a.colors, inverse[cc_b.colors]], m, cap) is not None
+    return _refine_m_ary([cc_a.colors, inverse[cc_b.colors]], m, origin) is not None
 
 
 # -- the bijective pebble game ---------------------------------------------------

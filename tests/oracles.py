@@ -4,7 +4,9 @@ Each recomputes by definition, or by brute force, what the library computes
 by a faster route: the unit classes of connection sets and their Burnside
 count, the schemes of an order, the algebraic isomorphisms between two
 configurations, quasinormality, the cosets of a section and the map
-induced on it, and exact lockstep 2-dim WL.  None of them is called by the library.
+induced on it, exact lockstep 2-dim WL, and the search for an image tuple
+of a tuple extension without the translation cut.  None of them is called
+by the library.
 """
 
 from __future__ import annotations
@@ -15,10 +17,13 @@ import numpy as np
 
 from circulantwl.algebra import (
     AlgebraicIso,
+    TupleExtension,
     image_parabolic,
     induced_on_quotient,
     induced_on_restriction,
     is_algebraic_isomorphism,
+    iter_isomorphisms,
+    tuple_extension,
 )
 from circulantwl.circulant import (
     CirculantScheme,
@@ -186,6 +191,21 @@ def refine_pairs(*inits: np.ndarray) -> tuple[list[np.ndarray], int] | None:
         return None
     sides, rank = res
     return [side.reshape(n, n) for side in sides], rank
+
+
+# -- tuple extensions ----------------------------------------------------------------
+
+
+def extendable_at_unpinned(phi: AlgebraicIso, x) -> TupleExtension | None:
+    """The (x, x')-extension of phi for the least candidate x' that has
+    one, or None: every candidate is tried in order, with no translation
+    cut."""
+    x = tuple(int(p) for p in x)
+    for x_image in iter_isomorphisms(phi.source, phi.target, phi, x):
+        ext = tuple_extension(phi, x, x_image)
+        if ext is not None:
+            return ext
+    return None
 
 
 # -- section maps --------------------------------------------------------------------

@@ -31,7 +31,7 @@ from circulantwl import algebra, dimension
 from circulantwl.circulant import CirculantScheme, base_tuple
 from circulantwl.refine import InvariantError
 from circulantwl.wl import wl_closure
-from oracles import brute_force_algebraic_isos
+from oracles import brute_force_algebraic_isos, extendable_at_unpinned
 
 
 def cay(n, conn):
@@ -462,6 +462,46 @@ def test_point_sets_tested_for_extendability(monkeypatch, rook_and_shrikhande):
     rook, _ = rook_and_shrikhande
     assert is_m_extendable(identity_iso(rook), 1)
     assert tested == [(p,) for p in range(16)]
+
+
+def test_translation_cut_returns_the_unpinned_extension(
+    schemes_up_to_13, rook_and_shrikhande, monkeypatch
+):
+    # on a translation-invariant target only x' with x'_0 = 0 are tried, and
+    # the extension found is the one of the loop over every candidate
+    tried = []
+    extension = algebra.tuple_extension
+    monkeypatch.setattr(
+        algebra, "tuple_extension", lambda phi, x, xi: tried.append(xi) or extension(phi, x, xi)
+    )
+    z8 = cay(8, {1})
+    swap = list(range(z8.rank))  # no algebraic isomorphism: it extends nowhere
+    c1, c2 = z8.color_of(0, 1), z8.color_of(0, 2)
+    swap[c1], swap[c2] = c2, c1
+    cases = [(AlgebraicIso(z8, z8, tuple(swap)), x) for x in ((0,), (0, 4))]
+    for n in range(1, 11):
+        for X in schemes_up_to_13[n]:
+            for phi in enumerate_algebraic_isos(X.cc, X.cc):
+                cases += [(phi, (0,)), (phi, base_tuple(X))]
+    found = []
+    for phi, x in cases:
+        tried.clear()
+        ext = extendable_at(phi, x)
+        assert tried and all(xi[0] == 0 for xi in tried)
+        want = extendable_at_unpinned(phi, x)
+        if ext is None or want is None:
+            assert ext is want is None
+        else:
+            assert ext.x_image == want.x_image
+            assert ext.lifted.color_map == want.lifted.color_map
+        found.append(ext is not None)
+    assert found == [False, False] + [True] * (len(cases) - 2)
+    # rook -> Shrikhande is not translation invariant: every image is tried
+    rook, shrikhande = rook_and_shrikhande
+    (phi,) = enumerate_algebraic_isos(rook, shrikhande)
+    tried.clear()
+    assert extendable_at(phi, (0,)) is None is extendable_at_unpinned(phi, (0,))
+    assert tried == [(p,) for p in range(16)]
 
 
 @pytest.mark.parametrize("n,conn", [(6, {1, 5}), (8, {1, 7}), (9, {1, 8})])

@@ -599,6 +599,28 @@ def test_extension_rejects_nonsingular_section():
         singular_extension(X, sec)
 
 
+def test_singular_extension_is_built_once_per_section(z20_fixture, monkeypatch):
+    # one star per section, with its own caches; a section that fails is
+    # refused again on every call, since nothing is cached before the ledger
+    X = z20_fixture
+    rep = next(r for r in singular_classes(X) if r.is_singular)
+    star = singular_extension(X, rep.smallest)
+    assert singular_extension(X, rep.smallest) is star
+    assert singular_extension(X, rep.largest) is not star
+    regular = CirculantScheme.regular(12)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="section does not belong"):
+            singular_extension(regular, sections(regular)[0])
+    Y = CirculantScheme.trivial(8)
+    rep = next(r for r in singular_classes(Y) if r.is_singular)
+    monkeypatch.setattr(circulant, "_coset_split_closure", lambda X, S: X)
+    for _ in range(2):
+        with pytest.raises(InvariantError, match="does not exceed rank"):
+            singular_extension(Y, rep.smallest)
+    monkeypatch.undo()
+    assert singular_extension(Y, rep.smallest).rank > Y.rank
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 8, 9])
 def test_trivial_scheme_extension_ledger(n):
     X = CirculantScheme.trivial(n)

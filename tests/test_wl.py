@@ -25,9 +25,10 @@ from circulantwl.core import (
     circulant_matrix,
     point_extension,
     trivial_config,
+    units,
     validate,
 )
-from circulantwl.circulant import base_tuple, from_connection_partition
+from circulantwl.circulant import CirculantScheme, base_tuple, from_connection_partition
 from circulantwl.dimension import enumerate_graphs, enumerate_schemes, graph_scheme
 from circulantwl.refine import (
     DEFAULT_TUPLE_CAP,
@@ -775,6 +776,109 @@ def test_m_ary_rounds_take_the_x0_path_on_circulant_input(monkeypatch, rook_and_
         wl_m_equivalent(rook, shrikhande, list(range(rook.rank)), 3)
 
 
+def _spy_on_the_m_ary_engine(monkeypatch) -> list[int]:
+    """The m of every call that reaches ``wl._refine_m_ary``, in order."""
+    reached, engine = [], wl._refine_m_ary
+    monkeypatch.setattr(
+        wl, "_refine_m_ary", lambda mats, m, origin: reached.append(m) or engine(mats, m, origin)
+    )
+    return reached
+
+
+def _swap_1_2(cc: CoherentConfig) -> list[int]:
+    """The identity with the colors of differences 1 and 2 swapped: on the
+    regular scheme of Z_8 no algebraic isomorphism."""
+    swap = list(range(cc.rank))
+    c1, c2 = cc.color_of(0, 1), cc.color_of(0, 2)
+    swap[c1], swap[c2] = c2, c1
+    return swap
+
+
+def _unit_image(X: CirculantScheme, v: int) -> CirculantScheme:
+    """The image of X under x -> vx, built as a second scheme object."""
+    row = np.empty(X.n, dtype=np.int64)
+    row[v * np.arange(X.n) % X.n] = X.row
+    return CirculantScheme(row)
+
+
+def test_maps_a_known_point_map_induces_pass_the_m_ary_lockstep(schemes_up_to_13):
+    # wl_m_equivalent answers these maps without the lockstep; the lockstep
+    # itself must agree, since a point map that induces a map carries every
+    # m-ary round of one side onto the other's
+    checked = 0
+    for n in range(1, 13):
+        for X in schemes_up_to_13[n]:
+            Y = _unit_image(X, units(n)[-1])
+            assert Y.cc is not X.cc
+            pairs = [(X.cc, X.cc, phi.color_map) for phi in enumerate_algebraic_isos(X.cc, X.cc)]
+            pairs += [(X.cc, Y.cc, c) for c in algebra.unit_multipliers(X.row, Y.row)[1].tolist()]
+            for a, b, cmap in pairs:
+                if not algebra._induced_by_known_map(a, b, cmap):
+                    continue
+                inverse = np.argsort(cmap)
+                for m in (2, 3):
+                    assert wl._refine_m_ary([a.colors, inverse[b.colors]], m, True) is not None
+                checked += 1
+    assert checked == 527  # 175 self maps of 179, and 352 unit maps X -> Y
+
+
+def test_known_maps_do_not_reach_the_m_ary_engine(monkeypatch, rook_and_shrikhande):
+    reached = _spy_on_the_m_ary_engine(monkeypatch)
+    cc = cay_closure(8, {1})
+    for phi in enumerate_algebraic_isos(cc, cc):  # the unit maps of Z_8
+        assert wl_m_equivalent(cc, cc, phi.color_map, 3)
+    X = graph_scheme(12, frozenset({1, 11}))
+    Y = _unit_image(X, 5)
+    for cmap in algebra.unit_multipliers(X.row, Y.row)[1].tolist():
+        assert wl_m_equivalent(X.cc, Y.cc, cmap, 3)
+    rook, shrikhande = rook_and_shrikhande
+    assert wl_m_equivalent(rook, rook, list(range(rook.rank)), 3)
+    assert reached == []
+    # the swap of test_non_isomorphism_color_swap_is_inequivalent and
+    # rook -> Shrikhande are induced by no known point map
+    assert not wl_m_equivalent(cc, cc, _swap_1_2(cc), 2)
+    (phi,) = enumerate_algebraic_isos(rook, shrikhande)
+    assert wl_m_equivalent(rook, shrikhande, phi.color_map, 2)
+    assert not wl_m_equivalent(rook, shrikhande, phi.color_map, 3)
+    assert reached == [2, 2, 3]
+
+
+def test_identity_over_the_tuple_cap_is_refused_before_it_is_answered(rook_and_shrikhande):
+    cc = cay_closure(10, {1, 9})
+    ident = list(range(cc.rank))
+    assert wl_m_equivalent(cc, cc, ident, 3, cap=10**3 * 3)
+    with pytest.raises(
+        CapExceededError,
+        match=r"^refusing 3-tuple substitution table of 10\*\*3\*3 entries "
+        r"\(tuples with x0 = 0\) > cap 2999$",
+    ):
+        wl_m_equivalent(cc, cc, ident, 3, cap=10**3 * 3 - 1)
+    rook, _ = rook_and_shrikhande
+    with pytest.raises(
+        CapExceededError, match=r"^refusing 3-tuple substitution table of 16\*\*4\*3 entries > cap 196607$"
+    ):
+        wl_m_equivalent(rook, rook, list(range(rook.rank)), 3, cap=16**4 * 3 - 1)
+
+
+def test_m_ary_rounds_take_the_x0_path_for_a_map_no_known_point_map_induces(monkeypatch):
+    # swapping the basic sets {3} and {6} of this scheme of Z_9 is induced by
+    # a point map but by no unit multiplier, so the lockstep runs, and on
+    # circulant input it runs without the dense substitution table
+    def refuse(*args):
+        raise RuntimeError("dense substitution table")
+
+    monkeypatch.setattr(refine, "_substitution_table", refuse)
+    reached = _spy_on_the_m_ary_engine(monkeypatch)
+    X = from_connection_partition(9, [{1, 4, 7}, {2, 5, 8}, {3}, {6}])[0]
+    cmap = list(range(X.rank))
+    a, b = X.color_of_difference(3), X.color_of_difference(6)
+    cmap[a], cmap[b] = b, a
+    assert not algebra._induced_by_known_map(X.cc, X.cc, cmap)
+    assert algebra.is_induced(X.cc, X.cc, AlgebraicIso(X.cc, X.cc, tuple(cmap)))
+    assert wl_m_equivalent(X.cc, X.cc, cmap, 3)
+    assert reached == [3]
+
+
 # -- pebble game oracle -----------------------------------------------------------------
 
 
@@ -821,6 +925,25 @@ def test_oracle_disagrees_nowhere_on_broken_map():
     bad[c1], bad[c2] = bad[c2], bad[c1]
     gt = pebble_game_oracle(cc, cc, bad, 2)
     assert gt.full_support == wl_m_equivalent(cc, cc, bad, 2) == False  # noqa: E712
+
+
+def test_pebble_game_agrees_with_the_m_ary_engine(schemes_up_to_13):
+    # against the lockstep itself: wl_m_equivalent answers the maps that a
+    # known point map induces before it reaches the lockstep
+    cases = [
+        (X.cc, phi.color_map)
+        for n in range(4, 9)
+        for X in schemes_up_to_13[n]
+        for phi in enumerate_algebraic_isos(X.cc, X.cc)
+    ]
+    z8 = cay_closure(8, {1})
+    verdicts = []
+    for cc, cmap in [*cases, (z8, _swap_1_2(z8))]:
+        inverse = np.argsort(cmap)
+        refined = wl._refine_m_ary([cc.colors, inverse[cc.colors]], 2, True) is not None
+        assert pebble_game_oracle(cc, cc, cmap, 2).full_support == refined
+        verdicts.append(refined)
+    assert verdicts == [True] * len(cases) + [False]
 
 
 def test_oracle_caps():
