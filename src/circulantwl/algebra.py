@@ -7,14 +7,16 @@ backtracking engine, ``_backtrack``, searches both; each search supplies
 only its candidate matrix and its pruning step.  One compare,
 ``unit_multipliers``, finds the units u of Z_n whose x -> ux carries one
 label row onto another.  Those of a translation-invariant configuration are
-a symmetry known in advance: the color-map search keeps one image per orbit
-of their color maps and closes its result under them, and
+a symmetry known in advance.  On the discrete scheme of Z_n they are the
+whole answer of the color-map search; elsewhere it keeps one image per
+orbit of their color maps and closes its result under them.
 ``_induced_by_known_map`` (they or the identity of a self pair) answers
-before the point search of ``is_induced`` and the m-ary lockstep of
-``wl.wl_m_equivalent``.  A tuple extension individualises x and x' as a
-point extension does (``core._individualise``), over base colors aligned by
-phi, and refines both sides in lockstep into the lifted map; on a
-translation-invariant target only image tuples x' with x'_0 = 0 are tried.
+before the point search of ``is_induced``, the tuple extensions of
+``is_m_extendable`` and the m-ary lockstep of ``wl.wl_m_equivalent``.  A
+tuple extension individualises x and x' as a point extension does
+(``core._individualise``), over base colors aligned by phi, and refines both
+sides in lockstep into the lifted map; on a translation-invariant target
+only image tuples x' with x'_0 = 0 are tried.
 """
 
 from __future__ import annotations
@@ -211,21 +213,16 @@ def _search_color_maps(cc_a: CoherentConfig, cc_b: CoherentConfig) -> list[tuple
     valency (``_color_keys``), algebraic invariants both.  When that leaves
     every color one image, no map but that one, f, can be an algebraic
     isomorphism, so f is checked and returned, or nothing is: no tensor is
-    built and nothing is searched, and closing under the unit maps below
-    would add nothing, since each h o f would again be f.
+    built and nothing is searched, and closing under the unit maps would
+    add nothing, since each h o f would again be f.
 
-    Otherwise the candidates are cut to equal ``_color_invariants``, which
-    refine the keys, and searched by backtracking over colors ordered by
-    invariant rarity: a color may go to an image only where every
-    intersection number among it and the colors already mapped is
-    preserved.  The unit maps H of cc_b (``_unit_maps``) send every map
-    found to another one, h o f.  So the first color with a choice of
-    images, the pivot, is sent only to images least in their H-orbit: any
-    map f equals h o g for the h taking f(pivot) to the least of its orbit
-    and g = h^-1 o f.  The maps found are then closed under H."""
+    Otherwise, when both sides are translation invariant of rank n, every
+    color is one difference and c_{d,e}^{d+e} = 1, so a color map is an
+    automorphism of Z_n, x -> ux: the maps are those of
+    ``unit_multipliers``, and nothing is searched.  Any other pair goes to
+    ``_backtrack_color_maps``.  Every map returned is checked."""
     if cc_a.n != cc_b.n or cc_a.rank != cc_b.rank:
         return []
-    rank = cc_a.rank
     cand = _color_keys(cc_a)[:, None] == _color_keys(cc_b)[None, :]
     choices = cand.sum(axis=1)
     if not choices.all():
@@ -234,13 +231,37 @@ def _search_color_maps(cc_a: CoherentConfig, cc_b: CoherentConfig) -> list[tuple
         f = tuple(cand.argmax(axis=1).tolist())
         # one image per color is a bijection when no image is left over
         return [f] if cand.any(axis=0).all() and is_algebraic_isomorphism(cc_a, cc_b, f) else []
+    row_a, row_b = _row(cc_a), _row(cc_b)
+    if cc_a.rank == cc_a.n and row_a is not None and row_b is not None:
+        maps = unit_multipliers(row_a, row_b)[1]
+    else:
+        maps = _backtrack_color_maps(cc_a, cc_b)
+    closed = sorted(set(map(tuple, maps.tolist())))
+    if not all(is_algebraic_isomorphism(cc_a, cc_b, f) for f in closed):
+        raise InvariantError("search returned a map that is not an algebraic isomorphism")
+    return closed
+
+
+def _backtrack_color_maps(cc_a: CoherentConfig, cc_b: CoherentConfig) -> np.ndarray:
+    """The color maps of every algebraic isomorphism, one row each, found
+    by backtracking over colors ordered by invariant rarity.
+
+    Each color may go only to the colors of equal ``_color_invariants``,
+    and to an image only where every intersection number among it and the
+    colors already mapped is preserved.  The unit maps H of cc_b
+    (``_unit_maps``) send every map found to another one, h o f.  So the
+    first color with a choice of images, the pivot, is sent only to images
+    least in their H-orbit: any map f equals h o g for the h taking
+    f(pivot) to the least of its orbit and g = h^-1 o f.  The maps found
+    are then closed under H."""
+    rank = cc_a.rank
     # equal invariants get equal ids in one renumbering of both sides' rows,
     # and of one side's for a self pair
     sides = [cc_a] if cc_a is cc_b else [cc_a, cc_b]
     ids = _renumber_rows(np.concatenate([_color_invariants(cc) for cc in sides]))[0]
     cand = ids[:rank, None] == ids[None, -rank:]
     if not cand.any(axis=1).all():
-        return []
+        return np.empty((0, rank), dtype=np.int64)
     order = sorted(range(rank), key=lambda c: (int(cand[c].sum()), c))
     group = np.vstack([np.arange(rank), _unit_maps(cc_b)])
     pivot = next((c for c in order if cand[c].sum() > 1), None)
@@ -270,10 +291,7 @@ def _search_color_maps(cc_a: CoherentConfig, cc_b: CoherentConfig) -> list[tuple
         [[images[i] for i in position] for images in _backtrack(cand, order, narrow)],
         dtype=np.int64,
     ).reshape(-1, rank)
-    closed = sorted(set(map(tuple, group[:, found].reshape(-1, rank).tolist())))
-    if not all(is_algebraic_isomorphism(cc_a, cc_b, f) for f in closed):
-        raise InvariantError("search returned a map that is not an algebraic isomorphism")
-    return closed
+    return group[:, found].reshape(-1, rank)
 
 
 def _backtrack(cand: np.ndarray, domain, narrow):
@@ -523,7 +541,10 @@ def extendable_at(phi: AlgebraicIso, x) -> TupleExtension | None:
 def is_m_extendable(phi: AlgebraicIso, m: int) -> bool:
     """Whether phi admits an (x, x')-extension for every m-tuple x.
 
-    Extendability depends only on the set of entries, and only up to
+    A map that a point map known in advance induces
+    (``_induced_by_known_map``) has one at every tuple (proof in the
+    README), so it is answered without a tuple extension.  Otherwise,
+    extendability depends only on the set of entries, and only up to
     color-preserving automorphisms of the source, so only sets of at most m
     points are tested.  When the source is translation invariant, every
     translation is such an automorphism and only one set per translation
@@ -531,6 +552,8 @@ def is_m_extendable(phi: AlgebraicIso, m: int) -> bool:
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
+    if _induced_by_known_map(phi.source, phi.target, phi.color_map):
+        return True
     n = phi.source.n
     invariant = _row(phi.source) is not None
     sets = (

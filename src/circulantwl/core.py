@@ -15,14 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .refine import _unstable_pairs, close_pairs, normalize_colors
-
-
-def _first_occurrences(flat: np.ndarray, rank: int) -> np.ndarray:
-    uniq, first = np.unique(flat, return_index=True)
-    out = np.empty(rank, dtype=np.int64)
-    out[uniq] = first
-    return out
+from .refine import _first_occurrences, _unstable_pairs, close_pairs, normalize_colors
 
 
 def canonical_color_matrix(mat: np.ndarray) -> np.ndarray:

@@ -153,6 +153,14 @@ def _code_dtype(rank: int) -> type:
     return np.int64
 
 
+def _first_occurrences(flat: np.ndarray, rank: int) -> np.ndarray:
+    """The first index in ``flat`` of each color 0..rank-1 (len(flat) for a
+    color that does not occur): one minimum per entry, not a sort."""
+    first = np.full(rank, len(flat), dtype=np.int64)
+    np.minimum.at(first, flat, np.arange(len(flat)))
+    return first
+
+
 def _unstable_pairs(mat: np.ndarray, rank: int, ref: np.ndarray | None = None) -> np.ndarray:
     """Flat mask of the pairs whose exact pair-round row differs from that of
     the first pair of their color in ``ref``, a matrix with the same ids in
@@ -166,7 +174,7 @@ def _unstable_pairs(mat: np.ndarray, rank: int, ref: np.ndarray | None = None) -
     _check_pair_cap(n)
     dtype = _code_dtype(rank)
     ref = mat if ref is None else ref
-    a0, b0 = np.divmod(np.unique(ref.ravel(), return_index=True)[1], n)
+    a0, b0 = np.divmod(_first_occurrences(ref.ravel(), rank), n)
     first = ref[a0].astype(dtype) * dtype(rank) + ref[:, b0].T.astype(dtype)
     first.sort(axis=1)
     left = mat.astype(dtype) * dtype(rank)  # left[a, g] = c(a, g) * rank

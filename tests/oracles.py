@@ -4,8 +4,9 @@ Each recomputes by definition, or by brute force, what the library computes
 by a faster route: the unit classes of connection sets and their Burnside
 count, the schemes of an order, the algebraic isomorphisms between two
 configurations, quasinormality, the cosets of a section and the map
-induced on it, exact lockstep 2-dim WL, and the search for an image tuple
-of a tuple extension without the translation cut.  None of them is called
+induced on it, exact lockstep 2-dim WL, the search for an image tuple of a
+tuple extension without the translation cut, and m-extendability tested point
+set by point set, with no map answered in advance.  None of them is called
 by the library.
 """
 
@@ -18,6 +19,7 @@ import numpy as np
 from circulantwl.algebra import (
     AlgebraicIso,
     TupleExtension,
+    extendable_at,
     image_parabolic,
     induced_on_quotient,
     induced_on_restriction,
@@ -33,7 +35,13 @@ from circulantwl.circulant import (
     proj_equivalence_classes,
     sections,
 )
-from circulantwl.core import CoherentConfig, Parabolic, _covering_colors, units
+from circulantwl.core import (
+    CoherentConfig,
+    Parabolic,
+    _covering_colors,
+    is_translation_invariant,
+    units,
+)
 from circulantwl.dimension import _scheme_order
 from circulantwl.refine import _join, _pair_round_codes, _refine
 
@@ -206,6 +214,22 @@ def extendable_at_unpinned(phi: AlgebraicIso, x) -> TupleExtension | None:
         if ext is not None:
             return ext
     return None
+
+
+def is_m_extendable_by_loop(phi: AlgebraicIso, m: int) -> bool:
+    """Whether ``extendable_at`` finds an extension of phi at every set of at
+    most m points: one set per translation orbit, the least translate that
+    holds 0, on a translation-invariant source, and every set otherwise.
+    No map is answered without this loop, whatever point map induces it."""
+    n = phi.source.n
+    invariant = is_translation_invariant(phi.source.colors)
+    sets = (
+        s
+        for size in range(1, min(m, n) + 1)
+        for s in combinations(range(n), size)
+        if not invariant or s == min(tuple(sorted((p - q) % n for p in s)) for q in s)
+    )
+    return all(extendable_at(phi, s) is not None for s in sets)
 
 
 # -- section maps --------------------------------------------------------------------

@@ -28,10 +28,10 @@ from circulantwl.algebra import (
     tuple_extension,
 )
 from circulantwl import algebra, dimension
-from circulantwl.circulant import CirculantScheme, base_tuple
+from circulantwl.circulant import CirculantScheme, base_tuple, from_connection_partition
 from circulantwl.refine import InvariantError
 from circulantwl.wl import wl_closure
-from oracles import brute_force_algebraic_isos, extendable_at_unpinned
+from oracles import brute_force_algebraic_isos, extendable_at_unpinned, is_m_extendable_by_loop
 
 
 def cay(n, conn):
@@ -174,12 +174,26 @@ def test_pruned_color_search_equals_unpruned(schemes_up_to_16, monkeypatch):
     assert pruned_leaves < len(leaves) - pruned_leaves
 
 
+def _swap_1_2(cc: CoherentConfig) -> np.ndarray:
+    """The identity with the colors of differences 1 and 2 swapped."""
+    swap = np.arange(cc.rank)
+    swap[[cc.color_of(0, 1), cc.color_of(0, 2)]] = cc.color_of(0, 2), cc.color_of(0, 1)
+    return swap
+
+
 def test_forged_unit_map_is_caught(monkeypatch):
-    # a row that is no automorphism spreads into maps the final check rejects
+    # a row that is no automorphism spreads into maps the final check
+    # rejects: on the unit maps that prune the backtracking of cay(8, {1, 7}),
+    # and on the unit multipliers that answer the discrete scheme cay(8, {1})
+    cc = cay(8, {1, 7})
+    forged = _swap_1_2(cc)
+    with monkeypatch.context() as patch:
+        patch.setattr(algebra, "_unit_maps", lambda cc: np.stack([np.arange(cc.rank), forged]))
+        with pytest.raises(InvariantError):
+            algebra._search_color_maps(cc, cc)
     z8 = cay(8, {1})
-    forged = np.arange(z8.rank)
-    forged[[z8.color_of(0, 1), z8.color_of(0, 2)]] = z8.color_of(0, 2), z8.color_of(0, 1)
-    monkeypatch.setattr(algebra, "_unit_maps", lambda cc: np.stack([np.arange(cc.rank), forged]))
+    forged = _swap_1_2(z8)
+    monkeypatch.setattr(algebra, "unit_multipliers", lambda a, b: (np.array([1]), forged[None]))
     with pytest.raises(InvariantError):
         algebra._search_color_maps(z8, z8)
 
@@ -408,6 +422,23 @@ def test_lift_matches_x_with_x_image_over_phi(schemes_up_to_13):
 # -- extendability ---------------------------------------------------------------------------
 
 
+def _z9_swap() -> AlgebraicIso:
+    """The swap of the basic sets {3} and {6} of a scheme of Z_9: induced by
+    a point map, but by no unit multiplier."""
+    X = from_connection_partition(9, [{1, 4, 7}, {2, 5, 8}, {3}, {6}])[0]
+    cmap = list(range(X.rank))
+    a, b = X.color_of_difference(3), X.color_of_difference(6)
+    cmap[a], cmap[b] = b, a
+    return AlgebraicIso(X.cc, X.cc, tuple(cmap))
+
+
+def _unit_image(X: CirculantScheme, v: int) -> CirculantScheme:
+    """The image of X under x -> vx, built as a second scheme object."""
+    row = np.empty(X.n, dtype=np.int64)
+    row[v * np.arange(X.n) % X.n] = X.row
+    return CirculantScheme(row)
+
+
 def test_zero_extendable_always():
     cc = cay(6, {1, 5})
     for iso in enumerate_algebraic_isos(cc, cc):
@@ -455,13 +486,85 @@ def test_rook_to_shrikhande_is_not_1_extendable(rook_and_shrikhande):
 def test_point_sets_tested_for_extendability(monkeypatch, rook_and_shrikhande):
     tested = []
     monkeypatch.setattr(algebra, "extendable_at", lambda phi, x: tested.append(x) or x)
-    z5 = cay(5, {1})
-    assert is_m_extendable(identity_iso(z5), 2)
-    assert tested == [(0,), (0, 1), (0, 2)]
+    assert is_m_extendable(_z9_swap(), 3)
+    assert tested == [
+        (0,), (0, 1), (0, 2), (0, 3), (0, 4),
+        (0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 1, 6), (0, 1, 7),
+        (0, 2, 4), (0, 2, 5), (0, 2, 6), (0, 3, 6),
+    ]
     tested.clear()
-    rook, _ = rook_and_shrikhande
-    assert is_m_extendable(identity_iso(rook), 1)
+    rook, shrikhande = rook_and_shrikhande
+    (phi,) = enumerate_algebraic_isos(rook, shrikhande)
+    assert is_m_extendable(phi, 1)
     assert tested == [(p,) for p in range(16)]
+
+
+def test_known_maps_are_m_extendable_as_the_loop_finds(schemes_up_to_13):
+    # is_m_extendable answers the maps a known point map induces without a
+    # tuple extension; the loop over every point set must agree with it
+    z8 = cay(8, {1})
+    swap = AlgebraicIso(z8, z8, tuple(_swap_1_2(z8).tolist()))  # a self map, not algebraic
+    cases, self_maps = [(swap, 1)], 0
+    for n in range(1, 11):
+        for X in schemes_up_to_13[n]:
+            Y = _unit_image(X, units(n)[-1])
+            maps = enumerate_algebraic_isos(X.cc, X.cc)
+            self_maps += len(maps)
+            unit_cmaps = algebra.unit_multipliers(X.row, Y.row)[1].tolist()
+            maps += [AlgebraicIso(X.cc, Y.cc, tuple(c)) for c in unit_cmaps]
+            cases += [(phi, m) for phi in maps for m in (1, 2, 3)]
+    answers = [is_m_extendable(phi, m) for phi, m in cases]
+    assert answers == [is_m_extendable_by_loop(phi, m) for phi, m in cases]
+    # 99 self maps of orders 1..10 (94 of orders 4..10), and the swap alone refused
+    assert self_maps == 99 and answers.count(False) == 1 and not answers[0]
+
+
+def test_known_maps_build_no_tuple_extension(monkeypatch, rook_and_shrikhande):
+    reached, extend = [], algebra.extendable_at
+    monkeypatch.setattr(
+        algebra, "extendable_at", lambda phi, x: reached.append(x) or extend(phi, x)
+    )
+    z8 = cay(8, {1})
+    for phi in enumerate_algebraic_isos(z8, z8):  # the unit maps of Z_8
+        assert is_m_extendable(phi, 3)
+    X = from_connection_partition(12, [{1, 11}, {2, 10}, {3, 9}, {4, 8}, {5, 7}, {6}])[0]
+    Y = _unit_image(X, 5)
+    for cmap in algebra.unit_multipliers(X.row, Y.row)[1].tolist():
+        assert is_m_extendable(AlgebraicIso(X.cc, Y.cc, tuple(cmap)), 2)
+    rook, shrikhande = rook_and_shrikhande
+    assert is_m_extendable(identity_iso(rook), 2)
+    assert reached == []
+    # maps that no known point map induces: the Z_9 swap and rook -> Shrikhande
+    assert is_m_extendable(_z9_swap(), 2)
+    assert reached == [(0,), (0, 1), (0, 2), (0, 3), (0, 4)]
+    (phi,) = enumerate_algebraic_isos(rook, shrikhande)
+    assert not is_m_extendable(phi, 1)
+    assert reached[5:] == [(0,)]
+
+
+def test_discrete_scheme_maps_are_those_of_the_unit_multipliers(monkeypatch):
+    # the discrete scheme of Z_n takes the units' maps without a search; a
+    # relabelled copy that is not translation invariant still backtracks,
+    # and its maps are the units' maps seen through the relabelling
+    searched, backtrack = [], algebra._backtrack_color_maps
+    monkeypatch.setattr(
+        algebra, "_backtrack_color_maps", lambda a, b: searched.append(a.n) or backtrack(a, b)
+    )
+    for n in range(13, 41):
+        X, Y = (from_connection_partition(n, [{d} for d in range(1, n)])[0] for _ in range(2))
+        assert X.rank == n and X.cc is not Y.cc
+        found = algebra._search_color_maps(X.cc, X.cc)
+        assert algebra._search_color_maps(X.cc, Y.cc) == found
+        assert len(found) == len(units(n)) and searched == []
+        perm = list(range(n))
+        perm[1], perm[2] = perm[2], perm[1]
+        relabelled = CoherentConfig(X.cc.colors[np.ix_(np.argsort(perm), np.argsort(perm))])
+        assert not is_translation_invariant(relabelled.colors)
+        to = induced_color_map(X.cc, relabelled, perm).array
+        seen = sorted(tuple(to[np.asarray(f)[np.argsort(to)]].tolist()) for f in found)
+        assert algebra._search_color_maps(relabelled, relabelled) == seen
+        assert searched == [n]
+        searched.clear()
 
 
 def test_translation_cut_returns_the_unpinned_extension(

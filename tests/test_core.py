@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from circulantwl import refine
 from circulantwl.algebra import identity_iso, iter_isomorphisms
 from circulantwl.core import (
     CoherentConfig,
@@ -121,6 +122,26 @@ def test_validate_agrees_with_brute_force_on_random_colorings(n):
         np.fill_diagonal(raw, raw.diagonal() + 3)
         cc = CoherentConfig(raw)
         assert validate(cc).valid == brute_force_axioms(cc.colors.tolist())
+
+
+def test_first_occurrences_are_those_of_a_sort():
+    # the canonical numbering, the representatives and the stability check
+    # read each color's first pair without sorting the n**2 entries; seeded
+    # colorings in which every color occurs, up to rank n**2
+    rng = np.random.default_rng(31)
+    for n, rank in [(1, 1), (5, 2), (9, 30), (16, 200), (12, 144), (20, 400)]:
+        flat = rng.integers(0, rank, n * n)
+        flat[rng.permutation(n * n)[:rank]] = np.arange(rank)
+        want = np.unique(flat, return_index=True)[1]
+        assert np.array_equal(refine._first_occurrences(flat, rank), want)
+        mat = flat.reshape(n, n)
+        codes = refine._pair_round_codes(mat, rank)
+        assert np.array_equal(
+            refine._unstable_pairs(mat, rank), (codes != codes[want][flat]).any(axis=1)
+        )
+        cc = CoherentConfig(mat)
+        first = np.unique(cc.colors, return_index=True)[1]
+        assert np.array_equal(cc.representative, np.stack(np.divmod(first, n), axis=1))
 
 
 # -- intersection numbers ------------------------------------------------------
