@@ -266,7 +266,9 @@ def _read_scheme_cache(n: int) -> Corpus | None:
 
 def _write_scheme_cache(corpus: Corpus) -> None:
     """Write to a file beside the cache file, then move it into place, so a
-    reader never sees a partly written cache."""
+    reader never sees a partly written cache.  The text is built in one
+    ``json.dumps`` call, which takes the C encoder; ``json.dump`` streams
+    through the pure-Python one."""
     path = _cache_path(corpus.n)
     if path is None:
         return
@@ -278,7 +280,7 @@ def _write_scheme_cache(corpus: Corpus) -> None:
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(data, fh)
+            fh.write(json.dumps(data))
         os.replace(tmp, path)
     except OSError as exc:
         if os.path.isfile(tmp):

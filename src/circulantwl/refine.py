@@ -5,8 +5,9 @@ coherent configurations; the wrapping modules interpret the results.
 ``_refine`` refines k >= 1 colorings in lockstep through one shared color
 dictionary (k = 1 is plain refinement); hashed pair (2-dim), row-0 (2-dim
 on a translation-invariant coloring), m-tuple and x0 = 0 m-tuple (m-ary on
-a translation-invariant coloring) refinement differ only in the round
-function that builds each round's signature rows.  Each round's ids are
+a translation-invariant coloring) and hashed m-tuple (m-ary in lockstep,
+on either tuple layout) refinement differ only in the round function that
+builds each round's signature rows.  Each round's ids are
 assigned by sorted row order (``_renumber_rows``, which packs each row
 into as few int64 keys as its entries allow and ranks the keys by counting
 or by one sort).  The row-0, m-tuple and x0 = 0 rows are exact signatures,
@@ -21,6 +22,10 @@ canonicalize.  Where ``_refine`` stops, ``_unstable_pairs`` certifies every
 side exactly against the signatures of side 0's first pairs, on
 composition codes of the narrowest integer type that holds them; a
 partition that fails takes one joint exact round and refining resumes.
+The m-ary lockstep ``close_tuples`` keys each tuple by its color above a
+hash of its substitution multiset, read off the exact round's table
+builder, and certifies its fixpoint with one exact m-tuple round, which
+refining resumes from if it splits a class.
 """
 
 from __future__ import annotations
@@ -206,11 +211,17 @@ def _hash_bits(rank: int) -> int:
     return bits
 
 
+def _pack_keys(colors: np.ndarray, mix: np.ndarray, bits: int) -> np.ndarray:
+    """Flat int64 keys of a hashed round: each color, shifted up by
+    ``bits``, over the top ``bits`` bits of its uint64 mix."""
+    top = mix.ravel() >> np.uint64(64 - bits)
+    return ((colors.ravel().astype(np.uint64) << np.uint64(bits)) | top).view(np.int64)
+
+
 def _round_keys(mat: np.ndarray, s1: np.ndarray, s2: np.ndarray, bits: int) -> np.ndarray:
-    """Flat int64 keys of a hashed round: each pair's color, shifted up by
-    ``bits``, over the top ``bits`` bits of (s1 * HASH_MIX + s2) mod 2**64."""
-    mix = (s1.astype(np.uint64) * HASH_MIX + s2.astype(np.uint64)) >> np.uint64(64 - bits)
-    return ((mat.ravel().astype(np.uint64) << np.uint64(bits)) | mix.ravel()).view(np.int64)
+    """The keys of a hashed pair round: each pair's color over the mix
+    (s1 * HASH_MIX + s2) mod 2**64 of its two exact sums."""
+    return _pack_keys(mat, s1.astype(np.uint64) * HASH_MIX + s2.astype(np.uint64), bits)
 
 
 def close_pairs(*inits: np.ndarray) -> tuple[list[np.ndarray], int] | None:
@@ -340,15 +351,27 @@ def initial_tuple_colors(*mats: np.ndarray, m: int) -> list[np.ndarray]:
     return _tuple_types(mats, tuple_digits(mats[0].shape[0], m))
 
 
+def _put_substitutions(out: np.ndarray, colors: np.ndarray, digit: int) -> None:
+    """Fill ``out``, of shape (len(colors), n), with the color of each tuple
+    t (a flat index of base-n digits) whose digit ``digit``, counted from
+    the most significant, is replaced by a, for a = 0..n-1.  That color
+    does not depend on the digit replaced, so it is one broadcast copy of
+    ``colors``, with no index array."""
+    n = out.shape[1]
+    high = n**digit
+    low = len(colors) // (high * n)
+    out.reshape(high, n, low, n)[...] = colors.reshape(high, n, low).transpose(0, 2, 1)[:, None]
+
+
 def _substitution_table(colors: np.ndarray, n: int, m: int) -> np.ndarray:
-    """(N*n, m) rows: row (t, a) holds colors of x_{i<-a} for i = 0..m-1."""
-    idx = np.arange(n**m, dtype=np.int64)
-    alphas = np.arange(n, dtype=np.int64)
-    out = np.empty((n**m, n, m), dtype=np.int64)
-    for i, stride in enumerate(tuple_strides(n, m)):
-        base = idx - ((idx // stride) % n) * stride
-        out[:, :, i] = colors[base[:, None] + stride * alphas[None, :]]
-    return out.reshape(n**m * n, m)
+    """(N*n, m) rows: row (t, a) holds colors of x_{i<-a} for i = 0..m-1.
+    Given an (m, N) stack, slot i reads row i.  The table is stored slot
+    by slot, so that each slot's column is one contiguous array."""
+    slots = np.broadcast_to(colors, (m, n**m))
+    out = np.empty((m, n**m, n), dtype=slots.dtype)
+    for i in range(m):
+        _put_substitutions(out[i], slots[i], i)
+    return out.reshape(m, -1).T
 
 
 def _tuple_rounds(table: Callable[[np.ndarray], np.ndarray], n: int):
@@ -393,26 +416,97 @@ def refine_circulant_tuples(*mats: np.ndarray, m: int) -> tuple[list[np.ndarray]
     Each dense row equals the row of its translate, so the renumbering sees
     the same distinct rows in the same order: the ids and rank are those of
     ``refine_tuples`` on the dense tables, and every histogram is 1/n of
-    the dense one, so the sides diverge in the same round.  Like the dense
-    round, each round gathers its n^m * m substitution table one slot (n^m
-    entries) at a time; only the x0 = 0 tuples' digits are kept.
+    the dense one, so the sides diverge in the same round.
     """
+    inits, table = _origin_layout(mats, m)
+    return _refine(inits, _tuple_rounds(table, mats[0].shape[0]))
+
+
+def _origin_layout(mats, m: int) -> tuple[list[np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """The initial types of the x0 = 0 tuples of each translation-invariant
+    pair coloring, and the builder of their substitution table, laid out as
+    ``_substitution_table`` lays out the dense one.  Like the dense builder
+    it fills the n^m * m table one slot (n^m entries) at a time; only the
+    x0 = 0 tuples' digits and the slot-0 translate index are kept."""
     n = mats[0].shape[0]
     count = n ** (m - 1)
     digits = tuple_digits(n, m - 1)  # x1, ..., x_{m-1} of the x0 = 0 tuples
-    strides = tuple_strides(n, m)
-    alphas = np.arange(n, dtype=np.int64)
     # slot0[t, a] indexes the translate of (a, x1, ...), for t the index of (0, x1, ...)
-    slot0 = origin_tuple_index([alphas[None, :], *digits[:, :, None]], n)
-    # substituting a at slot i >= 1 sends t to bases[i - 1][t] + a * stride_i
-    bases = [np.arange(count) - digits[i - 1] * strides[i] for i in range(1, m)]
+    slot0 = origin_tuple_index([np.arange(n)[None, :], *digits[:, :, None]], n)
 
     def table(colors):
-        out = np.empty((count, n, m), dtype=np.int64)
-        out[:, :, 0] = colors[slot0]
-        for i in range(1, m):
-            out[:, :, i] = colors[bases[i - 1][:, None] + strides[i] * alphas[None, :]]
-        return out.reshape(count * n, m)
+        slots = np.broadcast_to(colors, (m, count))
+        out = np.empty((m, count, n), dtype=slots.dtype)
+        out[0] = slots[0][slot0]
+        for i in range(1, m):  # slot i is digit i - 1 of (x1, ..., x_{m-1})
+            _put_substitutions(out[i], slots[i], i - 1)
+        return out.reshape(m, -1).T
 
-    inits = _tuple_types(mats, [np.zeros(count, dtype=np.int64), *digits])
-    return _refine(inits, _tuple_rounds(table, n))
+    return _tuple_types(mats, [np.zeros(count, dtype=np.int64), *digits]), table
+
+
+def _slot_weights(rng: random.Random, m: int, rank: int) -> np.ndarray:
+    """(m, rank) uint64 color weights, one row per substitution slot, from
+    the standard library's bytes (see ``_hash_weights``)."""
+    return np.frombuffer(rng.randbytes(8 * m * rank), dtype=np.uint64).reshape(m, rank)
+
+
+def _scramble(x: np.ndarray) -> np.ndarray:
+    """The finalizer of splitmix64, in place on a uint64 array: a bijection
+    of 64-bit words that is far from additive, so that a sum of scrambled
+    row weights keeps the multiset of rows, not only each slot's colors."""
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def close_tuples(
+    *mats: np.ndarray, m: int, origin: bool = False
+) -> tuple[list[np.ndarray], int] | None:
+    """m-ary WL refinement of (n, n) pair colorings in lockstep, on their
+    dense m-tuples or, with ``origin`` (every coloring translation
+    invariant), on their x0 = 0 tuples: the stable colorings with shared,
+    arbitrary ids and their rank, or None when the sides diverge.
+
+    Each round is hashed: tuple x gets one int64 key, its color above the
+    top bits of the wrapping uint64 sum over a of a scrambled mix
+    sum_i w_i[c(x_{i<-a})] of its substitution row, with the same slot
+    weights w on every side; the rows come from the same table builder as
+    the exact round's.  A key depends only on the color and the exact
+    signature in the shared ids, so every hashed partition coarsens the
+    exact one alike on every side.  Where ``_refine`` stops, one exact
+    round (``_tuple_rounds``) on all sides certifies the fixpoint; if it
+    splits a class, hashing resumes from its ids, whose histograms
+    ``_refine`` compares first.  So the answer, the rank and the joint
+    partition are those of the exact lockstep, and a None is never early
+    or late.
+    """
+    n = mats[0].shape[0]
+    if origin:
+        inits, table = _origin_layout(mats, m)
+    else:
+        inits = initial_tuple_colors(*mats, m=m)
+        table = lambda colors: _substitution_table(colors, n, m)
+    rng = random.Random(0)
+
+    def round_rows(sides, rank):
+        bits = _hash_bits(rank)
+        weights = _slot_weights(rng, m, rank)
+        keys = []
+        for side in sides:  # one side's table at a time
+            mix = table(weights[:, side]).sum(axis=1, dtype=np.uint64)
+            sums = _scramble(mix).reshape(-1, n).sum(axis=1, dtype=np.uint64)
+            keys.append(_pack_keys(side, sums, bits))
+        return _join(keys)[:, None]
+
+    exact = _tuple_rounds(table, n)
+    while (res := _refine(inits, round_rows)) is not None:
+        sides, rank = res
+        ids, new_rank = _renumber_rows(exact(sides, rank))
+        if new_rank == rank:
+            return sides, rank
+        inits = np.split(ids, len(sides))
+    return None

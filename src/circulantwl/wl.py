@@ -7,6 +7,9 @@ Equivalence of two configurations with respect to a color bijection is
 decided by running both refinements in lockstep through a shared color
 dictionary and comparing histograms each round, except for a bijection
 that a point map known in advance induces (``algebra._induced_by_known_map``).
+The lockstep rounds are hashed (``refine.close_tuples``) and their
+fixpoint is certified by one exact round; a single refinement keeps the
+exact rounds, whose ids are independent of the input numbering.
 
 The pebble-game oracle is an independent implementation of the same
 equivalence for tiny instances: an exact greatest-fixpoint computation of
@@ -30,6 +33,7 @@ from .refine import (
     CapExceededError,
     InvariantError,
     close_pairs,
+    close_tuples,
     initial_tuple_colors,
     origin_tuple_index,
     refine_circulant_tuples,
@@ -95,9 +99,13 @@ def _check_substitution_table(n: int, m: int, cap: int, origin: bool = False) ->
 def _refine_m_ary(mats: list[np.ndarray], m: int, origin: bool) -> tuple[list[np.ndarray], int] | None:
     """m-ary refinement of pair colorings in lockstep.  When ``origin`` says
     every coloring is translation invariant, they are refined on their
-    tuples with x0 = 0 (the returned arrays then hold n^(m-1) colors); the
-    ids match the dense round's either way.  The caller has held the
-    substitution table to its cap (``_check_substitution_table``)."""
+    tuples with x0 = 0 (the returned arrays then hold n^(m-1) colors).  Two
+    or more sides run the hashed lockstep ``close_tuples``, whose ids are
+    arbitrary; one side runs exact rounds, whose ids match the dense
+    round's either way.  The caller has held the substitution table to its
+    cap (``_check_substitution_table``)."""
+    if len(mats) > 1:
+        return close_tuples(*mats, m=m, origin=origin)
     if origin:
         return refine_circulant_tuples(*mats, m=m)
     return refine_tuples(*initial_tuple_colors(*mats, m=m), n=mats[0].shape[0], m=m)

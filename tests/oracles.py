@@ -4,7 +4,8 @@ Each recomputes by definition, or by brute force, what the library computes
 by a faster route: the unit classes of connection sets and their Burnside
 count, the schemes of an order, the algebraic isomorphisms between two
 configurations, quasinormality, the cosets of a section and the map
-induced on it, exact lockstep 2-dim WL, the search for an image tuple of a
+induced on it, exact lockstep 2-dim WL, the m-ary substitution table by
+index arithmetic, the search for an image tuple of a
 tuple extension without the translation cut, and m-extendability tested point
 set by point set, with no map answered in advance.  None of them is called
 by the library.
@@ -43,7 +44,7 @@ from circulantwl.core import (
     units,
 )
 from circulantwl.dimension import _scheme_order
-from circulantwl.refine import _join, _pair_round_codes, _refine
+from circulantwl.refine import _join, _pair_round_codes, _refine, tuple_strides
 
 
 # -- graph corpora -------------------------------------------------------------------
@@ -199,6 +200,19 @@ def refine_pairs(*inits: np.ndarray) -> tuple[list[np.ndarray], int] | None:
         return None
     sides, rank = res
     return [side.reshape(n, n) for side in sides], rank
+
+
+def substitution_table_by_index(colors: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The dense m-ary substitution table by index arithmetic: row (t, a)
+    holds the colors of t with entry i replaced by a, i = 0..m-1, each
+    read at its flat index t - x_i * n^(m-1-i) + a * n^(m-1-i)."""
+    idx = np.arange(n**m, dtype=np.int64)
+    alphas = np.arange(n, dtype=np.int64)
+    out = np.empty((n**m, n, m), dtype=np.asarray(colors).dtype)
+    for i, stride in enumerate(tuple_strides(n, m)):
+        base = idx - ((idx // stride) % n) * stride
+        out[:, :, i] = colors[base[:, None] + stride * alphas[None, :]]
+    return out.reshape(n**m * n, m)
 
 
 # -- tuple extensions ----------------------------------------------------------------

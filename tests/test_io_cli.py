@@ -573,6 +573,14 @@ def test_scheme_cache_round_trip(tmp_path, monkeypatch):
     assert invoke("enumerate", "--schemes", "--order", "6") == cold
 
 
+def test_scheme_cache_file_is_pinned(tmp_path, monkeypatch):
+    # the bytes of a cold order-12 cache, as json.dump wrote them
+    monkeypatch.setenv("CIRCULANTWL_CACHE", str(tmp_path))
+    dimension.enumerate_schemes(12)
+    digest = hashlib.sha256((tmp_path / "schemes_12.json").read_bytes()).hexdigest()
+    assert digest == "80b5c8b6085667c4866d9207a2061b9e8a9ca7a5e02635572fd247a82270060d"
+
+
 def test_poisoned_scheme_cache_is_rejected(tmp_path, monkeypatch, capsys):
     cache = tmp_path / "schemes_6.json"
     monkeypatch.setenv("CIRCULANTWL_CACHE", str(tmp_path))

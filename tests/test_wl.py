@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +36,12 @@ from circulantwl.refine import (
     CapExceededError,
     InvariantError,
     close_pairs,
+    close_tuples,
+    initial_tuple_colors,
     normalize_colors,
     refine_circulant,
+    refine_circulant_tuples,
+    refine_tuples,
 )
 from circulantwl.wl import (
     GameTable,
@@ -48,7 +53,7 @@ from circulantwl.wl import (
     wl_m_equivalent,
     wl_m_refine,
 )
-from oracles import refine_pairs
+from oracles import refine_pairs, substitution_table_by_index
 
 
 def cay_arcs(n, conn):
@@ -877,6 +882,158 @@ def test_m_ary_rounds_take_the_x0_path_for_a_map_no_known_point_map_induces(monk
     assert algebra.is_induced(X.cc, X.cc, AlgebraicIso(X.cc, X.cc, tuple(cmap)))
     assert wl_m_equivalent(X.cc, X.cc, cmap, 3)
     assert reached == [3]
+
+
+def test_substitution_table_matches_the_index_arithmetic():
+    # one broadcast copy per slot against a gather at computed indices, for
+    # one coloring read at every slot and for an (m, N) stack, slot i row i
+    rng = np.random.default_rng(3)
+    for n in range(1, 8):
+        for m in range(1, 5):
+            colors = rng.integers(0, 50, size=n**m)
+            table = refine._substitution_table(colors, n, m)
+            assert np.array_equal(table, substitution_table_by_index(colors, n, m)), (n, m)
+            stack = rng.integers(0, 2**63, size=(m, n**m), dtype=np.uint64)
+            table = refine._substitution_table(stack, n, m)
+            for i in range(m):
+                assert np.array_equal(table[:, i], substitution_table_by_index(stack[i], n, m)[:, i])
+
+
+def _constant_slot_weights(rng, m, rank):
+    return np.ones((m, rank), dtype=np.uint64)
+
+
+def _exact_tuple_lockstep(mats, m, origin):
+    """The exact m-ary lockstep engine of the path, on the inputs that
+    ``close_tuples`` takes."""
+    if origin:
+        return refine_circulant_tuples(*mats, m=m)
+    return refine_tuples(*initial_tuple_colors(*mats, m=m), n=len(mats[0]), m=m)
+
+
+def test_hashed_tuple_lockstep_matches_the_exact_engines(monkeypatch, rook_and_shrikhande):
+    # every algebraic automorphism of every scheme of order at most 10 at
+    # m = 2, 3 on both paths, a color swap that diverges, and rook ->
+    # Shrikhande, equivalent at m = 2 and refuted at m = 3: the same verdict,
+    # rank and joint partition as the exact engines, with hashed weights and
+    # with constant ones, under which no hashed round splits and only the
+    # exact certifying rounds refine
+    exact_rounds, tuple_rounds = [], refine._tuple_rounds
+
+    def counted(table, n):
+        round_rows = tuple_rounds(table, n)
+        return lambda sides, rank: exact_rounds.append(rank) or round_rows(sides, rank)
+
+    monkeypatch.setattr(refine, "_tuple_rounds", counted)
+    z8 = cay_closure(8, {1})
+    cases = [
+        (X.cc, X.cc, phi.color_map, m, origin)
+        for n in range(1, 11)
+        for X in enumerate_schemes(n).schemes
+        for phi in enumerate_algebraic_isos(X.cc, X.cc)
+        for m in (2, 3)
+        for origin in (True, False)
+    ]
+    cases += [(z8, z8, _swap_1_2(z8), m, origin) for m in (2, 3) for origin in (True, False)]
+    rook, shrikhande = rook_and_shrikhande
+    (phi,) = enumerate_algebraic_isos(rook, shrikhande)
+    cases += [(rook, shrikhande, phi.color_map, m, False) for m in (2, 3)]
+    weighings = {"hashed": refine._slot_weights, "constant": _constant_slot_weights}
+    verdicts, resumed = {True: 0, False: 0}, dict.fromkeys(weighings, 0)
+    for cc_a, cc_b, cmap, m, origin in cases:
+        mats = [cc_a.colors, np.argsort(cmap)[cc_b.colors]]
+        expected = _exact_tuple_lockstep(mats, m, origin)
+        for name, weights in weighings.items():
+            monkeypatch.setattr(refine, "_slot_weights", weights)
+            exact_rounds.clear()
+            res = close_tuples(*mats, m=m, origin=origin)
+            assert _same_result(res, expected), (name, cmap, m, origin)
+            resumed[name] += len(exact_rounds) > 1
+        verdicts[expected is None] += 1
+    assert verdicts == {True: 5, False: 397}
+    # random weights leave no split to the exact round; constant ones leave
+    # every split to it, and refining resumes after each
+    assert resumed["hashed"] == 0 and resumed["constant"] > 0
+
+
+def test_tuple_keys_keep_36_hash_bits_at_every_rank_the_tuple_cap_admits():
+    # a lockstep of two sides of N tuples has a joint rank of at most 2N,
+    # and the cap admits a table of N * n * m entries per side, on either
+    # path; the largest such N comes with n = 2
+    def largest_order(m, origin):
+        n = 1
+        while True:
+            try:
+                wl._check_substitution_table(n + 1, m, DEFAULT_TUPLE_CAP, origin)
+            except CapExceededError:
+                return n
+            n += 1
+
+    ranks = [
+        2 * largest_order(m, origin) ** (m - origin)
+        for m in range(2, DEFAULT_TUPLE_CAP.bit_length())
+        for origin in (False, True)
+        if largest_order(m, origin) > 1
+    ]
+    rank = max(ranks)
+    assert rank < DEFAULT_TUPLE_CAP
+    bits = refine._hash_bits(rank)
+    assert bits >= 36
+    [key] = refine._pack_keys(np.array([rank - 1]), np.array([2**64 - 1], dtype=np.uint64), bits)
+    assert key >= 0 and key >> bits == rank - 1
+
+
+def test_tuple_key_budget_fires_under_python_O():
+    # one side, so that no histogram of 2**63 colors is counted first
+    script = (
+        "import numpy as np\n"
+        "from circulantwl import refine\n"
+        "refine._renumber_rows = lambda rows: (rows[:, 0], 2**63)\n"
+        "try:\n"
+        "    refine.close_tuples(np.eye(3, dtype=np.int64), m=2)\n"
+        "except refine.InvariantError as exc:\n"
+        "    print(__debug__, exc)\n"
+    )
+    src = str(Path(circulantwl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for flags in ([], ["-O"]):
+        res = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        expected = f"{not flags} rank {2**63} leaves no hash bits in a 63-bit key\n"
+        assert res.stdout == expected, res.stderr
+
+
+def test_a_hashed_tuple_round_peaks_below_the_exact_round(monkeypatch, rook_and_shrikhande):
+    # each engine's first round on the same two sides, traced: the hashed
+    # round holds one side's table at a time, the exact one renumbers both
+    peaks, refine_loop = {}, refine._refine
+
+    def traced(inits, round_rows):
+        ids, rank = refine._renumber_rows(np.concatenate(inits)[:, None])
+        sides = np.split(ids, len(inits))
+        tracemalloc.start()
+        round_rows(sides, rank)
+        peaks.setdefault(round_rows.__qualname__, tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        return refine_loop(inits, round_rows)
+
+    monkeypatch.setattr(refine, "_refine", traced)
+    cycle = cay_closure(24, {1, 23})
+    rook, shrikhande = rook_and_shrikhande
+    for mats, m, origin in (
+        ([rook.colors, shrikhande.colors], 3, False),
+        ([cycle.colors, cycle.colors], 3, True),
+        ([cycle.colors, cycle.colors], 4, True),
+    ):
+        peaks.clear()
+        close_tuples(*mats, m=m, origin=origin)
+        _exact_tuple_lockstep(mats, m, origin)
+        hashed = peaks["close_tuples.<locals>.round_rows"]
+        exact = peaks["_tuple_rounds.<locals>.round_rows"]
+        table = len(mats[0]) ** (m + 1 - origin) * m * 8  # bytes of one side's table
+        assert table < hashed < exact, (m, origin, hashed / table, exact / table)
 
 
 # -- pebble game oracle -----------------------------------------------------------------
