@@ -553,7 +553,8 @@ def extend_algebraic_automorphism(
     section: Section,
 ) -> AlgebraicIso:
     """The unique color automorphism of the extension restricting to psi on
-    the section and extending phi; found by exhausting the color search."""
+    the section and extending phi; looked up among the extension's
+    automorphisms that project to phi (``_extension_candidates``)."""
     matches = _extension_candidates(X, star, phi, psi, section)
     if not matches:
         raise InvariantError("no extension found where exactly one was predicted")
@@ -563,12 +564,31 @@ def extend_algebraic_automorphism(
 
 
 def _extension_candidates(X, star, phi, psi, section) -> list[AlgebraicIso]:
+    """The automorphisms of star that extend phi and restrict to psi on the
+    section, in ``enumerate_algebraic_isos`` order, as a new list.
+
+    The star's cache keeps an index per X, keyed by X's row so that the
+    star holds no reference to X (X holds the star): its automorphisms
+    grouped by the color map of X each projects to (``_projection``; one
+    that does not project is left out), built once.  The section map of
+    each automorphism is computed the first time a query reaches it, and
+    kept per (position, section); a section map that raises is not kept, so
+    it raises again on the next query that reaches it, as a scan of every
+    automorphism would."""
+    index, key = star._cache.setdefault("extensions", {}), X.row.tobytes()
+    if key not in index:
+        groups: dict[tuple[int, ...], list] = {}
+        for pos, cand in enumerate(enumerate_algebraic_isos(star.cc, star.cc)):
+            image = _projection(X, star, cand)
+            if image is not None:
+                groups.setdefault(image, []).append((pos, cand))
+        index[key] = groups
+    section_maps = star._cache.setdefault("section_maps", {})
     out = []
-    for cand in enumerate_algebraic_isos(star.cc, star.cc):
-        if not _extends_scheme_map(X, star, phi, cand):
-            continue
-        restricted = _section_color_map(star, section, cand)
-        if restricted.color_map == psi.color_map:
+    for pos, cand in index[key].get(phi.color_map, []):
+        if (pos, section) not in section_maps:
+            section_maps[pos, section] = _section_color_map(star, section, cand).color_map
+        if section_maps[pos, section] == psi.color_map:
             out.append(cand)
     return out
 
@@ -577,12 +597,34 @@ def _extends_scheme_map(
     X: CirculantScheme, star: CirculantScheme, phi: AlgebraicIso, cand: AlgebraicIso
 ) -> bool:
     """Whether cand, a color map of a refinement star of X, sends each color
-    into the phi-image of the X color that holds it."""
-    # the X color of each star color, read at its least difference
+    into the phi-image of the X color that holds it: whether cand projects
+    to phi, since every X color holds a star color."""
+    return _projection(X, star, cand) == phi.color_map
+
+
+def _projection(
+    X: CirculantScheme, star: CirculantScheme, cand: AlgebraicIso
+) -> tuple[int, ...] | None:
+    """The color map of X that cand, a color map of a refinement star of X,
+    projects to: each X color goes to the X color holding the images of the
+    star colors inside it; None where those images lie in two X colors."""
+    parents, key = star._cache.setdefault("parents", {}), X.row.tobytes()
+    if key not in parents:
+        parents[key] = _parent_colors(X, star)
+    parent = parents[key]
+    image = parent[cand.array]
+    out = np.empty(X.rank, dtype=np.int64)
+    out[parent] = image
+    return tuple(out.tolist()) if np.array_equal(out[parent], image) else None
+
+
+def _parent_colors(X: CirculantScheme, star: CirculantScheme) -> np.ndarray:
+    """The X color of each star color, read at its least difference.
+    Raises InvariantError where star does not refine X."""
     parent = X.row[star.least]
     if not np.array_equal(parent[star.row], X.row):
         raise InvariantError("extension does not refine the scheme")
-    return bool(np.array_equal(parent[cand.array], phi.array[parent]))
+    return parent
 
 
 def _section_color_map(

@@ -6,9 +6,10 @@ count, the schemes of an order, the algebraic isomorphisms between two
 configurations, quasinormality, the cosets of a section and the map
 induced on it, exact lockstep 2-dim WL, the m-ary substitution table by
 index arithmetic, the search for an image tuple of a
-tuple extension without the translation cut, and m-extendability tested point
-set by point set, with no map answered in advance.  None of them is called
-by the library.
+tuple extension without the translation cut, m-extendability tested point
+set by point set, with no map answered in advance, and the extensions of a
+pair of maps found by scanning every automorphism of the singular
+extension.  None of them is called by the library.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from circulantwl.algebra import (
     AlgebraicIso,
     TupleExtension,
+    enumerate_algebraic_isos,
     extendable_at,
     image_parabolic,
     induced_on_quotient,
@@ -31,6 +33,8 @@ from circulantwl.algebra import (
 from circulantwl.circulant import (
     CirculantScheme,
     Section,
+    _extends_scheme_map,
+    _section_color_map,
     from_connection_partition,
     is_normal,
     proj_equivalence_classes,
@@ -271,6 +275,20 @@ def induced_on_section(phi: AlgebraicIso, delta, e_blocks, delta2, e_blocks2) ->
     if frozenset(image_parabolic(rest, e).blocks) != blocks2:
         raise ValueError("map does not send the first section equivalence to the second")
     return induced_on_quotient(rest, e)
+
+
+def extension_candidates_by_loop(X, star, phi, psi, section) -> list[AlgebraicIso]:
+    """The automorphisms of the extension star that extend phi and restrict
+    to psi on the section, in enumeration order: every automorphism is
+    tested, and its section map rebuilt, for every pair."""
+    out = []
+    for cand in enumerate_algebraic_isos(star.cc, star.cc):
+        if not _extends_scheme_map(X, star, phi, cand):
+            continue
+        restricted = _section_color_map(star, section, cand)
+        if restricted.color_map == psi.color_map:
+            out.append(cand)
+    return out
 
 
 def _covering(cc: CoherentConfig, blocks) -> frozenset[int]:

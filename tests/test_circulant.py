@@ -1,9 +1,11 @@
 import ast
+import gc
 import hashlib
 import math
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -51,7 +53,8 @@ from circulantwl.core import CoherentConfig, circulant_matrix, intersection_tens
 from circulantwl.dimension import graph_scheme
 from circulantwl.io import dump_scheme
 from circulantwl.refine import InvariantError
-from oracles import quasinormal_by_definition, section_coset
+import oracles
+from oracles import extension_candidates_by_loop, quasinormal_by_definition, section_coset
 
 
 def unit_color_map(X, u):
@@ -958,3 +961,119 @@ def test_extension_search_lists_the_automorphisms_once(z20_fixture, monkeypatch)
     autos.clear()
     assert [iso.color_map for iso in enumerate_algebraic_isos(star.cc, star.cc)] == expected
     assert sum(a is star.cc for a, _ in searched) == 1
+
+
+def _extension_outcome(find, X, star, phi, psi, sec):
+    """The color maps that find lists for (phi, psi), or the ValueError it raises."""
+    try:
+        return [cand.color_map for cand in find(X, star, phi, psi, sec)]
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _automorphism_pairs(X, sec):
+    return [
+        (phi, psi)
+        for phi in enumerate_algebraic_isos(X.cc, X.cc)
+        for psi in enumerate_algebraic_isos(sec.scheme.cc, sec.scheme.cc)
+    ]
+
+
+def test_extension_index_matches_the_scan_of_every_automorphism(schemes_up_to_16, z20_fixture):
+    # every singular class, the extension at its smallest section, every
+    # section of X read in that one extension (those of the class and the
+    # others, of other orders), and every (phi, psi): the index answers as a
+    # scan of every automorphism does, in its order, errors included
+    counts = {}
+    for X in [*(X for n in range(4, 17) for X in schemes_up_to_16[n]), z20_fixture]:
+        for rep in (r for r in singular_classes(X) if r.is_singular):
+            star = singular_extension(X, rep.smallest)
+            for S in sections(X):
+                sec = _section(star, S.upper, S.lower)
+                for phi, psi in _automorphism_pairs(X, sec):
+                    args = (X, star, phi, psi, sec)
+                    found = _extension_outcome(circulant._extension_candidates, *args)
+                    assert found == _extension_outcome(extension_candidates_by_loop, *args)
+                    kind = found[0] if isinstance(found, tuple) else len(found)
+                    counts[kind] = counts.get(kind, 0) + 1
+    # no map, one map and several maps are all among the answers
+    assert {0, 1, 2} <= set(counts) and sum(counts.values()) > 1000
+
+
+def test_extension_index_computes_each_section_map_once(z20_fixture, monkeypatch):
+    X, section_maps, checks = z20_fixture, [], []
+    section_color_map, parent_colors = circulant._section_color_map, circulant._parent_colors
+
+    def spy_section_map(star, sec, cand):
+        section_maps.append((cand.color_map, sec))
+        return section_color_map(star, sec, cand)
+
+    def spy_parent_colors(X, star):
+        checks.append((X, star))
+        return parent_colors(X, star)
+
+    monkeypatch.setattr(circulant, "_section_color_map", spy_section_map)
+    monkeypatch.setattr(circulant, "_parent_colors", spy_parent_colors)
+    report = dimension.verify_uniqueness(X)
+    assert report.checked > 1 and not report.violations
+    # at most once per (automorphism of the extension, section), and the
+    # refinement is checked once for the one (X, star)
+    assert len(section_maps) == len(set(section_maps)) > 1
+    smallest, star = dimension._first_singular_extension(X)
+    assert checks == [(X, star)]
+    # a returned list is the caller's: clearing it changes no later answer,
+    # and the second query of a pair is answered from the index
+    sec = _section(star, smallest.upper, smallest.lower)
+    for phi, psi in _automorphism_pairs(X, sec):
+        found = circulant._extension_candidates(X, star, phi, psi, sec)
+        expected = [cand.color_map for cand in found]
+        found.clear()
+        computed = len(section_maps)
+        again = circulant._extension_candidates(X, star, phi, psi, sec)
+        assert [cand.color_map for cand in again] == expected and len(expected) == 1
+        assert len(section_maps) == computed
+    assert checks == [(X, star)]
+
+
+def test_the_extension_index_holds_no_reference_to_the_scheme(z20_fixture):
+    # X holds its singular extension, so an index holding X would be a
+    # cycle that only the collector frees, with every dense table of both
+    X = CirculantScheme(z20_fixture.row)
+    assert not dimension.verify_uniqueness(X).violations
+    ref = weakref.ref(X)
+    gc.disable()
+    try:
+        del X
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_failed_section_map_raises_on_every_query_it_reaches(z20_fixture, monkeypatch):
+    # a section map that raises is never kept: every query whose phi the
+    # automorphism extends raises, on every asking, as the scan does
+    X = z20_fixture
+    smallest, star = dimension._first_singular_extension(X)
+    sec = _section(star, smallest.upper, smallest.lower)
+    autos = enumerate_algebraic_isos(star.cc, star.cc)
+    broken = autos[len(autos) // 2]
+    section_color_map = circulant._section_color_map
+
+    def failing(star_, sec_, cand):
+        if cand.color_map == broken.color_map:
+            raise ValueError("color map does not descend to the section")
+        return section_color_map(star_, sec_, cand)
+
+    monkeypatch.setattr(circulant, "_section_color_map", failing)
+    monkeypatch.setattr(oracles, "_section_color_map", failing)
+    pairs = _automorphism_pairs(X, sec)
+    raised = set()
+    for _ in range(2):
+        for i, (phi, psi) in enumerate(pairs):
+            args = (X, star, phi, psi, sec)
+            found = _extension_outcome(circulant._extension_candidates, *args)
+            assert found == _extension_outcome(extension_candidates_by_loop, *args)
+            if isinstance(found, tuple):
+                raised.add(i)
+    reaches = {i for i, (phi, _) in enumerate(pairs) if _extends_scheme_map(X, star, phi, broken)}
+    assert raised == reaches and 0 < len(reaches) < len(pairs)

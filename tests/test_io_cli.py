@@ -514,6 +514,15 @@ def test_uniqueness_verb_can_fail(monkeypatch, capsys):
     assert "error:" not in capsys.readouterr().err
 
 
+def test_uniqueness_verb_output_is_pinned():
+    # stdout of the scan over orders 4..16, byte for byte, as a sha256 digest
+    code, out = invoke("verify", "--theorem", "uniqueness", "--orders", "4..16")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6e83001792046164d8f946eb896dd0ebc8b8a3a6e78b1e0781a0da6dcdadcd4c"
+    )
+
+
 def test_sections_verb():
     code, out = invoke("sections", "--graph", "n=12;S=1,11")
     assert code == 0
