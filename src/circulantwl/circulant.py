@@ -87,13 +87,21 @@ class XGroup:
         return XGroup(self.n, (self.order * other.order) // math.gcd(self.order, other.order))
 
 
+def _label_lists(labels: np.ndarray) -> list[list[int]]:
+    """The classes of equal labels, in ascending label order, each the list
+    of its positions: one pass over the row, which appends each position to
+    its label's list, so every list comes out increasing without a sort.
+    This is the one reader of the classes of a label row."""
+    items = labels.tolist()
+    classes: dict[int, list[int]] = {v: [] for v in sorted(set(items))}
+    for i, v in enumerate(items):
+        classes[v].append(i)
+    return list(classes.values())
+
+
 def label_classes(labels: np.ndarray) -> list[frozenset[int]]:
-    """The classes of equal labels, in ascending label order: one stable
-    sort, split where the label changes."""
-    order = np.argsort(labels, kind="stable")
-    items = order.tolist()
-    cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), len(items)]
-    return [frozenset(items[a:b]) for a, b in zip(cuts, cuts[1:])]
+    """The classes of equal labels as sets, in ascending label order."""
+    return [frozenset(c) for c in _label_lists(labels)]
 
 
 def _partition_key(labels) -> tuple[int, ...]:
@@ -304,20 +312,17 @@ def sections(X: CirculantScheme) -> list[Section]:
     """All sections over nested pairs of X-groups (those containing the identity coset)."""
     if "sections" not in X._cache:
         groups = xgroup_lattice(X)
-        X._cache["sections"] = {
-            (U, L): Section(U, L, section_scheme(X, U, L))
-            for L in groups
-            for U in groups
-            if L <= U
-        }
-    return list(X._cache["sections"].values())
+        X._cache["sections"] = [_section(X, U, L) for L in groups for U in groups if L <= U]
+    return list(X._cache["sections"])
 
 
 def _section(X: CirculantScheme, upper: XGroup, lower: XGroup) -> Section:
-    """The section U/L of X, read from the cache of ``sections`` when X has
-    built it and computed alone otherwise."""
-    cached = X._cache.get("sections", {}).get((upper, lower))
-    return cached or Section(upper, lower, section_scheme(X, upper, lower))
+    """The section U/L of X, built once per pair and kept; a lookup builds
+    no other section."""
+    built = X._cache.setdefault("section", {})
+    if (upper, lower) not in built:
+        built[upper, lower] = Section(upper, lower, section_scheme(X, upper, lower))
+    return built[upper, lower]
 
 
 def scheme_radical(X: CirculantScheme) -> XGroup:
@@ -340,12 +345,32 @@ def is_multiple(S: Section, T: Section) -> bool:
     )
 
 
-def _lower_split(S: Section) -> tuple[int, int]:
-    """(a, c) with |L| = a*c for S = U/L of order k: a over the primes of k, c coprime to k."""
-    a, c = 1, S.lower.order
-    while (g := math.gcd(c, S.order)) > 1:
+def _split_lower(lower: int, k: int) -> tuple[int, int]:
+    """(a, c) with lower = a*c: a over the primes of k, c coprime to k."""
+    a, c = 1, lower
+    while (g := math.gcd(c, k)) > 1:
         a, c = a * g, c // g
     return a, c
+
+
+def _lower_split(S: Section) -> tuple[int, int]:
+    """(a, c) with |L| = a*c for S = U/L of order k: a over the primes of k, c coprime to k."""
+    return _split_lower(S.lower.order, S.order)
+
+
+def _pair_classes(X: CirculantScheme) -> list[list[tuple[XGroup, XGroup]]]:
+    """The nested pairs (U, L) of X-groups, grouped by (k, a) of their
+    section U/L (``_lower_split``) and ordered as ``proj_equivalence_classes``
+    orders the sections; no section scheme is built."""
+    groups = xgroup_lattice(X)
+    classes: dict[tuple[int, int], list[tuple[XGroup, XGroup]]] = {}
+    for L in groups:
+        for U in groups:
+            if L <= U:
+                k = U.order // L.order
+                classes.setdefault((k, _split_lower(L.order, k)[0]), []).append((U, L))
+    out = [sorted(c, key=lambda p: (p[0].order, p[1].order)) for c in classes.values()]
+    return sorted(out, key=lambda c: (c[0][0].order, c[0][1].order, len(c)))
 
 
 def proj_equivalence_classes(X: CirculantScheme) -> list[list[Section]]:
@@ -355,11 +380,7 @@ def proj_equivalence_classes(X: CirculantScheme) -> list[list[Section]]:
     keeps k and a and multiplies c by the unit |U_S|/|U_T|, and two sections with equal (k, a) are
     direct multiples of their meet, an X-section because X-groups are closed under intersection.
     """
-    groups: dict[tuple[int, int], list[Section]] = {}
-    for s in sections(X):
-        groups.setdefault((s.order, _lower_split(s)[0]), []).append(s)
-    out = [sorted(g, key=lambda s: (s.upper.order, s.lower.order)) for g in groups.values()]
-    return sorted(out, key=lambda g: (g[0].upper.order, g[0].lower.order, len(g)))
+    return [[_section(X, U, L) for U, L in c] for c in _pair_classes(X)]
 
 
 # -- the U/L-condition, normality, quasinormality --------------------------------------
@@ -449,13 +470,18 @@ def singular_classes(X: CirculantScheme) -> list[SingularClassReport]:
     if "singular" in X._cache:
         return list(X._cache["singular"])
     out = []
-    for cls in proj_equivalence_classes(X):
-        order = cls[0].order
-        trivial_flags = {s.is_trivial for s in cls}
+    for pairs in _pair_classes(X):
+        U, L = pairs[0]
+        order = U.order // L.order
+        # rank <= order <= 2: trivial, and no check can fail on the class
+        if order <= 2:
+            continue
+        trivial_flags = {int(section_labels(X, U, L).max()) <= 1 for U, L in pairs}
         if len(trivial_flags) != 1:
             raise InvariantError("triviality is a class property")
-        if order <= 2 or not trivial_flags.pop():
+        if not trivial_flags.pop():
             continue
+        cls = [_section(X, U, L) for U, L in pairs]
         smallest = min(cls, key=lambda s: (s.upper.order, s.lower.order))
         largest = max(cls, key=lambda s: (s.upper.order, s.lower.order))
         witnesses = [

@@ -31,6 +31,7 @@ from .circulant import (
     XGroup,
     _close_rows,
     _extends_scheme_map,
+    _label_lists,
     _partition_key,
     _partition_labels,
     _section,
@@ -106,9 +107,11 @@ SCHEME_KINDS = ("trivial", "cyclotomic", "tensor", "wreath")
 
 
 def _scheme_order(X: CirculantScheme):
-    """Corpus order: by rank, then by the list of sorted basic sets (which
-    ``connection_sets`` holds in order of least element)."""
-    return X.rank, [sorted(c) for c in X.connection_sets]
+    """Corpus order: by rank, then by the list of sorted basic sets in order
+    of least element, read off the row (``_label_lists``): on a scheme row
+    colors are numbered by least difference, so ascending label order is
+    that order, and each class comes as its differences in increasing order."""
+    return X.rank, _label_lists(X.row)
 
 
 def _unit_subgroups(n: int) -> set[frozenset[int]]:
@@ -253,7 +256,8 @@ def _read_scheme_cache(n: int) -> Corpus | None:
         if not flag:
             raise ValueError(f"scheme cache {path} holds a partition that is not coherent: {parts}")
     schemes = [CirculantScheme(row) for row in closed]
-    if any(_scheme_order(a) >= _scheme_order(b) for a, b in zip(schemes, schemes[1:])):
+    keys = [_scheme_order(X) for X in schemes]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
         raise ValueError(f"scheme cache {path} is not strictly increasing in corpus order")
     # checked last, so a file that is also malformed is named as malformed
     if data.get("version") != SCHEME_CACHE_VERSION:
@@ -274,7 +278,7 @@ def _write_scheme_cache(corpus: Corpus) -> None:
         return
     data = {
         "version": SCHEME_CACHE_VERSION,
-        "schemes": [[sorted(c) for c in X.connection_sets] for X in corpus.schemes],
+        "schemes": [_label_lists(X.row) for X in corpus.schemes],
     }
     tmp = f"{path}.{os.getpid()}.tmp"
     try:

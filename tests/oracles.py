@@ -2,10 +2,10 @@
 
 Each recomputes by definition, or by brute force, what the library computes
 by a faster route: the unit classes of connection sets and their Burnside
-count, the schemes of an order, the algebraic isomorphisms between two
-configurations, quasinormality, the cosets of a section and the map
-induced on it, exact lockstep 2-dim WL, the m-ary substitution table by
-index arithmetic, the search for an image tuple of a
+count, the schemes of an order and their corpus order, the algebraic
+isomorphisms between two configurations, quasinormality, the cosets of a
+section and the map induced on it, exact lockstep 2-dim WL, the m-ary
+substitution table by index arithmetic, the search for an image tuple of a
 tuple extension without the translation cut, m-extendability tested point
 set by point set, with no map answered in advance, and the extensions of a
 pair of maps found by scanning every automorphism of the singular
@@ -47,7 +47,6 @@ from circulantwl.core import (
     is_translation_invariant,
     units,
 )
-from circulantwl.dimension import _scheme_order
 from circulantwl.refine import _join, _pair_round_codes, _refine, tuple_strides
 
 
@@ -114,7 +113,13 @@ def brute_force_schemes(n: int) -> list[CirculantScheme]:
             yield sub + [{head}]
 
     closed = (from_connection_partition(n, part) for part in partitions(list(range(1, n))))
-    return sorted({X for X, coherent in closed if coherent}, key=_scheme_order)
+    return sorted({X for X, coherent in closed if coherent}, key=scheme_order_by_sets)
+
+
+def scheme_order_by_sets(X: CirculantScheme):
+    """Corpus order read off the frozenset view: by rank, then by the list
+    of sorted basic sets in the order ``connection_sets`` holds them."""
+    return X.rank, [sorted(c) for c in X.connection_sets]
 
 
 def quasinormal_by_definition(X: CirculantScheme) -> bool:

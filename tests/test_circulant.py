@@ -183,7 +183,7 @@ def test_the_dense_configuration_is_read_only_where_points_are():
 
 def test_connection_sets_are_read_only_where_partitions_leave_the_library():
     # the circulant and dimension layers work on label rows; the frozenset
-    # view is read only for output, the cache file and corpus order
+    # view is read only for output
     found = []
     for module in (circulant, dimension):
         tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
@@ -203,8 +203,6 @@ def test_connection_sets_are_read_only_where_partitions_leave_the_library():
     assert sorted(set(found)) == [
         ("circulant", "CirculantScheme.connection_sets", "label_classes"),
         ("circulant", "CirculantScheme.partition_key", "connection_sets"),
-        ("dimension", "_scheme_order", "connection_sets"),
-        ("dimension", "_write_scheme_cache", "connection_sets"),
     ]
 
 

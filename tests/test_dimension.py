@@ -39,7 +39,12 @@ from circulantwl.dimension import (
 )
 from circulantwl.refine import refine_circulant
 from circulantwl.wl import wl_m_equivalent
-from oracles import brute_force_graphs, brute_force_schemes, burnside_graph_count
+from oracles import (
+    brute_force_graphs,
+    brute_force_schemes,
+    burnside_graph_count,
+    scheme_order_by_sets,
+)
 
 
 # -- graph enumeration -------------------------------------------------------------
@@ -134,6 +139,33 @@ def test_scheme_corpora_17_18_are_pinned():
         schemes = enumerate_schemes(n).schemes
         text = repr([sorted(sorted(c) for c in X.connection_sets) for X in schemes])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_corpus_order_matches_the_order_of_the_basic_sets():
+    # the key read off the label row is the key read off the frozenset view,
+    # on every scheme of orders 1..36, and both sort every corpus as it is
+    rng = np.random.default_rng(0)
+    for n in range(1, 37):
+        schemes = enumerate_schemes(n).schemes
+        assert [dimension._scheme_order(X) for X in schemes] == [
+            scheme_order_by_sets(X) for X in schemes
+        ], n
+        shuffled = [schemes[i] for i in rng.permutation(len(schemes))]
+        assert sorted(shuffled, key=dimension._scheme_order) == schemes, n
+        assert sorted(shuffled, key=scheme_order_by_sets) == schemes, n
+
+
+def test_enumeration_and_cache_build_no_frozenset_view(monkeypatch, tmp_path):
+    # corpus order, the cache file and the cache check read classes off the
+    # label row: a cold and a warm enumeration never build connection sets
+    def refuse(labels):
+        raise AssertionError("frozenset view built")
+
+    monkeypatch.setattr(circulant, "label_classes", refuse)
+    monkeypatch.setenv("CIRCULANTWL_CACHE", str(tmp_path))
+    cold = enumerate_schemes(24).schemes
+    assert (tmp_path / "schemes_24.json").exists()
+    assert enumerate_schemes(24).schemes == cold and len(cold) == 172
 
 
 def _corpora_without(kind, top):
