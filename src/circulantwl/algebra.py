@@ -31,8 +31,8 @@ from .core import (
     CoherentConfig,
     Parabolic,
     _individualise,
+    _row,
     intersection_tensor,
-    is_translation_invariant,
     quotient,
     restriction,
     units,
@@ -79,8 +79,10 @@ class AlgebraicIso:
 
     @staticmethod
     def from_json(source: CoherentConfig, target: CoherentConfig, text: str) -> "AlgebraicIso":
-        data = json.loads(text)
-        return AlgebraicIso(source, target, tuple(int(c) for c in data["map"]))
+        cmap = json.loads(text)["map"]
+        if not isinstance(cmap, list) or any(type(c) is not int for c in cmap):  # no float or bool
+            raise TypeError(f'"map" must be a list of integers, not {cmap!r}')
+        return AlgebraicIso(source, target, tuple(cmap))
 
 
 def is_algebraic_isomorphism(
@@ -105,13 +107,6 @@ def identity_iso(cc: CoherentConfig) -> AlgebraicIso:
 
 
 # -- unit multipliers ------------------------------------------------------------
-
-
-def _row(cc: CoherentConfig) -> np.ndarray | None:
-    """Row 0 of a translation-invariant configuration, else None; cached."""
-    if "row" not in cc._cache:
-        cc._cache["row"] = cc.colors[0] if is_translation_invariant(cc.colors) else None
-    return cc._cache["row"]
 
 
 def unit_multipliers(row_a, row_b) -> tuple[np.ndarray, np.ndarray]:

@@ -176,6 +176,14 @@ def is_translation_invariant(colors: np.ndarray) -> bool:
     return bool(np.array_equal(circulant_matrix(colors[0]), colors))
 
 
+def _row(cc: CoherentConfig) -> np.ndarray | None:
+    """Row 0 of a translation-invariant configuration, else None; cached
+    under the key that ``CoherentConfig.from_canonical_row`` seeds."""
+    if "row" not in cc._cache:
+        cc._cache["row"] = cc.colors[0] if is_translation_invariant(cc.colors) else None
+    return cc._cache["row"]
+
+
 # -- validation --------------------------------------------------------------
 
 

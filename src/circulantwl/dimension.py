@@ -77,6 +77,8 @@ def enumerate_graphs(n: int, directed: bool = False, cap: int | None = None) -> 
     tuple represents the class.  That is the least sorted image over the
     units of any one member, the representative a brute force over every
     union of orbits would pick.  The result is sorted the same way."""
+    if n < 1:
+        raise ValueError(f"graph enumeration needs an order >= 1, got {n}")
     if cap is None:
         cap = DEFAULT_DIRECTED_CAP if directed else DEFAULT_UNDIRECTED_CAP
     if n > cap:
@@ -215,6 +217,8 @@ def enumerate_schemes(n: int, cap: int = DEFAULT_SCHEME_CAP) -> Corpus:
     The divisor corpora are memoized for this call only.  Results are memoized
     on disk when CIRCULANTWL_CACHE points to a directory.
     """
+    if n < 1:
+        raise ValueError(f"scheme enumeration needs an order >= 1, got {n}")
     if n > cap:
         raise CapExceededError(f"scheme enumeration capped at n <= {cap}")
     if n == 1:
@@ -265,6 +269,9 @@ def _read_scheme_cache(n: int) -> Corpus | None:
             f"scheme cache {path} has format version {data.get('version')!r}, expected "
             f"{SCHEME_CACHE_VERSION}; delete the file to rebuild it"
         )
+    # every order >= 2 has the trivial scheme (rank 2) first and the discrete one (rank n) last
+    if not schemes or schemes[0].rank != 2 or schemes[-1].rank != n:
+        raise ValueError(f"scheme cache {path} does not start trivial and end discrete")
     return Corpus(n=n, schemes=schemes)
 
 

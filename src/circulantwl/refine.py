@@ -4,28 +4,25 @@ Everything here works on integer color arrays and knows nothing about
 coherent configurations; the wrapping modules interpret the results.
 ``_refine`` refines k >= 1 colorings in lockstep through one shared color
 dictionary (k = 1 is plain refinement); hashed pair (2-dim), row-0 (2-dim
-on a translation-invariant coloring), m-tuple and x0 = 0 m-tuple (m-ary on
-a translation-invariant coloring) and hashed m-tuple (m-ary in lockstep,
-on either tuple layout) refinement differ only in the round function that
-builds each round's signature rows.  Each round's ids are
-assigned by sorted row order (``_renumber_rows``, which packs each row
-into as few int64 keys as its entries allow and ranks the keys by counting
-or by one sort).  The row-0, m-tuple and x0 = 0 rows are exact signatures,
-so those ids are deterministic and independent of the input numbering;
-the row-0 and x0 = 0 rounds see the same distinct rows as their dense
-forms, so they produce the dense ids.  Row-0 refinement closes a stack of
-rows at once, each as if alone.
+on a translation-invariant coloring), exact m-tuple and hashed m-tuple
+(m-ary in lockstep) refinement differ only in the round function that
+builds each round's signature rows.  Each round's ids are assigned by
+sorted row order (``_renumber_rows``, which packs each row into as few
+int64 keys as its entries allow and ranks the keys by counting or by one
+sort).  Row-0 refinement closes a stack of rows at once, each as if alone.
 
-The dense pair closure ``close_pairs`` keys each pair by its color above a
-hash of its signature, so its ids are arbitrary, for callers that
-canonicalize.  Where ``_refine`` stops, ``_unstable_pairs`` certifies every
-side exactly against the signatures of side 0's first pairs, on
-composition codes of the narrowest integer type that holds them; a
+The row-0 and exact m-tuple rows are exact signatures, so those ids are
+independent of the input numbering.  Both m-tuple engines run on one
+layout, ``_tuple_layout``: the dense m-tuples, or the x0 = 0 ones of
+translation-invariant colorings.  The row-0 and x0 = 0 rounds see the
+same distinct rows as their dense forms, so they produce the dense ids.
+
+The pair closure ``close_pairs`` and the m-ary lockstep ``close_tuples``
+key each pair or tuple by its color above a hash of its signature, so
+their ids are arbitrary, for callers that canonicalize or only ask for
+the verdict.  Where ``_refine`` stops, an exact check certifies the
+fixpoint (``_unstable_pairs``, or one exact m-tuple round), and a
 partition that fails takes one joint exact round and refining resumes.
-The m-ary lockstep ``close_tuples`` keys each tuple by its color above a
-hash of its substitution multiset, read off the exact round's table
-builder, and certifies its fixpoint with one exact m-tuple round, which
-refining resumes from if it splits a class.
 """
 
 from __future__ import annotations
@@ -319,6 +316,18 @@ def _refine_row_stack(stack: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray,
     return colors - low[:, None], colors.max(axis=1) - low + 1
 
 
+def _check_substitution_table(n: int, m: int, cap: int, origin: bool = False) -> None:
+    """Refuse an m-ary round whose substitution table, the largest array of
+    a round, would hold more than ``cap`` entries per side: n^(m+1) * m on
+    the dense path, n^m * m on the x0 = 0 path."""
+    power = m if origin else m + 1
+    if n**power * m > cap:
+        which = " (tuples with x0 = 0)" if origin else ""
+        raise CapExceededError(
+            f"refusing {m}-tuple substitution table of {n}**{power}*{m} entries{which} > cap {cap}"
+        )
+
+
 def tuple_strides(n: int, m: int) -> list[int]:
     """Row-major strides: tuple (x_0..x_{m-1}) has flat index sum(x_i * n^(m-1-i))."""
     return [n ** (m - 1 - i) for i in range(m)]
@@ -330,25 +339,12 @@ def tuple_digits(n: int, m: int) -> np.ndarray:
     return np.stack([(idx // s) % n for s in tuple_strides(n, m)])
 
 
-def _tuple_types(mats, digits: np.ndarray) -> list[np.ndarray]:
-    m = len(digits)
-    rows = [
-        np.stack([mat[digits[i], digits[j]] for i in range(m) for j in range(m)], axis=1)
-        for mat in mats
-    ]
-    inv, _ = _renumber_rows(_join(rows))
-    return np.split(inv, len(mats))
-
-
-def initial_tuple_colors(*mats: np.ndarray, m: int) -> list[np.ndarray]:
-    """Atomic types of m-tuples: the full matrix of pair colors (c(x_i, x_j))_{i,j}.
-
-    Diagonal colors encode equality of entries, so the index-equality
-    pattern is part of the type.  Several point sets are encoded through
-    one shared dictionary; the callers pre-map their colors so that
-    corresponding pair colors carry equal integers.
-    """
-    return _tuple_types(mats, tuple_digits(mats[0].shape[0], m))
+def origin_tuple_index(digits, n: int) -> np.ndarray:
+    """Index among the x0 = 0 tuples of the translate (0, x1 - x0, ...) of
+    each tuple given by its digits: m rows, as from ``tuple_digits``, or m
+    arrays that broadcast together."""
+    strides = tuple_strides(n, len(digits))
+    return sum(((digits[i] - digits[0]) % n) * strides[i] for i in range(1, len(digits)))
 
 
 def _put_substitutions(out: np.ndarray, colors: np.ndarray, digit: int) -> None:
@@ -374,6 +370,46 @@ def _substitution_table(colors: np.ndarray, n: int, m: int) -> np.ndarray:
     return out.reshape(m, -1).T
 
 
+def _tuple_layout(
+    mats, m: int, origin: bool
+) -> tuple[list[np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """The initial types of the m-tuples of (n, n) pair colorings, and the
+    builder of their substitution table, laid out as ``_substitution_table``.
+
+    A type is the matrix of pair colors (c(x_i, x_j))_{i,j}, whose diagonal
+    encodes the equality pattern, numbered in one dictionary for all sides
+    (callers pre-map corresponding colors to equal integers).  With
+    ``origin`` (every coloring translation invariant) only the tuples
+    (0, x1, ..., x_{m-1}) are laid out: tuple x has the color of entry
+    ``origin_tuple_index`` of x.  A substitution at slot i >= 1 keeps
+    x0 = 0, and one of a at slot 0 is read on (0, x1 - a, ..., x_{m-1} - a).
+    """
+    n = mats[0].shape[0]
+    count = n ** (m - origin)
+    digits = tuple_digits(n, m - origin)
+    if origin:
+        # slot0[t, a] indexes the translate of (a, x1, ...), for t the index of (0, x1, ...)
+        slot0 = origin_tuple_index([np.arange(n)[None, :], *digits[:, :, None]], n)
+        digits = [np.zeros(count, dtype=np.int64), *digits]
+
+    def table(colors):
+        if not origin:
+            return _substitution_table(colors, n, m)
+        slots = np.broadcast_to(colors, (m, count))
+        out = np.empty((m, count, n), dtype=slots.dtype)
+        out[0] = slots[0][slot0]
+        for i in range(1, m):  # slot i is digit i - 1 of (x1, ..., x_{m-1})
+            _put_substitutions(out[i], slots[i], i - 1)
+        return out.reshape(m, -1).T
+
+    rows = [
+        np.stack([mat[digits[i], digits[j]] for i in range(m) for j in range(m)], axis=1)
+        for mat in mats
+    ]
+    inits, _ = _renumber_rows(_join(rows))
+    return np.split(inits, len(mats)), table
+
+
 def _tuple_rounds(table: Callable[[np.ndarray], np.ndarray], n: int):
     """The m-ary round: a tuple's row is its color followed by the sorted ids
     of its n substitution rows, which ``table(colors)`` lists tuple by tuple."""
@@ -386,63 +422,18 @@ def _tuple_rounds(table: Callable[[np.ndarray], np.ndarray], n: int):
     return round_rows
 
 
-def refine_tuples(*inits: np.ndarray, n: int, m: int) -> tuple[list[np.ndarray], int] | None:
-    """m-ary WL refinement of flat colorings of Omega^m, in lockstep.
-
-    Returns the stable colorings with shared ids and their rank, or None
-    when the sides diverge.
+def refine_tuples(
+    *mats: np.ndarray, m: int, origin: bool = False
+) -> tuple[list[np.ndarray], int] | None:
+    """Exact m-ary WL refinement of (n, n) pair colorings in lockstep, on
+    the tuples of ``_tuple_layout``: the stable colorings with shared ids
+    and their rank, or None when the sides diverge.  A dense row equals the
+    row of its x0 = 0 translate, so with ``origin`` the ids and rank are the
+    dense ones, and every histogram is 1/n of the dense one, so the sides
+    diverge in the same round.
     """
-    return _refine(
-        [np.asarray(init, np.int64) for init in inits],
-        _tuple_rounds(lambda colors: _substitution_table(colors, n, m), n),
-    )
-
-
-def origin_tuple_index(digits, n: int) -> np.ndarray:
-    """Index among the x0 = 0 tuples of the translate (0, x1 - x0, ...) of
-    each tuple given by its digits: m rows, as from ``tuple_digits``, or m
-    arrays that broadcast together."""
-    strides = tuple_strides(n, len(digits))
-    return sum(((digits[i] - digits[0]) % n) * strides[i] for i in range(1, len(digits)))
-
-
-def refine_circulant_tuples(*mats: np.ndarray, m: int) -> tuple[list[np.ndarray], int] | None:
-    """m-ary WL refinement of translation-invariant (n, n) pair colorings on
-    the n^(m-1) tuples (0, x1, ..., x_{m-1}), in lockstep.
-
-    Translations fix every color, so tuple x has the color of entry
-    ``origin_tuple_index`` of x.  A substitution at slot i >= 1 keeps
-    x0 = 0, and one of a at slot 0 is read on (0, x1 - a, ..., x_{m-1} - a).
-    Each dense row equals the row of its translate, so the renumbering sees
-    the same distinct rows in the same order: the ids and rank are those of
-    ``refine_tuples`` on the dense tables, and every histogram is 1/n of
-    the dense one, so the sides diverge in the same round.
-    """
-    inits, table = _origin_layout(mats, m)
+    inits, table = _tuple_layout(mats, m, origin)
     return _refine(inits, _tuple_rounds(table, mats[0].shape[0]))
-
-
-def _origin_layout(mats, m: int) -> tuple[list[np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    """The initial types of the x0 = 0 tuples of each translation-invariant
-    pair coloring, and the builder of their substitution table, laid out as
-    ``_substitution_table`` lays out the dense one.  Like the dense builder
-    it fills the n^m * m table one slot (n^m entries) at a time; only the
-    x0 = 0 tuples' digits and the slot-0 translate index are kept."""
-    n = mats[0].shape[0]
-    count = n ** (m - 1)
-    digits = tuple_digits(n, m - 1)  # x1, ..., x_{m-1} of the x0 = 0 tuples
-    # slot0[t, a] indexes the translate of (a, x1, ...), for t the index of (0, x1, ...)
-    slot0 = origin_tuple_index([np.arange(n)[None, :], *digits[:, :, None]], n)
-
-    def table(colors):
-        slots = np.broadcast_to(colors, (m, count))
-        out = np.empty((m, count, n), dtype=slots.dtype)
-        out[0] = slots[0][slot0]
-        for i in range(1, m):  # slot i is digit i - 1 of (x1, ..., x_{m-1})
-            _put_substitutions(out[i], slots[i], i - 1)
-        return out.reshape(m, -1).T
-
-    return _tuple_types(mats, [np.zeros(count, dtype=np.int64), *digits]), table
 
 
 def _slot_weights(rng: random.Random, m: int, rank: int) -> np.ndarray:
@@ -466,30 +457,21 @@ def _scramble(x: np.ndarray) -> np.ndarray:
 def close_tuples(
     *mats: np.ndarray, m: int, origin: bool = False
 ) -> tuple[list[np.ndarray], int] | None:
-    """m-ary WL refinement of (n, n) pair colorings in lockstep, on their
-    dense m-tuples or, with ``origin`` (every coloring translation
-    invariant), on their x0 = 0 tuples: the stable colorings with shared,
-    arbitrary ids and their rank, or None when the sides diverge.
+    """``refine_tuples`` with arbitrary ids: the same verdict, rank and
+    joint partition, on the same layout.
 
     Each round is hashed: tuple x gets one int64 key, its color above the
     top bits of the wrapping uint64 sum over a of a scrambled mix
     sum_i w_i[c(x_{i<-a})] of its substitution row, with the same slot
-    weights w on every side; the rows come from the same table builder as
-    the exact round's.  A key depends only on the color and the exact
-    signature in the shared ids, so every hashed partition coarsens the
-    exact one alike on every side.  Where ``_refine`` stops, one exact
+    weights w on every side.  A key depends only on the color and the
+    exact signature in the shared ids, so every hashed partition coarsens
+    the exact one alike on every side.  Where ``_refine`` stops, one exact
     round (``_tuple_rounds``) on all sides certifies the fixpoint; if it
     splits a class, hashing resumes from its ids, whose histograms
-    ``_refine`` compares first.  So the answer, the rank and the joint
-    partition are those of the exact lockstep, and a None is never early
-    or late.
+    ``_refine`` compares first, so a None is never early or late.
     """
     n = mats[0].shape[0]
-    if origin:
-        inits, table = _origin_layout(mats, m)
-    else:
-        inits = initial_tuple_colors(*mats, m=m)
-        table = lambda colors: _substitution_table(colors, n, m)
+    inits, table = _tuple_layout(mats, m, origin)
     rng = random.Random(0)
 
     def round_rows(sides, rank):

@@ -9,7 +9,9 @@ dictionary and comparing histograms each round, except for a bijection
 that a point map known in advance induces (``algebra._induced_by_known_map``).
 The lockstep rounds are hashed (``refine.close_tuples``) and their
 fixpoint is certified by one exact round; a single refinement keeps the
-exact rounds, whose ids are independent of the input numbering.
+exact rounds (``refine.refine_tuples``), whose ids are independent of the
+input numbering.  Both run on the x0 = 0 tuples when every side is
+translation invariant.
 
 The pebble-game oracle is an independent implementation of the same
 equivalence for tiny instances: an exact greatest-fixpoint computation of
@@ -25,18 +27,20 @@ from itertools import product
 
 import numpy as np
 
-from .algebra import _induced_by_known_map, _row
+from .algebra import _induced_by_known_map
 from .circulant import close_labels
-from .core import CoherentConfig, is_translation_invariant
+from .core import CoherentConfig, _row, is_translation_invariant
 from .refine import (
     DEFAULT_TUPLE_CAP,
     CapExceededError,
     InvariantError,
+    _check_substitution_table,
+    _refine,
+    _substitution_table,
+    _tuple_rounds,
     close_pairs,
     close_tuples,
-    initial_tuple_colors,
     origin_tuple_index,
-    refine_circulant_tuples,
     refine_tuples,
     tuple_digits,
     tuple_strides,
@@ -84,40 +88,13 @@ class MAryConfig:
     rank: int
 
 
-def _check_substitution_table(n: int, m: int, cap: int, origin: bool = False) -> None:
-    """Refuse an m-ary round whose substitution table, the largest array of
-    a round, would hold more than ``cap`` entries per side: n^(m+1) * m on
-    the dense path, n^m * m on the x0 = 0 path."""
-    power = m if origin else m + 1
-    if n**power * m > cap:
-        which = " (tuples with x0 = 0)" if origin else ""
-        raise CapExceededError(
-            f"refusing {m}-tuple substitution table of {n}**{power}*{m} entries{which} > cap {cap}"
-        )
-
-
-def _refine_m_ary(mats: list[np.ndarray], m: int, origin: bool) -> tuple[list[np.ndarray], int] | None:
-    """m-ary refinement of pair colorings in lockstep.  When ``origin`` says
-    every coloring is translation invariant, they are refined on their
-    tuples with x0 = 0 (the returned arrays then hold n^(m-1) colors).  Two
-    or more sides run the hashed lockstep ``close_tuples``, whose ids are
-    arbitrary; one side runs exact rounds, whose ids match the dense
-    round's either way.  The caller has held the substitution table to its
-    cap (``_check_substitution_table``)."""
-    if len(mats) > 1:
-        return close_tuples(*mats, m=m, origin=origin)
-    if origin:
-        return refine_circulant_tuples(*mats, m=m)
-    return refine_tuples(*initial_tuple_colors(*mats, m=m), n=mats[0].shape[0], m=m)
-
-
 def wl_m_refine(cc: CoherentConfig, m: int, cap: int = DEFAULT_TUPLE_CAP) -> MAryConfig:
     """Stable m-ary refinement of a coherent configuration, m >= 2."""
     if m < 2:
         raise ValueError("m-ary refinement needs m >= 2")
     origin = _row(cc) is not None
     _check_substitution_table(cc.n, m, cap, origin)
-    [colors], rank = _refine_m_ary([cc.colors], m, origin)
+    [colors], rank = refine_tuples(cc.colors, m=m, origin=origin)
     if origin:  # a translate of x has the color of x
         # entry (a, t) is the tuple (a, x1, ...), for t the index of (0, x1, ...)
         low = tuple_digits(cc.n, m - 1)[:, None, :]
@@ -176,7 +153,7 @@ def validate_m_ary(mc: MAryConfig) -> bool:
             if len(np.unique(img[colors == c])) > 1:
                 return False
     # stability: one more refinement round must not split
-    _, rank = refine_tuples(colors, n=n, m=m)
+    _, rank = _refine([colors], _tuple_rounds(lambda c: _substitution_table(c, n, m), n))
     return rank == mc.rank
 
 
@@ -215,7 +192,7 @@ def wl_m_equivalent(
     if _induced_by_known_map(cc_a, cc_b, cmap):
         return True
     inverse = np.argsort(cmap)
-    return _refine_m_ary([cc_a.colors, inverse[cc_b.colors]], m, origin) is not None
+    return close_tuples(cc_a.colors, inverse[cc_b.colors], m=m, origin=origin) is not None
 
 
 # -- the bijective pebble game ---------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import circulantwl
-from circulantwl import algebra, circulant, dimension
+from circulantwl import algebra, circulant, core, dimension
 from circulantwl.algebra import (
     AlgebraicIso,
     enumerate_algebraic_isos,
@@ -156,7 +156,7 @@ def test_the_dense_view_of_a_canonical_row_equals_the_canonicalised_one(orders, 
             assert np.array_equal(seeded.representative, built.representative)
             assert np.array_equal(seeded.valencies, built.valencies)
             assert np.array_equal(intersection_tensor(seeded), intersection_tensor(built))
-            assert np.array_equal(algebra._row(seeded), algebra._row(built))
+            assert np.array_equal(core._row(seeded), core._row(built))
             assert not seeded.colors.flags.writeable
             checked += 1
     assert checked == count

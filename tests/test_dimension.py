@@ -64,6 +64,14 @@ def test_order_one_graph():
     assert enumerate_graphs(1).graphs == [frozenset()]
 
 
+def test_corpora_refuse_orders_below_1():
+    # Z_n has no points below order 1, so no graph and no scheme
+    for enumerate_corpus in (enumerate_graphs, enumerate_schemes):
+        for n in (0, -3):
+            with pytest.raises(ValueError, match=f"enumeration needs an order >= 1, got {n}$"):
+                enumerate_corpus(n)
+
+
 @pytest.mark.parametrize("n", range(1, 21))
 def test_graph_counts_match_burnside(n):
     graphs = enumerate_graphs(n).graphs

@@ -650,6 +650,9 @@ def test_unusable_scheme_cache_fails_cleanly(make, why, tmp_path, monkeypatch, c
         ([[[True, 2, 3, 4, 5]]], "a class must be a list of integers, not [True, 2, 3, 4, 5]"),
         # a set would drop the repeat and read the trivial scheme
         ([[[1, 1, 2, 3, 4, 5]]], "connection classes overlap: 1 appears more than once"),
+        # every order >= 2 has the trivial and the discrete scheme
+        ([], "does not start trivial and end discrete"),
+        ([[[1, 2, 3, 4, 5]], [[1, 5], [2, 4], [3]]], "does not start trivial and end discrete"),
     ],
     ids=[
         "entry-past-n",
@@ -659,6 +662,8 @@ def test_unusable_scheme_cache_fails_cleanly(make, why, tmp_path, monkeypatch, c
         "float-entry",
         "bool-entry",
         "repeat-in-class",
+        "empty",
+        "no-discrete",
     ],
 )
 def test_scheme_cache_outside_the_corpus_is_rejected(schemes, why, tmp_path, monkeypatch, capsys):
@@ -784,6 +789,10 @@ def test_main_past_the_graph_cap_runs_no_order(argv, cap, monkeypatch, capsys):
         ("validate", "validate needs --scheme, --graph or --config"),
         ("multiplier --graph n=8;S=1,7 --phi {}", '--phi takes {"map": [color permutation]}'),
         ("multiplier --graph n=8;S=1,7 --phi [1]", '--phi takes {"map": [color permutation]}'),
+        # read with int(), each of these would be the identity of the pentagon's scheme
+        ('multiplier --graph n=5;S=1,4 --phi {"map":"012"}', '--phi takes {"map": [color'),
+        ('multiplier --graph n=5;S=1,4 --phi {"map":[0.0,1.5,2]}', '--phi takes {"map": [color'),
+        ('multiplier --graph n=5;S=1,4 --phi {"map":[false,true,2]}', '--phi takes {"map": [color'),
         (
             'multiplier --graph n=8;S=1,7 --phi {"map":[0,2,1,3,4]}',
             "--phi is not an algebraic automorphism of the scheme",

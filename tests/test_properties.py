@@ -51,11 +51,9 @@ from circulantwl.core import (
 from circulantwl.dimension import enumerate_graphs, enumerate_schemes
 from circulantwl.refine import (
     close_pairs,
-    initial_tuple_colors,
     origin_tuple_index,
     InvariantError,
     refine_circulant,
-    refine_circulant_tuples,
     refine_tuples,
     tuple_digits,
 )
@@ -192,8 +190,8 @@ def test_lockstep_refinement_symmetric():
             assert rank == single_rank
             assert np.array_equal(ma, mb) and np.array_equal(ma, single)
         n = len(init)
-        (ta, tb), rank = refine_tuples(*initial_tuple_colors(init, init, m=3), n=n, m=3)
-        [single], single_rank = refine_tuples(*initial_tuple_colors(init, m=3), n=n, m=3)
+        (ta, tb), rank = refine_tuples(init, init, m=3)
+        [single], single_rank = refine_tuples(init, m=3)
         assert rank == single_rank
         assert np.array_equal(ta, tb) and np.array_equal(ta, single)
 
@@ -285,7 +283,7 @@ def test_partition_closure_matches_dense_closure():
 
 
 def _x0_refinement_expanded(mats, n, m):
-    res = refine_circulant_tuples(*mats, m=m)
+    res = refine_tuples(*mats, m=m, origin=True)
     if res is None:
         return None
     sides, rank = res
@@ -299,7 +297,7 @@ def test_x0_refinement_matches_dense_refinement():
     for n in range(2, 10):
         for X in enumerate_schemes(n).schemes:
             for m in (2, 3, 4) if n <= 8 else (2, 3):
-                [dense], rank = refine_tuples(*initial_tuple_colors(X.cc.colors, m=m), n=n, m=m)
+                [dense], rank = refine_tuples(X.cc.colors, m=m)
                 [reduced], reduced_rank = _x0_refinement_expanded([X.cc.colors], n, m)
                 assert reduced_rank == rank and np.array_equal(reduced, dense), (n, m, X.rank)
                 checked += 1
@@ -330,7 +328,7 @@ def test_x0_lockstep_diverges_exactly_when_dense_does():
                 inverse = np.argsort(cmap)
                 mats = (X.cc.colors, inverse[X.cc.colors])
                 for m in (2, 3):
-                    dense = refine_tuples(*initial_tuple_colors(*mats, m=m), n=n, m=m)
+                    dense = refine_tuples(*mats, m=m)
                     reduced = _x0_refinement_expanded(mats, n, m)
                     assert (reduced is None) == (dense is None), (n, cmap, m)
                     if dense is not None:
@@ -353,8 +351,8 @@ def test_lockstep_refinement_separates_rook_from_shrikhande(rook_and_shrikhande)
     (phi,) = enumerate_algebraic_isos(rook, shrikhande)
     inverse = phi.inverse().array
     for m, diverges in ((2, False), (3, True)):
-        inits = initial_tuple_colors(rook.colors, inverse[shrikhande.colors], m=m)
-        assert (refine_tuples(*inits, n=16, m=m) is None) == diverges
+        mats = (rook.colors, inverse[shrikhande.colors])
+        assert (refine_tuples(*mats, m=m) is None) == diverges
 
 
 def test_quasinormal_sections_decompose_into_controlled_factors(schemes_up_to_16):

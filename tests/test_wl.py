@@ -37,10 +37,8 @@ from circulantwl.refine import (
     InvariantError,
     close_pairs,
     close_tuples,
-    initial_tuple_colors,
     normalize_colors,
     refine_circulant,
-    refine_circulant_tuples,
     refine_tuples,
 )
 from circulantwl.wl import (
@@ -235,6 +233,36 @@ def test_three_ary_on_trivial_distinguishes_equality_patterns_only():
     # patterns on 3-tuples: aaa, aab, aba, abb(=baa shape), abc
     assert mc.rank == 5
     assert validate_m_ary(mc)
+
+
+def _atomic_types(cc: CoherentConfig, m: int) -> MAryConfig:
+    """The m-tuples colored by their matrix of pair colors, numbered by
+    ``np.unique``: each class has one equality pattern, and the type of
+    every substituted tuple is read off the type."""
+    digits = refine.tuple_digits(cc.n, m)
+    rows = np.stack([cc.colors[digits[i], digits[j]] for i in range(m) for j in range(m)], axis=1)
+    types = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+    return MAryConfig(m=m, n=cc.n, color_of=types, rank=int(types.max()) + 1)
+
+
+def test_m_ary_validation_fails_each_condition(monkeypatch, rook_and_shrikhande):
+    # one color on the pairs of 3 points is closed and stable, but mixes
+    # the equality patterns of (a, a) and (a, b)
+    assert not validate_m_ary(MAryConfig(m=2, n=3, color_of=np.zeros(9, dtype=np.int64), rank=1))
+    # the 3-ary atomic types keep the patterns and are closed; one more
+    # round splits Shrikhande's 15 types into 31 and leaves rook's
+    rook, shrikhande = rook_and_shrikhande
+    assert validate_m_ary(_atomic_types(rook, 3))
+    assert not validate_m_ary(_atomic_types(shrikhande, 3))
+    # the diagonal, the pairs (0, b) and the rest keep the patterns, but the
+    # converses of the rest span both off-diagonal classes.  No stable pair
+    # coloring of 2 or 3 points with constant patterns fails the closure
+    # alone, so the case is also refused with the round stubbed to split nothing
+    split = MAryConfig(m=2, n=3, color_of=np.array([0, 1, 1, 2, 0, 2, 2, 2, 0]), rank=3)
+    assert not validate_m_ary(split)
+    monkeypatch.setattr(wl, "_refine", lambda inits, rows: (inits, len(np.unique(inits[0]))))
+    assert validate_m_ary(_atomic_types(shrikhande, 3))
+    assert not validate_m_ary(split)
 
 
 def test_projection_identity_and_coherence():
@@ -782,10 +810,12 @@ def test_m_ary_rounds_take_the_x0_path_on_circulant_input(monkeypatch, rook_and_
 
 
 def _spy_on_the_m_ary_engine(monkeypatch) -> list[int]:
-    """The m of every call that reaches ``wl._refine_m_ary``, in order."""
-    reached, engine = [], wl._refine_m_ary
+    """The m of every call that reaches ``wl.close_tuples``, in order."""
+    reached, engine = [], wl.close_tuples
     monkeypatch.setattr(
-        wl, "_refine_m_ary", lambda mats, m, origin: reached.append(m) or engine(mats, m, origin)
+        wl,
+        "close_tuples",
+        lambda *mats, m, origin: reached.append(m) or engine(*mats, m=m, origin=origin),
     )
     return reached
 
@@ -822,7 +852,7 @@ def test_maps_a_known_point_map_induces_pass_the_m_ary_lockstep(schemes_up_to_13
                     continue
                 inverse = np.argsort(cmap)
                 for m in (2, 3):
-                    assert wl._refine_m_ary([a.colors, inverse[b.colors]], m, True) is not None
+                    assert close_tuples(a.colors, inverse[b.colors], m=m, origin=True) is not None
                 checked += 1
     assert checked == 527  # 175 self maps of 179, and 352 unit maps X -> Y
 
@@ -906,9 +936,7 @@ def _constant_slot_weights(rng, m, rank):
 def _exact_tuple_lockstep(mats, m, origin):
     """The exact m-ary lockstep engine of the path, on the inputs that
     ``close_tuples`` takes."""
-    if origin:
-        return refine_circulant_tuples(*mats, m=m)
-    return refine_tuples(*initial_tuple_colors(*mats, m=m), n=len(mats[0]), m=m)
+    return refine_tuples(*mats, m=m, origin=origin)
 
 
 def test_hashed_tuple_lockstep_matches_the_exact_engines(monkeypatch, rook_and_shrikhande):
@@ -964,7 +992,7 @@ def test_tuple_keys_keep_36_hash_bits_at_every_rank_the_tuple_cap_admits():
         n = 1
         while True:
             try:
-                wl._check_substitution_table(n + 1, m, DEFAULT_TUPLE_CAP, origin)
+                refine._check_substitution_table(n + 1, m, DEFAULT_TUPLE_CAP, origin)
             except CapExceededError:
                 return n
             n += 1
@@ -1097,7 +1125,7 @@ def test_pebble_game_agrees_with_the_m_ary_engine(schemes_up_to_13):
     verdicts = []
     for cc, cmap in [*cases, (z8, _swap_1_2(z8))]:
         inverse = np.argsort(cmap)
-        refined = wl._refine_m_ary([cc.colors, inverse[cc.colors]], 2, True) is not None
+        refined = close_tuples(cc.colors, inverse[cc.colors], m=2, origin=True) is not None
         assert pebble_game_oracle(cc, cc, cmap, 2).full_support == refined
         verdicts.append(refined)
     assert verdicts == [True] * len(cases) + [False]
