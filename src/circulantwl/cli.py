@@ -280,6 +280,11 @@ def _per_map(args, out, line) -> int:
 
 
 def _cmd_wlm(args, out) -> int:
+    if args.m < 2:
+        raise io.FormatError(f"--m takes an m >= 2, got {args.m}")
+    if args.tuple_cap < 1:
+        raise io.FormatError(f"--tuple-cap takes a cap >= 1, got {args.tuple_cap}")
+
     def line(a, b, phi):
         verdict = wl.wl_m_equivalent(a, b, phi.color_map, args.m, cap=args.tuple_cap)
         return f" m={args.m} equivalent={verdict}"

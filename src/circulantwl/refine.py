@@ -20,9 +20,12 @@ same distinct rows as their dense forms, so they produce the dense ids.
 The pair closure ``close_pairs`` and the m-ary lockstep ``close_tuples``
 key each pair or tuple by its color above a hash of its signature, so
 their ids are arbitrary, for callers that canonicalize or only ask for
-the verdict.  Where ``_refine`` stops, an exact check certifies the
-fixpoint (``_unstable_pairs``, or one exact m-tuple round), and a
-partition that fails takes one joint exact round and refining resumes.
+the verdict.  Where ``_refine`` stops, an exact comparison with each
+color's first pair or tuple certifies the fixpoint (``_unstable_pairs``,
+``_unstable_tuples``).  A pair partition that fails takes one joint exact
+round; a tuple class that fails is split by the comparison itself.
+Either way refining resumes.  The lockstep streams its tables: each
+hashed round and the certification build one chunk of tuples at a time.
 """
 
 from __future__ import annotations
@@ -55,6 +58,21 @@ class InvariantError(AssertionError):
     under ``python -O``, where ``assert`` statements are removed."""
 
 
+def _pack_rows(rows: np.ndarray, low: int, bits: int) -> np.ndarray:
+    """(count, keys) int64 keys of the rows of a 2-D integer array whose
+    entries lie in [low, low + 2**bits): 63 // bits entries to a key, most
+    significant first, so that comparing keys in order compares rows."""
+    per = 63 // bits
+    if low:
+        rows = rows - low
+    weights = np.left_shift(1, np.arange(per - 1, -1, -1, dtype=np.int64) * bits)
+    keys = np.empty((len(rows), -(-rows.shape[1] // per)), dtype=np.int64)
+    for j, a in enumerate(range(0, rows.shape[1], per)):
+        block = rows[:, a : a + per]
+        keys[:, j] = block @ weights[per - block.shape[1] :]
+    return keys
+
+
 def _renumber_rows(rows: np.ndarray) -> tuple[np.ndarray, int]:
     """Contiguous ids of the rows of a 2-D integer array in ascending
     lexicographic order, and their count: the inverse and count of
@@ -72,15 +90,8 @@ def _renumber_rows(rows: np.ndarray) -> tuple[np.ndarray, int]:
     if rows.size:  # an empty table has no minimum
         low = int(rows.min())
         bits = max((int(rows.max()) - low).bit_length(), 1)
-        per = 63 // bits
-        if per > 1:
-            if low:
-                rows = rows - low
-            weights = np.left_shift(1, np.arange(per - 1, -1, -1, dtype=np.int64) * bits)
-            keys = np.empty((count, -(-width // per)), dtype=np.int64)
-            for j, a in enumerate(range(0, width, per)):
-                block = rows[:, a : a + per]
-                keys[:, j] = block @ weights[per - block.shape[1] :]
+        if 63 // bits > 1:
+            keys = _pack_rows(rows, low, bits)
             if keys.shape[1] == 1 and (top := int(keys.max())) < COUNTING_RANGE * count:
                 seen = np.cumsum(np.bincount(keys[:, 0], minlength=top + 1) > 0)
                 return seen[keys[:, 0]] - 1, int(seen[-1])
@@ -317,9 +328,10 @@ def _refine_row_stack(stack: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray,
 
 
 def _check_substitution_table(n: int, m: int, cap: int, origin: bool = False) -> None:
-    """Refuse an m-ary round whose substitution table, the largest array of
-    a round, would hold more than ``cap`` entries per side: n^(m+1) * m on
-    the dense path, n^m * m on the x0 = 0 path."""
+    """Refuse an m-ary round whose substitution table would hold more than
+    ``cap`` entries per side: n^(m+1) * m on the dense path, n^m * m on the
+    x0 = 0 path.  The exact rounds build that table whole; the lockstep
+    streams it, so there the cap bounds a round's work."""
     power = m if origin else m + 1
     if n**power * m > cap:
         which = " (tuples with x0 = 0)" if origin else ""
@@ -333,10 +345,19 @@ def tuple_strides(n: int, m: int) -> list[int]:
     return [n ** (m - 1 - i) for i in range(m)]
 
 
+def _place(n: int, m: int) -> np.ndarray:
+    """``tuple_strides`` as an (m, 1) array."""
+    return np.array(tuple_strides(n, m), dtype=np.int64).reshape(m, 1)
+
+
+def _digits(idx: np.ndarray, n: int, m: int) -> np.ndarray:
+    """(m, len(idx)) array: the m base-n digits of each flat index."""
+    return idx // _place(n, m) % n
+
+
 def tuple_digits(n: int, m: int) -> np.ndarray:
     """(m, n^m) array: digits[i, t] is entry i of the tuple with flat index t."""
-    idx = np.arange(n**m, dtype=np.int64)
-    return np.stack([(idx // s) % n for s in tuple_strides(n, m)])
+    return _digits(np.arange(n**m, dtype=np.int64), n, m)
 
 
 def origin_tuple_index(digits, n: int) -> np.ndarray:
@@ -347,67 +368,133 @@ def origin_tuple_index(digits, n: int) -> np.ndarray:
     return sum(((digits[i] - digits[0]) % n) * strides[i] for i in range(1, len(digits)))
 
 
-def _put_substitutions(out: np.ndarray, colors: np.ndarray, digit: int) -> None:
-    """Fill ``out``, of shape (len(colors), n), with the color of each tuple
-    t (a flat index of base-n digits) whose digit ``digit``, counted from
-    the most significant, is replaced by a, for a = 0..n-1.  That color
-    does not depend on the digit replaced, so it is one broadcast copy of
-    ``colors``, with no index array."""
-    n = out.shape[1]
-    high = n**digit
-    low = len(colors) // (high * n)
-    out.reshape(high, n, low, n)[...] = colors.reshape(high, n, low).transpose(0, 2, 1)[:, None]
+def _substituted(colors: np.ndarray, n: int, stride: int) -> np.ndarray:
+    """One slot's (len(colors), n) substitution column, as a view of
+    ``colors`` that broadcasts onto the column reshaped to (-1, n, stride,
+    n): entry (t, a) is the color of tuple t (a flat index) with its digit
+    of place value ``stride`` replaced by a.  That color does not depend on
+    the digit replaced, so it needs no copy and no index array."""
+    return colors.reshape(-1, n, stride).transpose(0, 2, 1)[:, None]
 
 
 def _substitution_table(colors: np.ndarray, n: int, m: int) -> np.ndarray:
-    """(N*n, m) rows: row (t, a) holds colors of x_{i<-a} for i = 0..m-1.
-    Given an (m, N) stack, slot i reads row i.  The table is stored slot
-    by slot, so that each slot's column is one contiguous array."""
-    slots = np.broadcast_to(colors, (m, n**m))
-    out = np.empty((m, n**m, n), dtype=slots.dtype)
+    """(N*n, m) rows: row (t, a) holds colors of x_{i<-a} for i = 0..m-1,
+    where the N tuples are blocks of n^m (one for a whole table), each
+    substituted in its own m digits.  Given an (m, N) stack, slot i reads
+    row i.  The table is stored slot by slot, so that each slot's column is
+    one contiguous array."""
+    slots = colors if np.ndim(colors) == 2 else np.broadcast_to(colors, (m, len(colors)))
+    out = np.empty((m, slots.shape[1], n), dtype=slots.dtype)
     for i in range(m):
-        _put_substitutions(out[i], slots[i], i)
-    return out.reshape(m, -1).T
+        stride = n ** (m - 1 - i)
+        out[i].reshape(-1, n, stride, n)[...] = _substituted(slots[i], n, stride)
+    return out.reshape(m, slots.shape[1] * n).T
 
 
-def _tuple_layout(
-    mats, m: int, origin: bool
-) -> tuple[list[np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    """The initial types of the m-tuples of (n, n) pair colorings, and the
-    builder of their substitution table, laid out as ``_substitution_table``.
+def _tuple_layout(mats, m: int, origin: bool):
+    """The initial types of the m-tuples of (n, n) pair colorings, the
+    builder of their substitution rows, and the chunks that cover them.
 
     A type is the matrix of pair colors (c(x_i, x_j))_{i,j}, whose diagonal
     encodes the equality pattern, numbered in one dictionary for all sides
-    (callers pre-map corresponding colors to equal integers).  With
+    (callers pre-map corresponding colors to equal integers) in the order
+    of its rows, which are packed into int64 keys a chunk at a time.  With
     ``origin`` (every coloring translation invariant) only the tuples
     (0, x1, ..., x_{m-1}) are laid out: tuple x has the color of entry
-    ``origin_tuple_index`` of x.  A substitution at slot i >= 1 keeps
-    x0 = 0, and one of a at slot 0 is read on (0, x1 - a, ..., x_{m-1} - a).
+    ``origin_tuple_index`` of x.  On either layout slot i >= origin
+    substitutes the digit of place value n^(m-1-i), and slot 0 of the
+    x0 = 0 layout reads (a, x1, ...) on (0, x1 - a, ..., x_{m-1} - a).
+
+    One builder, ``columns(stack, prefixes, j)``, yields each slot's
+    substitution column for the blocks of n^j tuples whose leading digits
+    read ``prefixes``, with slot i reading row i of the (m, N) ``stack``:
+    for each such tuple t and each a, stack[i][c(t_{i<-a})].  A trailing
+    slot substitutes inside its block, a leading one reads the block whose
+    prefix has that digit replaced.  ``sums(stack, prefixes, j)`` adds the
+    columns up; ``table(colors)`` lays out the one whole block's columns as
+    ``_substitution_table``, which it is on the dense path.  Each chunk is
+    (prefixes, j, span), a run of whole blocks covering the tuples
+    ``span``, with j as large as lets a chunk's table hold at most
+    ``STACK_ENTRIES`` entries.
     """
     n = mats[0].shape[0]
-    count = n ** (m - origin)
-    digits = tuple_digits(n, m - origin)
-    if origin:
-        # slot0[t, a] indexes the translate of (a, x1, ...), for t the index of (0, x1, ...)
-        slot0 = origin_tuple_index([np.arange(n)[None, :], *digits[:, :, None]], n)
-        digits = [np.zeros(count, dtype=np.int64), *digits]
+    width = m - origin  # the digits of a tuple's index
+    count = n**width
+    j = width
+    while j and n ** (j + 1) * m > STACK_ENTRIES:
+        j -= 1
+    block, blocks = n**j, n ** (width - j)
+    step = max(1, STACK_ENTRIES // (n ** (j + 1) * m))
+    chunks = [
+        (np.arange(p, min(p + step, blocks)), j, slice(p * block, min(p + step, blocks) * block))
+        for p in range(0, blocks, step)
+    ]
+    alphas, fixed = np.arange(n, dtype=np.int64), {}
+
+    def translated(digits):
+        """(g, n): for g tuples' k given digits and each a, those digits'
+        part of the index of the translate (0, x1 - a, ...) that slot 0 of
+        the x0 = 0 layout reads."""
+        part = origin_tuple_index([alphas, *digits[:, :, None]], n)
+        return np.zeros((digits.shape[1], n), dtype=np.int64) + part
+
+    def columns(stack, prefixes, j):
+        block, lead = n**j, width - j
+        # the leading digits' place values and slot 0's in-block part, kept
+        # for chunks but not for a whole table, where it is one slot's worth
+        values, inside = fixed.get(j) or (_place(n, lead), origin and translated(_digits(np.arange(block), n, j)))
+        if block * n <= STACK_ENTRIES:
+            fixed[j] = values, inside
+        digits = prefixes // values % n
+        own = stack[m - j :]  # the blocks' own values, which slots m-j..m-1 read
+        if lead:
+            own = own.reshape(j, count // block, block)[:, prefixes].reshape(j, len(prefixes) * block)
+        if origin:  # slot 0 reads translates; slots m-j.. are in-block digits, not the dense table
+            yield 0, stack[0][inside + translated(digits)[:, None, :] * block if lead else inside]
+            for r in range(j):
+                stride = n ** (j - 1 - r)
+                view = _substituted(own[r], n, stride)
+                yield m - j + r, np.broadcast_to(view, (len(view), n, stride, n))
+        elif j:
+            yield from zip(range(m - j, m), _substitution_table(own, n, j).T)
+        if lead:  # slots origin..m-j-1 read the blocks with that digit of the prefix replaced
+            rows = prefixes[:, None] + (alphas - digits[:, :, None]) * values[:, :, None]
+            slots = np.arange(lead)[:, None, None]
+            read = stack[origin : m - j].reshape(lead, -1, block)[slots, rows]
+            yield from zip(range(origin, m - j), read.transpose(0, 1, 3, 2))
+
+    # a column is an array or broadcast view whose entries in C order are
+    # the column's; the first is a new array, which sums adds into, unless
+    # every slot leads, and then it is copied
+    def sums(stack, prefixes, j):
+        parts = columns(stack, prefixes, j)
+        out = np.ascontiguousarray(next(parts)[1])
+        for _, part in parts:
+            view = out.reshape(part.shape)
+            view += part
+        return out.reshape(-1)
 
     def table(colors):
-        if not origin:
+        if not origin:  # one array already; its columns would be copied
             return _substitution_table(colors, n, m)
-        slots = np.broadcast_to(colors, (m, count))
-        out = np.empty((m, count, n), dtype=slots.dtype)
-        out[0] = slots[0][slot0]
-        for i in range(1, m):  # slot i is digit i - 1 of (x1, ..., x_{m-1})
-            _put_substitutions(out[i], slots[i], i - 1)
-        return out.reshape(m, -1).T
+        out = np.empty((m, count * n), dtype=colors.dtype)
+        for i, part in columns(np.broadcast_to(colors, (m, count)), np.zeros(1, dtype=np.int64), width):
+            out[i].reshape(part.shape)[...] = part
+        return out.T
 
-    rows = [
-        np.stack([mat[digits[i], digits[j]] for i in range(m) for j in range(m)], axis=1)
-        for mat in mats
-    ]
-    inits, _ = _renumber_rows(_join(rows))
-    return np.split(inits, len(mats)), table
+    low = min(int(mat.min()) for mat in mats)
+    bits = max((max(int(mat.max()) for mat in mats) - low).bit_length(), 1)
+    flats = [np.ascontiguousarray(mat).ravel() for mat in mats]
+    keys = np.empty((len(mats), count, -(-m * m // (63 // bits))), dtype=np.int64)
+    for _, _, span in chunks:
+        x = _digits(np.arange(span.start, span.stop, dtype=np.int64), n, width)
+        if origin:
+            x = np.concatenate([np.zeros_like(x[:1]), x])
+        cells = (x[:, None] * n + x[None]).reshape(m * m, -1).T  # pair (x_a, x_b) at column a*m + b
+        for side, flat in zip(keys, flats):
+            side[span] = _pack_rows(flat[cells], low, bits)
+    inits, _ = _renumber_rows(keys.reshape(-1, keys.shape[2]))
+    return np.split(inits, len(mats)), table, sums, chunks
 
 
 def _tuple_rounds(table: Callable[[np.ndarray], np.ndarray], n: int):
@@ -426,13 +513,14 @@ def refine_tuples(
     *mats: np.ndarray, m: int, origin: bool = False
 ) -> tuple[list[np.ndarray], int] | None:
     """Exact m-ary WL refinement of (n, n) pair colorings in lockstep, on
-    the tuples of ``_tuple_layout``: the stable colorings with shared ids
-    and their rank, or None when the sides diverge.  A dense row equals the
-    row of its x0 = 0 translate, so with ``origin`` the ids and rank are the
-    dense ones, and every histogram is 1/n of the dense one, so the sides
-    diverge in the same round.
+    the tuples of ``_tuple_layout``, each round on whole substitution
+    tables: the stable colorings with shared ids and their rank, or None
+    when the sides diverge.  A dense row equals the row of its x0 = 0
+    translate, so with ``origin`` the ids and rank are the dense ones, and
+    every histogram is 1/n of the dense one, so the sides diverge in the
+    same round.
     """
-    inits, table = _tuple_layout(mats, m, origin)
+    inits, table, _, _ = _tuple_layout(mats, m, origin)
     return _refine(inits, _tuple_rounds(table, mats[0].shape[0]))
 
 
@@ -446,49 +534,101 @@ def _scramble(x: np.ndarray) -> np.ndarray:
     """The finalizer of splitmix64, in place on a uint64 array: a bijection
     of 64-bit words that is far from additive, so that a sum of scrambled
     row weights keeps the multiset of rows, not only each slot's colors."""
-    x ^= x >> np.uint64(30)
+    shifted = x >> np.uint64(30)  # one temporary for the three shifts
+    x ^= shifted
     x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
+    x ^= np.right_shift(x, np.uint64(27), out=shifted)
     x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
+    x ^= np.right_shift(x, np.uint64(31), out=shifted)
     return x
+
+
+def _unstable_tuples(
+    sides: list[np.ndarray], rank: int, m: int, n: int, sums, chunks
+) -> list[np.ndarray]:
+    """Per side, the mask of the tuples whose sorted substitution rows
+    differ from those of the first tuple of their color on side 0, in
+    which every color occurs: no tuple is marked exactly when the joint
+    coloring is stable.  Like ``_unstable_pairs``, it compares one chunk
+    of ``_tuple_layout`` at a time with the rows of its colors' first
+    tuples, built for that chunk, never a whole table.  A row's m ids are
+    packed as ``_pack_rows`` packs them, 63 // bits to a key column, by
+    summing shifted ids slot by slot, so rows compare exactly at every
+    rank."""
+    bits = max((rank - 1).bit_length(), 1)
+    per = 63 // bits
+
+    def packed(side):  # per key column, the (m, N) stack of its slots' shifted ids
+        stacks = np.zeros((-(-m // per), m, len(side)), dtype=np.int64)
+        for i in range(m):
+            c = i // per
+            stacks[c, i] = side << bits * (min(c * per + per, m) - 1 - i)
+        return stacks
+
+    def rows(stacks, prefixes, j):  # key columns of (T, n) rows, each tuple's in order
+        cols = [sums(stack, prefixes, j).reshape(-1, n) for stack in stacks]
+        if len(cols) == 1:
+            cols[0].sort(axis=1)
+            return cols
+        order = np.lexsort(cols[::-1], axis=1)
+        return [np.take_along_axis(col, order, axis=1) for col in cols]
+
+    first, stacks = _first_occurrences(sides[0], rank), [packed(side) for side in sides]
+    marks = [np.zeros(len(side), dtype=bool) for side in sides]
+    for prefixes, j, span in chunks:
+        colors, inverse = np.unique(_join([side[span] for side in sides]), return_inverse=True)
+        refs = rows(stacks[0], first[colors], 0)
+        for mark, side, at in zip(marks, stacks, inverse.reshape(len(sides), -1)):
+            for own, ref in zip(rows(side, prefixes, j), refs):
+                mark[span] |= np.any(own != ref[at], axis=1)
+    # a first tuple is its own reference, so it differs only if the chunk and
+    # reference rows disagree; a class marked whole would then never split
+    if marks[0][first[first < len(sides[0])]].any():
+        raise InvariantError("a color's first tuple differs from its own reference rows")
+    return marks
 
 
 def close_tuples(
     *mats: np.ndarray, m: int, origin: bool = False
 ) -> tuple[list[np.ndarray], int] | None:
     """``refine_tuples`` with arbitrary ids: the same verdict, rank and
-    joint partition, on the same layout.
+    joint partition, on the same layout, one chunk of tuples at a time.
 
     Each round is hashed: tuple x gets one int64 key, its color above the
     top bits of the wrapping uint64 sum over a of a scrambled mix
     sum_i w_i[c(x_{i<-a})] of its substitution row, with the same slot
     weights w on every side.  A key depends only on the color and the
     exact signature in the shared ids, so every hashed partition coarsens
-    the exact one alike on every side.  Where ``_refine`` stops, one exact
-    round (``_tuple_rounds``) on all sides certifies the fixpoint; if it
-    splits a class, hashing resumes from its ids, whose histograms
-    ``_refine`` compares first, so a None is never early or late.
+    the exact one alike on every side.  Where ``_refine`` stops,
+    ``_unstable_tuples`` certifies the fixpoint; a tuple whose rows differ
+    from those of its color's first tuple gets a new color, which splits
+    its class by the exact signature, and hashing resumes from those ids,
+    whose histograms ``_refine`` compares first, so a None is never early
+    or late.  Per side, a round holds the coloring, its slot weights and
+    one chunk's table.
     """
     n = mats[0].shape[0]
-    inits, table = _tuple_layout(mats, m, origin)
+    inits, _, sums, chunks = _tuple_layout(mats, m, origin)
     rng = random.Random(0)
 
     def round_rows(sides, rank):
         bits = _hash_bits(rank)
         weights = _slot_weights(rng, m, rank)
         keys = []
-        for side in sides:  # one side's table at a time
-            mix = table(weights[:, side]).sum(axis=1, dtype=np.uint64)
-            sums = _scramble(mix).reshape(-1, n).sum(axis=1, dtype=np.uint64)
-            keys.append(_pack_keys(side, sums, bits))
+        for side in sides:
+            stack = weights[:, side]
+            hashes = np.empty(len(side), dtype=np.uint64)
+            for prefixes, j, span in chunks:
+                mix = _scramble(sums(stack, prefixes, j)).reshape(-1, n)
+                # einsum sums each tuple's n words a few times faster than .sum(axis=1)
+                hashes[span] = np.einsum("ta->t", mix)
+            keys.append(_pack_keys(side, hashes, bits))
         return _join(keys)[:, None]
 
-    exact = _tuple_rounds(table, n)
     while (res := _refine(inits, round_rows)) is not None:
         sides, rank = res
-        ids, new_rank = _renumber_rows(exact(sides, rank))
-        if new_rank == rank:
+        marks = _unstable_tuples(sides, rank, m, n, sums, chunks)
+        if not any(mark.any() for mark in marks):
             return sides, rank
-        inits = np.split(ids, len(sides))
+        inits = [side + rank * mark for side, mark in zip(sides, marks)]
     return None

@@ -8,7 +8,8 @@ decided by running both refinements in lockstep through a shared color
 dictionary and comparing histograms each round, except for a bijection
 that a point map known in advance induces (``algebra._induced_by_known_map``).
 The lockstep rounds are hashed (``refine.close_tuples``) and their
-fixpoint is certified by one exact round; a single refinement keeps the
+fixpoint is certified by an exact comparison, one chunk of tuples at a
+time; a single refinement keeps the
 exact rounds (``refine.refine_tuples``), whose ids are independent of the
 input numbering.  Both run on the x0 = 0 tuples when every side is
 translation invariant.

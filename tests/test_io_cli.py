@@ -804,6 +804,17 @@ def test_main_past_the_graph_cap_runs_no_order(argv, cap, monkeypatch, capsys):
         ("enumerate --order -3 --schemes", "--order takes an order >= 1, got -3"),
         ("enumerate --order 8 --schemes --cap 0", "--cap takes a cap >= 1, got 0"),
         ("enumerate --order 8 --schemes --cap -3", "--cap takes a cap >= 1, got -3"),
+        # refused before the search, whether or not the pair has a map
+        ("wlm --graph n=12;S=1,11 --graph2 n=12;S=6 --m 0", "--m takes an m >= 2, got 0"),
+        ("wlm --graph n=12;S=1,11 --graph2 n=12;S=5,7 --m 0", "--m takes an m >= 2, got 0"),
+        (
+            "wlm --graph n=12;S=1,11 --graph2 n=12;S=6 --tuple-cap -5",
+            "--tuple-cap takes a cap >= 1, got -5",
+        ),
+        (
+            "wlm --graph n=12;S=1,11 --graph2 n=12;S=5,7 --tuple-cap -5",
+            "--tuple-cap takes a cap >= 1, got -5",
+        ),
         (
             "extend --graph n=4;S=1,2,3 --section 4",
             "--section takes U/L with integer orders, got '4'",

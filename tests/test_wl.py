@@ -939,20 +939,11 @@ def _exact_tuple_lockstep(mats, m, origin):
     return refine_tuples(*mats, m=m, origin=origin)
 
 
-def test_hashed_tuple_lockstep_matches_the_exact_engines(monkeypatch, rook_and_shrikhande):
-    # every algebraic automorphism of every scheme of order at most 10 at
-    # m = 2, 3 on both paths, a color swap that diverges, and rook ->
-    # Shrikhande, equivalent at m = 2 and refuted at m = 3: the same verdict,
-    # rank and joint partition as the exact engines, with hashed weights and
-    # with constant ones, under which no hashed round splits and only the
-    # exact certifying rounds refine
-    exact_rounds, tuple_rounds = [], refine._tuple_rounds
-
-    def counted(table, n):
-        round_rows = tuple_rounds(table, n)
-        return lambda sides, rank: exact_rounds.append(rank) or round_rows(sides, rank)
-
-    monkeypatch.setattr(refine, "_tuple_rounds", counted)
+def _lockstep_cases(rook_and_shrikhande):
+    """Every algebraic automorphism of every scheme of order at most 10 at
+    m = 2, 3 on both paths, a color swap that diverges, and rook ->
+    Shrikhande, equivalent at m = 2 and refuted at m = 3: (mats, cmap, m,
+    origin, the exact engine's result)."""
     z8 = cay_closure(8, {1})
     cases = [
         (X.cc, X.cc, phi.color_map, m, origin)
@@ -966,11 +957,26 @@ def test_hashed_tuple_lockstep_matches_the_exact_engines(monkeypatch, rook_and_s
     rook, shrikhande = rook_and_shrikhande
     (phi,) = enumerate_algebraic_isos(rook, shrikhande)
     cases += [(rook, shrikhande, phi.color_map, m, False) for m in (2, 3)]
-    weighings = {"hashed": refine._slot_weights, "constant": _constant_slot_weights}
-    verdicts, resumed = {True: 0, False: 0}, dict.fromkeys(weighings, 0)
+    out = []
     for cc_a, cc_b, cmap, m, origin in cases:
         mats = [cc_a.colors, np.argsort(cmap)[cc_b.colors]]
-        expected = _exact_tuple_lockstep(mats, m, origin)
+        out.append((mats, cmap, m, origin, _exact_tuple_lockstep(mats, m, origin)))
+    return out
+
+
+def _check_hashed_tuple_lockstep(monkeypatch, cases):
+    # the same verdict, rank and joint partition as the exact engines, with
+    # hashed weights and with constant ones, under which no hashed round
+    # splits and only the exact certifying rounds refine
+    exact_rounds, certify = [], refine._unstable_tuples
+
+    def counted(sides, rank, *layout):
+        return exact_rounds.append(rank) or certify(sides, rank, *layout)
+
+    monkeypatch.setattr(refine, "_unstable_tuples", counted)
+    weighings = {"hashed": refine._slot_weights, "constant": _constant_slot_weights}
+    verdicts, resumed = {True: 0, False: 0}, dict.fromkeys(weighings, 0)
+    for mats, cmap, m, origin, expected in cases:
         for name, weights in weighings.items():
             monkeypatch.setattr(refine, "_slot_weights", weights)
             exact_rounds.clear()
@@ -984,31 +990,104 @@ def test_hashed_tuple_lockstep_matches_the_exact_engines(monkeypatch, rook_and_s
     assert resumed["hashed"] == 0 and resumed["constant"] > 0
 
 
+def test_hashed_tuple_lockstep_matches_the_exact_engines(monkeypatch, rook_and_shrikhande):
+    _check_hashed_tuple_lockstep(monkeypatch, _lockstep_cases(rook_and_shrikhande))
+
+
+def test_hashed_tuple_lockstep_matches_the_exact_engines_one_tuple_per_chunk(
+    monkeypatch, rook_and_shrikhande
+):
+    # the same cases, on both paths and with both weighings, streamed one
+    # tuple at a time: every substitution of every slot reads across chunks;
+    # the cases and their exact results are built at the default bound
+    cases = _lockstep_cases(rook_and_shrikhande)
+    monkeypatch.setattr(refine, "STACK_ENTRIES", 1)
+    *_, chunks = refine._tuple_layout([np.zeros((3, 3), dtype=np.int64)] * 2, 2, False)
+    assert [(len(prefixes), j) for prefixes, j, _ in chunks] == [(1, 0)] * 9
+    _check_hashed_tuple_lockstep(monkeypatch, cases)
+
+
+def _admitted_rank(m, origin):
+    """The largest joint rank of a two-sided lockstep whose m-tuple table the
+    default cap admits, or 0 where it admits no order above 1: two sides of
+    N tuples have at most 2N colors."""
+    n = 1
+    while True:
+        try:
+            refine._check_substitution_table(n + 1, m, DEFAULT_TUPLE_CAP, origin)
+        except CapExceededError:
+            return 2 * n ** (m - origin) if n > 1 else 0
+        n += 1
+
+
+def _widest_admitted_rank():
+    """The largest admitted rank on either path, at any m; it comes with n = 2."""
+    return max(
+        _admitted_rank(m, origin)
+        for m in range(2, DEFAULT_TUPLE_CAP.bit_length())
+        for origin in (False, True)
+    )
+
+
 def test_tuple_keys_keep_36_hash_bits_at_every_rank_the_tuple_cap_admits():
     # a lockstep of two sides of N tuples has a joint rank of at most 2N,
     # and the cap admits a table of N * n * m entries per side, on either
     # path; the largest such N comes with n = 2
-    def largest_order(m, origin):
-        n = 1
-        while True:
-            try:
-                refine._check_substitution_table(n + 1, m, DEFAULT_TUPLE_CAP, origin)
-            except CapExceededError:
-                return n
-            n += 1
-
-    ranks = [
-        2 * largest_order(m, origin) ** (m - origin)
-        for m in range(2, DEFAULT_TUPLE_CAP.bit_length())
-        for origin in (False, True)
-        if largest_order(m, origin) > 1
-    ]
-    rank = max(ranks)
+    rank = _widest_admitted_rank()
     assert rank < DEFAULT_TUPLE_CAP
     bits = refine._hash_bits(rank)
     assert bits >= 36
     [key] = refine._pack_keys(np.array([rank - 1]), np.array([2**64 - 1], dtype=np.uint64), bits)
     assert key >= 0 and key >> bits == rank - 1
+
+
+def _rows_that_differ_in_one_slot(m, origin, slot):
+    """A tiny layout, and a coloring of its tuples by 0, 1, 2 in which tuple
+    u has the color of an earlier tuple t and sorted substitution rows that
+    differ from t's only in ``slot``, where values v and w trade places,
+    neither of them u's color: ((n, sums, chunks), colors, u, (v, w))."""
+    rng = np.random.default_rng(0)
+    rest = [i for i in range(m) if i != slot]
+    for n in (2, 3, 4):
+        _, table, sums, chunks = refine._tuple_layout([np.zeros((n, n), dtype=np.int64)], m, origin)
+        count = n ** (m - origin)
+        for _ in range(500):
+            colors = rng.integers(0, 3, size=count)
+            rows = [sorted(map(tuple, r)) for r in table(colors).reshape(count, n, m).tolist()]
+            for u in range(count):
+                t = int(np.argmax(colors == colors[u]))
+                diff = [(a, b) for a, b in zip(rows[t], rows[u]) if a != b]
+                if not (t < u and diff) or any(
+                    [a[i] for i in rest] != [b[i] for i in rest] for a, b in diff
+                ):
+                    continue
+                if len({frozenset((a[slot], b[slot])) for a, b in diff}) == 1:
+                    ends = diff[0][0][slot], diff[0][1][slot]
+                    if colors[u] not in ends:
+                        return (n, sums, chunks), colors, u, ends
+    raise AssertionError(f"no coloring found for m={m}, origin={origin}, slot={slot}")
+
+
+def test_certification_separates_rows_at_the_widest_key_the_tuple_cap_admits():
+    # ids at the largest rank the cap admits on the path, and at the largest
+    # on any path (2**22, so three ids need 66 bits): two tuples of one
+    # color whose rows differ only in the low bits of the last slot, or, at
+    # m >= 3, where one key would overflow, only in the top bit of the first
+    widest = _widest_admitted_rank()
+    assert widest == 2**22
+    for m in (2, 3, 4):
+        for origin in (False, True):
+            for slot in (m - 1, 0) if m > 2 else (m - 1,):
+                (n, sums, chunks), colors, u, ends = _rows_that_differ_in_one_slot(m, origin, slot)
+                for rank in (_admitted_rank(m, origin), widest):
+                    top = rank - 1
+                    ids = np.zeros(3, dtype=np.int64)
+                    ids[list(ends)] = top, top - 1 if slot else top ^ 1 << (top.bit_length() - 1)
+                    [mark] = refine._unstable_tuples([ids[colors]], rank, m, n, sums, chunks)
+                    assert mark[u], (m, origin, slot, rank)
+                    ids[ends[1]] = top  # the same rows: u agrees with t
+                    [mark] = refine._unstable_tuples([ids[colors]], rank, m, n, sums, chunks)
+                    assert not mark[u], (m, origin, slot, rank)
 
 
 def test_tuple_key_budget_fires_under_python_O():
@@ -1034,8 +1113,20 @@ def test_tuple_key_budget_fires_under_python_O():
 
 
 def test_a_hashed_tuple_round_peaks_below_the_exact_round(monkeypatch, rook_and_shrikhande):
+    rook, shrikhande = rook_and_shrikhande
+    table = 16**4 * 3 * 8  # bytes of one side's dense m = 3 table on 16 points
+    # a whole lockstep call that reaches the certification: rook against a
+    # point-relabelled rook, equivalent at m = 3
+    perm = np.random.default_rng(7).permutation(16)
+    tracemalloc.start()
+    res = close_tuples(rook.colors, rook.colors[perm][:, perm], m=3)
+    call = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert res is not None and res[1] == refine_tuples(rook.colors, m=3)[1]
+    assert call < table, call / table
     # each engine's first round on the same two sides, traced: the hashed
-    # round holds one side's table at a time, the exact one renumbers both
+    # round holds one chunk's table at a time, the exact one renumbers both
+    # sides' whole tables
     peaks, refine_loop = {}, refine._refine
 
     def traced(inits, round_rows):
@@ -1049,7 +1140,6 @@ def test_a_hashed_tuple_round_peaks_below_the_exact_round(monkeypatch, rook_and_
 
     monkeypatch.setattr(refine, "_refine", traced)
     cycle = cay_closure(24, {1, 23})
-    rook, shrikhande = rook_and_shrikhande
     for mats, m, origin in (
         ([rook.colors, shrikhande.colors], 3, False),
         ([cycle.colors, cycle.colors], 3, True),
@@ -1060,8 +1150,11 @@ def test_a_hashed_tuple_round_peaks_below_the_exact_round(monkeypatch, rook_and_
         _exact_tuple_lockstep(mats, m, origin)
         hashed = peaks["close_tuples.<locals>.round_rows"]
         exact = peaks["_tuple_rounds.<locals>.round_rows"]
-        table = len(mats[0]) ** (m + 1 - origin) * m * 8  # bytes of one side's table
-        assert table < hashed < exact, (m, origin, hashed / table, exact / table)
+        entries = len(mats[0]) ** (m + 1 - origin) * m  # of one side's table
+        keys = 2 * len(mats[0]) ** (m - origin) * 8  # bytes of the round's joint keys
+        assert keys < hashed < exact and entries * 8 < exact, (m, origin, hashed, exact)
+        if entries > refine.STACK_ENTRIES:
+            assert hashed < entries * 8, (m, origin, hashed / (entries * 8))
 
 
 # -- pebble game oracle -----------------------------------------------------------------
